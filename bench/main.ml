@@ -7,20 +7,7 @@
 
 let section title = Format.printf "@.==== %s ====@.@." title
 
-(* Per-section GC watermarks: [Gc.stat ()] sampled at section
-   boundaries, keyed by bench section, so a heap regression is
-   attributable to a kernel or the serving layer instead of showing up
-   only in one end-of-run figure. [top_heap_words] is monotone across
-   the process lifetime — which is also why A12 runs first and measures
-   its arena phase before any boxed strip or MRCT exists. *)
-let gc_sections : (string * Gc.stat) list ref = ref []
-
 let mb_of_words w = float_of_int (w * 8) /. 1048576.0
-
-let record_gc key =
-  let stat = Gc.stat () in
-  gc_sections := !gc_sections @ [ (key, stat) ];
-  stat
 
 (* Traces are produced once and shared by every experiment. *)
 let workloads : (string * Trace.t * Trace.t) list =
@@ -207,20 +194,23 @@ let ablation_line_size () =
 
 let ablation_dfs () =
   section "A2: ablation — materialised BCAT walk vs fused DFS (paper section 2.4)";
-  let trace = List.assoc "engine" data_traces in
-  let prepared = Analytical.prepare trace in
+  let stripped = Strip.strip (List.assoc "engine" data_traces) in
+  let max_level = Strip.address_bits stripped in
+  let mrct = Mrct.build stripped in
   let k = 100 in
-  let bcat_result, bcat_time =
-    Timing.time (fun () -> Analytical.explore_prepared ~method_:Analytical.Bcat_walk prepared ~k)
+  let (bcat, bcat_result), bcat_time =
+    Timing.time (fun () ->
+        let bcat = Bcat.build ~max_level (Zero_one.build stripped) in
+        (bcat, Optimizer.explore bcat mrct ~k))
   in
   let dfs_result, dfs_time =
-    Timing.time (fun () -> Analytical.explore_prepared ~method_:Analytical.Dfs prepared ~k)
+    Timing.time (fun () ->
+        Dfs_optimizer.explore ~addresses:stripped.Strip.uniques mrct ~max_level ~k)
   in
   Format.printf "results identical: %b@."
     (Optimizer.optimal_pairs bcat_result = Optimizer.optimal_pairs dfs_result);
-  Format.printf "BCAT walk: %.4f s    fused DFS: %.4f s@." bcat_time dfs_time;
-  let zero_one = Zero_one.build (Analytical.stripped prepared) in
-  let bcat = Bcat.build zero_one in
+  Format.printf "BCAT build + walk: %.4f s    fused DFS: %.4f s  (MRCT prebuilt for both)@."
+    bcat_time dfs_time;
   Format.printf "materialised tree: %d nodes; the DFS variant allocates none@."
     (Bcat.node_count bcat)
 
@@ -320,188 +310,114 @@ let reduction_section () =
     "@.(filter: depth 4, 4-word lines — miss-equivalent for every cache of depth >= 4@.";
   Format.printf " with the same line size; budgets recomputed on the stripped trace)@."
 
-(* -- A7: multicore postlude -- *)
+(* -- A11: the arena kernel vs the materialized oracle -- *)
 
-let parallel_section () =
-  section "A7: extension — multicore postlude (the paper's 'distributed sets' remark)";
-  let trace = List.assoc "compress" data_traces in
-  let prepared = Analytical.prepare trace in
-  let addresses = (Analytical.stripped prepared).Strip.uniques in
-  let mrct = Analytical.mrct prepared in
-  let max_level = Analytical.max_level prepared in
-  Format.printf "host reports %d recommended domain(s); speedups need > 1 core@."
-    (Domain.recommended_domain_count ());
-  let sequential, t1 =
-    Timing.time_wall (fun () -> Dfs_optimizer.explore ~addresses mrct ~max_level ~k:100)
-  in
-  List.iter
-    (fun domains ->
-      let parallel, tn =
-        Timing.time_wall (fun () ->
-            Parallel_optimizer.explore ~domains ~addresses mrct ~max_level ~k:100)
-      in
-      Format.printf "domains=%d: %.4f s (sequential %.4f s, speedup %.2fx, identical %b)@."
-        domains tn t1 (t1 /. tn)
-        (Optimizer.optimal_pairs sequential = Optimizer.optimal_pairs parallel))
-    [ 2; 4 ]
+let materialized_histograms stripped ~max_level =
+  Dfs_optimizer.histograms ~addresses:stripped.Strip.uniques (Mrct.build stripped) ~max_level
 
-(* -- A11: streaming fused kernel vs materialized MRCT -- *)
-
-let streaming_section () =
-  section "A11: arena and streaming fused kernels vs materialized MRCT (identical histograms)";
-  Format.printf "%-10s %14s %14s %14s %14s@." "benchmark" "materialized" "streaming"
-    "streaming x4" "arena";
+let oracle_section () =
+  section "A11: arena kernel vs materialized MRCT oracle (identical histograms)";
+  Format.printf "%-10s %14s %14s@." "benchmark" "materialized" "arena";
   List.iter
     (fun (name, trace) ->
       let stripped = Strip.strip trace in
       let max_level = Strip.address_bits stripped in
       let materialized, tm =
-        Timing.time_wall (fun () ->
-            let mrct = Mrct.build stripped in
-            Dfs_optimizer.histograms ~addresses:stripped.Strip.uniques mrct ~max_level)
-      in
-      let streamed, ts =
-        Timing.time_wall (fun () -> Streaming.histograms stripped ~max_level)
-      in
-      let sharded, ts4 =
-        Timing.time_wall (fun () -> Streaming.histograms ~domains:4 stripped ~max_level)
+        Timing.time_wall (fun () -> materialized_histograms stripped ~max_level)
       in
       let astrip = Arena_kernel.of_trace trace in
-      let arena, ta =
-        Timing.time_wall (fun () -> Arena_kernel.histograms astrip ~max_level)
-      in
-      if not (materialized = streamed && streamed = sharded && streamed = arena) then
-        failwith (Printf.sprintf "A11: %s histograms diverge" name);
-      Format.printf "%-10s %12.4f s %12.4f s %12.4f s %12.4f s@." name tm ts ts4 ta)
-    data_traces;
-  Format.printf "@.(PowerStone windows are below Streaming.min_shard_refs = %d, so the@."
-    Streaming.min_shard_refs;
-  Format.printf " x4 column exercises the sequential fallback; see A12 for real shards)@.";
-  ignore (record_gc "a11")
+      let arena, ta = Timing.time_wall (fun () -> Arena_kernel.histograms astrip ~max_level) in
+      if materialized <> arena then failwith (Printf.sprintf "A11: %s histograms diverge" name);
+      Format.printf "%-10s %12.4f s %12.4f s@." name tm ta)
+    data_traces
 
-(* -- A12: large synthetic trace, where O(N * N') materialization hurts -- *)
+(* -- A12: the arena kernel at 10M references, and against the oracle -- *)
 
 type large_result = {
   large_n : int;
   large_n' : int;
-  mrct_words : int;
-  materialized_s : float;
-  streaming_s : float;
-  streaming4_s : float;
-  streaming_minor_words : float;
   arena_s : float;
   arena4_s : float;
   arena_minor_words : float;
   arena_peak_mb : float;
-  boxed_peak_mb : float;
+  oracle_n : int;
+  mrct_words : int;
+  materialized_s : float;
+  oracle_arena_s : float;
+  oracle_heap_mb : float;
 }
 
 let large_trace_section () =
-  section "A12: 10M-reference synthetic trace — off-heap arena vs boxed streaming/materialized";
-  let n = 10_000_000 in
+  section "A12: 10M-reference loop nest on the arena kernel, and arena = oracle at 250K";
   (* a loop nest over 48 lines: every warm occurrence carries a 47-wide
-     conflict set, so the materialized table is ~470M words while the
-     fused kernels keep just the recency list *)
-  let trace = Synthetic.loop ~base:0 ~body:48 ~iterations:((n + 47) / 48) in
-  (* Arena phase FIRST: [top_heap_words] is monotone over the process
-     lifetime, so the off-heap kernel's watermark must be sampled
-     before any boxed strip or MRCT has ever existed. At this point the
-     heap holds the trace itself and little else. *)
+     conflict set, so a materialized table would be ~470M words while
+     the fused kernel keeps just the recency list *)
+  let loop_nest refs = Synthetic.loop ~base:0 ~body:48 ~iterations:((refs + 47) / 48) in
+  let trace = loop_nest 10_000_000 in
   let astrip, arena_build_s = Timing.time_wall (fun () -> Arena_kernel.of_trace trace) in
   let max_level = Arena_kernel.address_bits astrip in
-  let n = Arena_kernel.num_refs astrip in
-  Format.printf "N = %d, N' = %d, %d levels@." n (Arena_kernel.num_unique astrip)
-    (max_level + 1);
+  let n = Arena_kernel.num_refs astrip and n' = Arena_kernel.num_unique astrip in
+  Format.printf "N = %d, N' = %d, %d levels@." n n' (max_level + 1);
   let minor_before = Gc.minor_words () in
-  let arena, arena_s =
-    Timing.time_wall (fun () -> Arena_kernel.histograms astrip ~max_level)
-  in
+  let arena, arena_s = Timing.time_wall (fun () -> Arena_kernel.histograms astrip ~max_level) in
   let arena_minor_words = Gc.minor_words () -. minor_before in
   let arena4, arena4_s =
     Timing.time_wall (fun () -> Arena_kernel.histograms ~domains:4 astrip ~max_level)
   in
-  let arena_peak_mb = mb_of_words (record_gc "a12_arena").Gc.top_heap_words in
-  (* boxed phase: the classic strip, the boxed streaming kernel, and the
-     materialized MRCT cross-check *)
-  let stripped = Strip.strip trace in
-  let minor_before = Gc.minor_words () in
-  let streamed, streaming_s =
-    Timing.time_wall (fun () -> Streaming.histograms stripped ~max_level)
-  in
-  let streaming_minor_words = Gc.minor_words () -. minor_before in
-  let sharded, streaming4_s =
-    Timing.time_wall (fun () -> Streaming.histograms ~domains:4 stripped ~max_level)
-  in
-  let (materialized, mrct_words), materialized_s =
-    Timing.time_wall (fun () ->
-        let mrct = Mrct.build stripped in
-        ( Dfs_optimizer.histograms ~addresses:stripped.Strip.uniques mrct ~max_level,
-          Mrct.volume mrct + Mrct.total_sets mrct ))
-  in
-  let boxed_peak_mb = mb_of_words (record_gc "a12_boxed").Gc.top_heap_words in
-  Format.printf "materialized MRCT + DFS: %8.3f s  (table: %d words)@." materialized_s
-    mrct_words;
-  Format.printf "streaming, 1 domain:     %8.3f s  (%.0f minor words allocated)@." streaming_s
-    streaming_minor_words;
-  Format.printf "streaming, 4 domains:    %8.3f s@." streaming4_s;
-  Format.printf "arena, 1 domain:         %8.3f s  (%.0f minor words; strip built in %.3f s)@."
+  (* [top_heap_words] is monotone over the process lifetime, so this
+     section runs before any other allocates: the heap holds the
+     10M-reference trace and little else *)
+  let arena_peak_mb = mb_of_words (Gc.quick_stat ()).Gc.top_heap_words in
+  Format.printf "arena, 1 domain:   %8.3f s  (%.0f minor words; strip built in %.3f s)@."
     arena_s arena_minor_words arena_build_s;
-  Format.printf "arena, 4 domains:        %8.3f s@." arena4_s;
-  Format.printf "peak heap: arena phase %.1f MB, boxed phase %.1f MB (%.1fx)@." arena_peak_mb
-    boxed_peak_mb
-    (boxed_peak_mb /. arena_peak_mb);
-  if not (materialized = streamed && streamed = sharded) then
-    failwith "A12: histograms diverge";
-  if not (arena = streamed && arena4 = streamed) then
-    failwith "A12: arena histograms diverge from streaming";
-  (* both fused kernels' occurrence loops are allocation-free: storing
-     even one word per warm occurrence would show up as >= 10M minor
-     words *)
-  if streaming_minor_words >= 1e6 then
-    failwith
-      (Printf.sprintf "A12: streaming kernel allocated %.0f minor words (expected < 1e6)"
-         streaming_minor_words);
+  Format.printf "arena, 4 domains:  %8.3f s@." arena4_s;
+  Format.printf "peak heap: %.1f MB (the trace; the kernel's state is off-heap)@." arena_peak_mb;
+  if arena4 <> arena then failwith "A12: sharded arena histograms diverge";
+  (* the occurrence loop is allocation-free: storing even one word per
+     warm occurrence would show up as >= 10M minor words *)
   if arena_minor_words >= 1e6 then
+    failwith (Printf.sprintf "A12: arena kernel allocated %.0f minor words" arena_minor_words);
+  (* oracle phase: a prefix of the same loop nest small enough for the
+     O(N * N') table — ~50 boxed words per reference once it is built *)
+  let oracle_trace = loop_nest 250_000 in
+  Gc.compact ();
+  let ostrip = Arena_kernel.of_trace oracle_trace in
+  let oracle_arena, oracle_arena_s =
+    Timing.time_wall (fun () -> Arena_kernel.histograms ostrip ~max_level)
+  in
+  let (materialized, mrct_words, oracle_heap_mb), materialized_s =
+    Timing.time_wall (fun () ->
+        let stripped = Strip.strip oracle_trace in
+        let mrct = Mrct.build stripped in
+        (* sampled while the table is live: the phase's working set *)
+        ( Dfs_optimizer.histograms ~addresses:stripped.Strip.uniques mrct ~max_level,
+          Mrct.volume mrct + Mrct.total_sets mrct,
+          mb_of_words (Gc.quick_stat ()).Gc.heap_words ))
+  in
+  let oracle_n = Arena_kernel.num_refs ostrip in
+  Format.printf "oracle, N = %d: materialized MRCT + DFS %.3f s (%d words, heap %.1f MB)@."
+    oracle_n materialized_s mrct_words oracle_heap_mb;
+  Format.printf "              arena %.3f s (%.1fx faster)@." oracle_arena_s
+    (materialized_s /. oracle_arena_s);
+  if oracle_arena <> materialized then failwith "A12: arena histograms diverge from the oracle";
+  if oracle_heap_mb > 256. then
+    failwith (Printf.sprintf "A12: oracle phase heap %.1f MB exceeds 256 MB" oracle_heap_mb);
+  if oracle_arena_s >= materialized_s then
     failwith
-      (Printf.sprintf "A12: arena kernel allocated %.0f minor words (expected < 1e6)"
-         arena_minor_words);
-  if streaming4_s >= materialized_s then
-    failwith
-      (Printf.sprintf "A12: streaming x4 (%.3f s) did not beat materialized (%.3f s)"
-         streaming4_s materialized_s);
-  (* the tentpole guarantees: the off-heap kernel is roughly as fast as
-     the boxed one (locality should make it faster) and its GC-visible
-     watermark is >= 10x below the boxed phase's. The wall comparison
-     takes each kernel's best configuration and allows 15% — loaded
-     single-core runners show 10-30% single-run swing on these kernels
-     (the materialized phase varies 2x between runs), and the guardrail
-     is for catastrophic regressions, not timer noise. *)
-  let arena_best = Float.min arena_s arena4_s in
-  let streaming_best = Float.min streaming_s streaming4_s in
-  if arena_best > streaming_best *. 1.15 then
-    failwith
-      (Printf.sprintf "A12: arena (best %.3f s) slower than streaming (best %.3f s)"
-         arena_best streaming_best);
-  if arena_peak_mb *. 10. > boxed_peak_mb then
-    failwith
-      (Printf.sprintf "A12: arena peak %.1f MB not 10x below boxed peak %.1f MB"
-         arena_peak_mb boxed_peak_mb);
-  Format.printf "speedup vs materialized: %.2fx (streaming), %.2fx (arena)@."
-    (materialized_s /. streaming_s)
-    (materialized_s /. arena_s);
+      (Printf.sprintf "A12: arena (%.3f s) did not beat materialized (%.3f s)" oracle_arena_s
+         materialized_s);
   {
     large_n = n;
-    large_n' = Strip.num_unique stripped;
-    mrct_words;
-    materialized_s;
-    streaming_s;
-    streaming4_s;
-    streaming_minor_words;
+    large_n' = n';
     arena_s;
     arena4_s;
     arena_minor_words;
     arena_peak_mb;
-    boxed_peak_mb;
+    oracle_n;
+    mrct_words;
+    materialized_s;
+    oracle_arena_s;
+    oracle_heap_mb;
   }
 
 (* -- A17: approximate DSE — one-pass sketch vs the exact arena kernel
@@ -913,8 +829,8 @@ let supervision_section () =
   Format.printf
     "hang-timeout %.2f s: stall answered in %.4f s, replacement served the resubmit in %.4f s@."
     hang_timeout stall_detect_s recovery_submit_s;
-  (* shed-mode burst: 4x queue capacity of heavy jobs (a streaming
-     shard of references, ~0.5 s of kernel each — enough service time
+  (* shed-mode burst: 4x queue capacity of heavy jobs (a kernel shard
+     of references, ~0.5 s of kernel each — enough service time
      to back the queue up past its watermark) against a small pool. The
      daemon sheds instead of queueing; everything it accepts it
      answers. *)
@@ -1443,10 +1359,10 @@ let emit_json ~fast ~samples ~large ~approx ~server ~selfheal ~supervision ~rout
         samples;
       Printf.fprintf oc "  ],\n";
       Printf.fprintf oc
-        "  \"large_trace\": {\"n\": %d, \"n_unique\": %d, \"mrct_words\": %d, \"materialized_wall_seconds\": %.6f, \"streaming_wall_seconds\": %.6f, \"streaming_domains4_wall_seconds\": %.6f, \"streaming_minor_words\": %.0f, \"arena_wall_seconds\": %.6f, \"arena_domains4_wall_seconds\": %.6f, \"arena_minor_words\": %.0f, \"arena_peak_heap_mb\": %.1f, \"streaming_peak_heap_mb\": %.1f, \"histograms_identical\": true},\n"
-        large.large_n large.large_n' large.mrct_words large.materialized_s large.streaming_s
-        large.streaming4_s large.streaming_minor_words large.arena_s large.arena4_s
-        large.arena_minor_words large.arena_peak_mb large.boxed_peak_mb;
+        "  \"large_trace\": {\"n\": %d, \"n_unique\": %d, \"arena_wall_seconds\": %.6f, \"arena_domains4_wall_seconds\": %.6f, \"arena_minor_words\": %.0f, \"arena_peak_heap_mb\": %.1f, \"oracle_n\": %d, \"mrct_words\": %d, \"materialized_wall_seconds\": %.6f, \"oracle_arena_wall_seconds\": %.6f, \"oracle_heap_mb\": %.1f, \"histograms_identical\": true},\n"
+        large.large_n large.large_n' large.arena_s large.arena4_s large.arena_minor_words
+        large.arena_peak_mb large.oracle_n large.mrct_words large.materialized_s
+        large.oracle_arena_s large.oracle_heap_mb;
       Printf.fprintf oc
         "  \"approx\": {\"n\": %d, \"span\": %d, \"distinct\": %.1f, \"alpha\": %.4f, \"fit_r2\": %.4f, \"sketch_wall_seconds\": %.6f, \"sketch_minor_words\": %.0f, \"estimate_wall_seconds\": %.6f, \"exact_wall_seconds\": %.6f, \"speedup\": %.1f, \"sketch_state_bytes\": %d, \"sketch_state_mb\": %.2f, \"grid_points\": %d, \"grid_covered\": %d, \"mean_rate_err\": %.6f},\n"
         approx.approx_n approx.approx_span approx.approx_distinct approx.approx_alpha
@@ -1483,24 +1399,10 @@ let emit_json ~fast ~samples ~large ~approx ~server ~selfheal ~supervision ~rout
         replication.failover_warm_seconds replication.warm_peer_hits
         replication.warm_kernel_reruns replication.cold_kernel_reruns;
       Printf.fprintf oc
-        "  \"membership\": {\"fleet_nodes\": %d, \"distinct_traces\": %d, \"drain_handoff_seconds\": %.6f, \"drain_pushed\": %d, \"join_warmup_seconds\": %.6f, \"identity_submissions\": %d, \"identity_identical\": %d},\n"
+        "  \"membership\": {\"fleet_nodes\": %d, \"distinct_traces\": %d, \"drain_handoff_seconds\": %.6f, \"drain_pushed\": %d, \"join_warmup_seconds\": %.6f, \"identity_submissions\": %d, \"identity_identical\": %d}\n"
         membership.member_nodes membership.member_traces membership.drain_handoff_seconds
         membership.drain_pushed membership.join_warmup_seconds membership.identity_submissions
         membership.identity_identical;
-      (* per-section GC watermarks: each key is the cumulative
-         top_heap at the end of that section (monotone, so the first
-         key is the purest reading) *)
-      Printf.fprintf oc "  \"gc\": {\n";
-      let n_gc = List.length !gc_sections in
-      List.iteri
-        (fun idx (key, (stat : Gc.stat)) ->
-          Printf.fprintf oc
-            "    %S: {\"top_heap_words\": %d, \"peak_heap_mb\": %.1f}%s\n" key
-            stat.Gc.top_heap_words
-            (mb_of_words stat.Gc.top_heap_words)
-            (if idx = n_gc - 1 then "" else ","))
-        !gc_sections;
-      Printf.fprintf oc "  }\n";
       Printf.fprintf oc "}\n");
   Format.printf "@.(machine-readable results written to BENCH_dse.json)@."
 
@@ -1580,8 +1482,8 @@ let bechamel_suite () =
            List.iter (fun (n, t) -> ignore (Timing.analytical_sample ~name:n t)) traces))
   in
   let postlude_tests =
-    (* head-to-head on the heaviest PowerStone data trace: same histograms,
-       three kernels *)
+    (* head-to-head on the heaviest PowerStone data trace: same histograms
+       from the oracle and the kernel *)
     let trace = List.assoc "compress" data_traces in
     let stripped = Strip.strip trace in
     let astrip = Arena_kernel.of_trace trace in
@@ -1589,12 +1491,7 @@ let bechamel_suite () =
     [
       Test.make ~name:"postlude:materialized"
         (Staged.stage (fun () ->
-             let mrct = Mrct.build stripped in
-             ignore (Dfs_optimizer.histograms ~addresses:stripped.Strip.uniques mrct ~max_level)));
-      Test.make ~name:"postlude:streaming"
-        (Staged.stage (fun () -> ignore (Streaming.histograms stripped ~max_level)));
-      Test.make ~name:"postlude:streaming-x4"
-        (Staged.stage (fun () -> ignore (Streaming.histograms ~domains:4 stripped ~max_level)));
+             ignore (materialized_histograms stripped ~max_level)));
       Test.make ~name:"postlude:arena"
         (Staged.stage (fun () -> ignore (Arena_kernel.histograms astrip ~max_level)));
     ]
@@ -1635,12 +1532,11 @@ let () =
   let fast = Array.exists (fun a -> a = "--fast") Sys.argv in
   Format.printf "Analytical Design Space Exploration of Caches — reproduction harness@.";
   running_example ();
-  (* A12 runs first: its arena phase's GC watermark is only meaningful
-     while no boxed strip/MRCT has ever been live (top_heap_words is
-     monotone over the process lifetime) *)
+  (* A12 runs first: top_heap_words is monotone over the process
+     lifetime, so its arena peak is only clean before other sections
+     allocate *)
   let large = large_trace_section () in
   let approx = approx_section () in
-  ignore (record_gc "a17_approx");
   let _ = stats_table "E2: Table 5 (data trace statistics)" data_traces in
   let _ = stats_table "E3: Table 6 (instruction trace statistics)" instruction_traces in
   instance_tables "E4: Tables 7-18 (optimal data cache instances, K = 5/10/15/20%)" data_traces;
@@ -1670,20 +1566,13 @@ let () =
   mattson_crosscheck ();
   pareto_section ();
   reduction_section ();
-  parallel_section ();
-  streaming_section ();
+  oracle_section ();
   let server = server_section () in
-  ignore (record_gc "server");
   let selfheal = selfheal_section () in
-  ignore (record_gc "selfheal");
   let supervision = supervision_section () in
-  ignore (record_gc "supervision");
   let router = router_section () in
-  ignore (record_gc "router");
   let replication = replication_section () in
-  ignore (record_gc "replication");
   let membership = membership_section () in
-  ignore (record_gc "membership");
   policy_section ();
   compiled_workloads_section ();
   l2_section ();

@@ -156,26 +156,15 @@ let trim_arg =
   Arg.(value & flag & info [ "no-trim" ] ~doc)
 
 let method_arg =
-  let methods =
-    [
-      ("arena", `Exact Analytical.Arena);
-      ("streaming", `Exact Analytical.Streaming);
-      ("dfs", `Exact Analytical.Dfs);
-      ("bcat", `Exact Analytical.Bcat_walk);
-      ("approx", `Approx);
-    ]
-  in
   Arg.(
     value
-    & opt (enum methods) (`Exact Analytical.Arena)
+    & opt (enum [ ("arena", `Arena); ("approx", `Approx) ]) `Arena
     & info [ "method" ] ~docv:"METHOD"
         ~doc:
-          "Analysis method. Exact histogram kernels: $(b,arena) (fused single pass over \
-           off-heap flat arenas, GC-invisible state, the default), $(b,streaming) (the same \
-           kernel on boxed arrays), $(b,dfs) (materialized MRCT), or $(b,bcat) (Algorithms \
-           1+3 as published) — all exact methods produce identical results. $(b,approx) \
-           estimates miss counts with error bars from a one-pass O(kilobytes) sketch \
-           (equivalent to $(b,--approx)).")
+          "Analysis method: $(b,arena) (the default) runs the exact fused kernel in one pass \
+           over off-heap flat arenas with GC-invisible state; $(b,approx) estimates miss \
+           counts with error bars from a one-pass O(kilobytes) sketch (equivalent to \
+           $(b,--approx)).")
 
 let approx_arg =
   let doc =
@@ -188,9 +177,8 @@ let approx_arg =
 
 let domains_arg =
   let doc =
-    "Number of parallel domains for the postlude. With $(b,--method arena) or $(b,--method \
-     streaming) the trace is sharded into windows (arena shards share one read-only strip); \
-     with $(b,--method dfs) the MRCT is partitioned by identifier."
+    "Number of parallel domains for the exact kernel: the trace is sharded into windows \
+     that all read one shared, read-only arena strip."
   in
   Arg.(value & opt int 1 & info [ "domains" ] ~docv:"N" ~doc)
 
@@ -199,8 +187,7 @@ let explore_cmd =
     if domains < 1 then usage_fail "domains must be >= 1";
     let max_level = level_of_max_depth max_depth in
     let name = Filename.basename path in
-    let approx = approx || (match method_ with `Approx -> true | `Exact _ -> false) in
-    if approx then begin
+    if approx || method_ = `Approx then begin
       let profile = sketch_trace_file format on_error path in
       let prepared = Approx_dse.prepare profile in
       match k with
@@ -213,14 +200,13 @@ let explore_cmd =
         else Format.printf "%a@." Report.pp_approx_instances table
     end
     else begin
-      let method_ = match method_ with `Exact m -> m | `Approx -> assert false in
       let trace = load_trace format on_error path in
       match k with
       | Some k ->
-        let result = Analytical.explore ?max_level ~method_ ~domains trace ~k in
+        let result = Analytical.explore ?max_level ~domains trace ~k in
         Format.printf "%a@." Optimizer.pp result
       | None ->
-        let table = Analytical_dse.run ~percents ?max_level ~method_ ~domains ~name trace in
+        let table = Analytical_dse.run ~percents ?max_level ~domains ~name trace in
         let table = if no_trim then table else Analytical_dse.trim table in
         if csv then print_string (Report.instances_to_csv table)
         else Format.printf "%a@." Report.pp_instances table
@@ -563,9 +549,8 @@ let serve_cmd =
       & info [ "memory-budget" ] ~docv:"MIB"
           ~doc:
             "Admission bound on a submission's estimated memory footprint, in MiB (judged from \
-             the declared reference count, before allocation). Priced per kernel: arena jobs \
-             are charged 18 bytes/ref, the boxed methods 50 — the same budget admits \
-             nearly 3x more trace under $(b,--method arena).")
+             the declared reference count, before allocation). Exact jobs are charged 18 \
+             bytes/ref; approx jobs a fixed few MiB whatever their length.")
   in
   let supervise_arg =
     Arg.(
@@ -840,16 +825,11 @@ let submit_cmd =
         let trace = load_trace format on_error path in
         let max_level = level_of_max_depth max_depth in
         let name = Filename.basename path in
-        let approx = approx || (match method_ with `Approx -> true | `Exact _ -> false) in
+        let approx = approx || method_ = `Approx in
         let payload =
           or_exit
-            (if approx then
-               Client.submit ~socket ~percents ?k ?max_level ~approx:true ~domains ?deadline
-                 ~retries ~retry_base ~retry_cap ~name trace
-             else
-               let method_ = match method_ with `Exact m -> m | `Approx -> assert false in
-               Client.submit ~socket ~percents ?k ?max_level ~method_ ~domains ?deadline
-                 ~retries ~retry_base ~retry_cap ~name trace)
+            (Client.submit ~socket ~percents ?k ?max_level ~approx ~domains ?deadline ~retries
+               ~retry_base ~retry_cap ~name trace)
         in
         if payload.Protocol.cache_hit then Format.eprintf "dse: served from the result cache@.";
         (match payload.Protocol.outcome with

@@ -1,28 +1,12 @@
-type method_ = Bcat_walk | Dfs | Streaming | Arena
+type method_ = Arena
 
-(* The arena strip is the strict, primary representation: prepare builds
-   it directly from the trace with no boxed intermediates. The boxed
-   Strip.t is a lazy view forced only by the methods that materialize
-   (Dfs, Bcat_walk), by the boxed Streaming kernel, or by callers that
-   need explicit arrays; the MRCT forces the boxed view in turn. The
-   default Arena path touches neither. *)
-type prepared = {
-  arena : Arena_kernel.strip;
-  stripped_lazy : Strip.t Lazy.t;
-  mrct_lazy : Mrct.t Lazy.t;
-  max_level : int;
-  line_words : int;
-}
+(* The arena strip is the only representation: prepare builds it
+   directly from the trace with no boxed intermediates. Oracle callers
+   that need the boxed strip or the MRCT derive them with
+   [Arena_kernel.to_strip] and [Mrct.build]. *)
+type prepared = { arena : Arena_kernel.strip; max_level : int; line_words : int }
 
 let arena_strip prepared = prepared.arena
-
-let stripped prepared = Lazy.force prepared.stripped_lazy
-
-let stripped_forced prepared = Lazy.is_val prepared.stripped_lazy
-
-let mrct prepared = Lazy.force prepared.mrct_lazy
-
-let mrct_forced prepared = Lazy.is_val prepared.mrct_lazy
 
 let max_level prepared = prepared.max_level
 
@@ -34,59 +18,24 @@ let prepare ?max_level ?(line_words = 1) trace =
   if line_words < 1 || line_words land (line_words - 1) <> 0 then
     invalid_arg "Analytical.prepare: line_words must be a positive power of two";
   let arena = Arena_kernel.of_trace ~line_words trace in
-  let stripped_lazy = lazy (Arena_kernel.to_strip arena) in
   let bits = Arena_kernel.address_bits arena in
   let max_level =
     match max_level with None -> bits | Some m -> max 0 (min m bits)
   in
-  {
-    arena;
-    stripped_lazy;
-    mrct_lazy = lazy (Mrct.build (Lazy.force stripped_lazy));
-    max_level;
-    line_words;
-  }
+  { arena; max_level; line_words }
 
-let histograms ?(cancel = Cancel.none) ?(method_ = Arena) ?(domains = 1) prepared =
-  match method_ with
-  | Arena ->
-    Arena_kernel.histograms ~cancel ~domains prepared.arena ~max_level:prepared.max_level
-  | Streaming ->
-    Streaming.histograms ~cancel ~domains (stripped prepared)
-      ~max_level:prepared.max_level
-  | Dfs ->
-    if domains > 1 then
-      Parallel_optimizer.histograms ~cancel ~domains
-        ~addresses:(stripped prepared).Strip.uniques (mrct prepared)
-        ~max_level:prepared.max_level
-    else begin
-      Cancel.check cancel;
-      Dfs_optimizer.histograms ~addresses:(stripped prepared).Strip.uniques
-        (mrct prepared) ~max_level:prepared.max_level
-    end
-  | Bcat_walk ->
-    let zero_one = Zero_one.build (stripped prepared) in
-    let bcat = Bcat.build ~max_level:prepared.max_level zero_one in
-    Array.init (Bcat.max_level bcat + 1) (fun level ->
-        (* level boundary: one poll per histogram of the walk *)
-        Cancel.check cancel;
-        Optimizer.histogram_at bcat (mrct prepared) ~level)
+let histograms ?cancel ?domains prepared =
+  Arena_kernel.histograms ?cancel ?domains prepared.arena ~max_level:prepared.max_level
 
-let explore_prepared ?cancel ?(method_ = Arena) ?domains prepared ~k =
-  match method_ with
-  | Bcat_walk ->
-    let zero_one = Zero_one.build (stripped prepared) in
-    let bcat = Bcat.build ~max_level:prepared.max_level zero_one in
-    Optimizer.explore bcat (mrct prepared) ~k
-  | Dfs | Streaming | Arena ->
-    Optimizer.of_histograms ~k (histograms ?cancel ~method_ ?domains prepared)
+let explore_prepared ?cancel ?domains prepared ~k =
+  Optimizer.of_histograms ~k (histograms ?cancel ?domains prepared)
 
-let explore_many ?(method_ = Arena) ?domains prepared ~ks =
-  let histograms = histograms ~method_ ?domains prepared in
+let explore_many ?domains prepared ~ks =
+  let histograms = histograms ?domains prepared in
   List.map (fun k -> Optimizer.of_histograms ~k histograms) ks
 
-let explore ?max_level ?line_words ?method_ ?domains trace ~k =
-  explore_prepared ?method_ ?domains (prepare ?max_level ?line_words trace) ~k
+let explore ?max_level ?line_words ?domains trace ~k =
+  explore_prepared ?domains (prepare ?max_level ?line_words trace) ~k
 
 let level_of_depth depth max_level =
   let rec log2 n acc = if n <= 1 then acc else log2 (n lsr 1) (acc + 1) in
@@ -98,18 +47,6 @@ let level_of_depth depth max_level =
       (Printf.sprintf "Analytical.misses: depth %d exceeds max level %d" depth max_level);
   level
 
-let misses ?(method_ = Arena) ?domains prepared ~depth ~associativity =
+let misses ?domains prepared ~depth ~associativity =
   let level = level_of_depth depth prepared.max_level in
-  match method_ with
-  | Arena -> Arena_kernel.misses ?domains prepared.arena ~level ~associativity
-  | Streaming -> Streaming.misses ?domains (stripped prepared) ~level ~associativity
-  | Dfs ->
-    let hists =
-      Dfs_optimizer.histograms ~addresses:(stripped prepared).Strip.uniques
-        (mrct prepared) ~max_level:level
-    in
-    Optimizer.misses_of_histogram hists.(level) ~associativity
-  | Bcat_walk ->
-    let zero_one = Zero_one.build (stripped prepared) in
-    let bcat = Bcat.build ~max_level:level zero_one in
-    Optimizer.misses_at bcat (mrct prepared) ~level ~associativity
+  Arena_kernel.misses ?domains prepared.arena ~level ~associativity

@@ -1,26 +1,21 @@
 (** High-level entry points tying the prelude and postlude together
-    (the paper's Figure 2 pipeline: strip -> MRCT/BCAT -> optimal set). *)
+    (the paper's Figure 2 pipeline: strip -> MRCT/BCAT -> optimal set).
 
-type method_ =
-  | Bcat_walk  (** Algorithms 1 + 3 as published *)
-  | Dfs  (** the fused linear-space variant of section 2.4, over a
-             materialized MRCT; with [domains > 1] the MRCT is
-             partitioned by identifier across {!Parallel_optimizer} *)
-  | Streaming
-      (** {!Streaming}'s single-pass fused kernel on boxed arrays — no
-          MRCT is ever materialized, peak heap O(N) boxed words; with
-          [domains > 1] the trace is sharded into windows *)
-  | Arena
-      (** the default: the same fused kernel on off-heap
-          {!Arena_kernel} bigarrays — the strip, recency list, and
-          tallies are GC-invisible and shared by reference across shard
-          domains, so peak {e heap} is O(1) in N. Bit-identical to every
-          other method (property tested). *)
+    Every entry point runs the one production kernel, {!Arena_kernel}.
+    The paper-faithful path — {!Mrct}, {!Bcat}, {!Zero_one},
+    {!Dfs_optimizer} and {!Optimizer.explore} — is kept as the test
+    oracle; callers that want it build it from
+    [Arena_kernel.to_strip (arena_strip prepared)]. *)
 
-(** The prelude result, reusable across budgets K. The arena strip is
-    the strict primary representation; the boxed {!Strip.t} and the
-    MRCT are lazy views forced only by the methods that need them —
-    the default [Arena] path forces neither. *)
+(** The exact analysis method. One constructor: the fused kernel on
+    off-heap {!Arena_kernel} bigarrays, whose strip, recency list and
+    tallies are GC-invisible and shared by reference across shard
+    domains, so peak {e heap} is O(1) in N. Kept as a type because it is
+    the exact half of the served method field. *)
+type method_ = Arena
+
+(** The prelude result, reusable across budgets K: the off-heap arena
+    strip plus the level range and line size it was built for. *)
 type prepared
 
 (** [prepare ?max_level ?line_words trace] runs the prelude phase once:
@@ -34,26 +29,9 @@ type prepared
     conflicts happen between lines. Must be a power of two. *)
 val prepare : ?max_level:int -> ?line_words:int -> Trace.t -> prepared
 
-(** [arena_strip prepared] is the off-heap strip the [Arena] method
-    runs on — read-only, shareable across domains by reference. *)
+(** [arena_strip prepared] is the off-heap strip the kernel runs on —
+    read-only, shareable across domains by reference. *)
 val arena_strip : prepared -> Arena_kernel.strip
-
-(** [stripped prepared] forces and returns the boxed strip view (equal
-    to [Strip.strip] of the folded trace). First call pays the O(N + N')
-    boxed copy out of the arena. *)
-val stripped : prepared -> Strip.t
-
-(** [stripped_forced prepared] reports whether the boxed view has been
-    materialized — the arena path's zero-boxing guarantee is testable. *)
-val stripped_forced : prepared -> bool
-
-(** [mrct prepared] forces and returns the materialized conflict table —
-    for callers that need explicit conflict sets (e.g. the Table-4
-    printer). The first call pays the O(N * N') build (and forces the
-    boxed strip). *)
-val mrct : prepared -> Mrct.t
-
-val mrct_forced : prepared -> bool
 
 (** [max_level prepared] is the number of address bits usable as index
     bits. *)
@@ -68,45 +46,33 @@ val line_words : prepared -> int
     trace. *)
 val stats : prepared -> Stats.t
 
-(** [histograms ?cancel ?method_ ?domains prepared] is the per-level
+(** [histograms ?cancel ?domains prepared] is the per-level
     conflict-cardinality histograms, the shared currency of every
-    postlude. All methods produce bit-identical arrays (property
-    tested). [domains] (default 1) parallelizes the [Arena],
-    [Streaming] and [Dfs] methods; it is ignored by [Bcat_walk].
+    postlude — bit-identical to the materialized oracle (property
+    tested). [domains] (default 1) shards the trace into windows.
     [cancel] (default {!Cancel.none}) makes the run cooperatively
-    cancellable: the fused kernels poll it every {!Cancel.poll_mask}+1
-    references, sharded runs poll at shard boundaries, and the BCAT
-    walk polls at each level; expiry raises a typed
-    {!Dse_error.Deadline_exceeded}. *)
-val histograms :
-  ?cancel:Cancel.t -> ?method_:method_ -> ?domains:int -> prepared -> int array array
+    cancellable: the kernel polls it every {!Cancel.poll_mask}+1
+    references and sharded runs poll at shard boundaries; expiry raises
+    a typed {!Dse_error.Deadline_exceeded}. *)
+val histograms : ?cancel:Cancel.t -> ?domains:int -> prepared -> int array array
 
-(** [explore_prepared ?cancel ?method_ ?domains prepared ~k] runs the
-    postlude for one budget. Default method is [Arena]. *)
-val explore_prepared :
-  ?cancel:Cancel.t -> ?method_:method_ -> ?domains:int -> prepared -> k:int -> Optimizer.t
+(** [explore_prepared ?cancel ?domains prepared ~k] runs the postlude
+    for one budget. *)
+val explore_prepared : ?cancel:Cancel.t -> ?domains:int -> prepared -> k:int -> Optimizer.t
 
-(** [explore_many ?method_ ?domains prepared ~ks] answers several budgets
-    from a single histogram computation — the "prelude once, postlude per
+(** [explore_many ?domains prepared ~ks] answers several budgets from a
+    single histogram computation — the "prelude once, postlude per
     constraint" economy the paper's flow is built around. Results are in
     the order of [ks] and identical to per-budget {!explore_prepared}
     calls. *)
-val explore_many :
-  ?method_:method_ -> ?domains:int -> prepared -> ks:int list -> Optimizer.t list
+val explore_many : ?domains:int -> prepared -> ks:int list -> Optimizer.t list
 
-(** [explore ?max_level ?line_words ?method_ ?domains trace ~k] is
+(** [explore ?max_level ?line_words ?domains trace ~k] is
     [explore_prepared (prepare trace) ~k]. *)
 val explore :
-  ?max_level:int ->
-  ?line_words:int ->
-  ?method_:method_ ->
-  ?domains:int ->
-  Trace.t ->
-  k:int ->
-  Optimizer.t
+  ?max_level:int -> ?line_words:int -> ?domains:int -> Trace.t -> k:int -> Optimizer.t
 
-(** [misses ?method_ ?domains prepared ~depth ~associativity] is the
-    model's exact non-cold miss count for one configuration. [depth] must
-    be a power of two no greater than [2 ^ max_level]. *)
-val misses :
-  ?method_:method_ -> ?domains:int -> prepared -> depth:int -> associativity:int -> int
+(** [misses ?domains prepared ~depth ~associativity] is the model's
+    exact non-cold miss count for one configuration. [depth] must be a
+    power of two no greater than [2 ^ max_level]. *)
+val misses : ?domains:int -> prepared -> depth:int -> associativity:int -> int

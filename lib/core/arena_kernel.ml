@@ -1,8 +1,6 @@
-(* The streaming fused kernel ported onto off-heap arenas.
-
-   Same algorithm as [Streaming] — intrusive recency list, per-window
-   replay prologue, prefix walk folding shared-bit counts straight into
-   per-level histograms — but every hot table is a [Arena] bigarray the
+(* The streaming fused MRCT->histogram kernel (see the interface): the
+   recency-list walk of [Mrct.build] folding shared-bit counts straight
+   into per-level histograms. Every hot table is an [Arena] bigarray the
    GC neither scans nor copies:
 
      ids          i32 arena, 4 B/ref   (vs 8 B boxed + GC scan)
@@ -17,9 +15,9 @@
    each [Shard_exec] closure captures the same handles, so a sharded run
    adds per-shard recency state (O(N')) and nothing proportional to N.
 
-   Outputs are bit-identical to [Streaming.histograms] (property
-   tested): identical first-occurrence id assignment, identical walk
-   order, identical histogram growth/trim semantics. *)
+   Outputs are bit-identical to the materialized oracle: identical
+   first-occurrence id assignment, identical histogram growth/trim
+   semantics. *)
 
 type strip = {
   ids : Arena.i32;  (* per-reference unique ids, read-only after build *)
@@ -33,7 +31,8 @@ type strip = {
 (* Hot-path accessors duplicated from [Arena], local to this unit: the
    dev profile compiles interfaces opaquely, so a cross-module
    [Arena.i32_get] in the walk is a generic [caml_apply2] per element —
-   measured 3x slower than [Streaming] on the 10M-reference bench.
+   measured 3x slower than the same walk on boxed arrays on the
+   10M-reference bench.
    Applied here the bigarray primitives compile to direct loads. *)
 let i32_get (a : Arena.i32) i = Int32.to_int (Bigarray.Array1.unsafe_get a i) [@@inline]
 
@@ -169,9 +168,9 @@ let stats s =
     max_misses = s.max_misses;
   }
 
-(* Boxed view for the materializing methods (Dfs, Bcat_walk) and the
-   Table-4 printers. Identical to [Strip.strip] by construction: ids are
-   assigned in first-occurrence order in both builders. *)
+(* Boxed view for the materializing oracle and the Table-4 printers.
+   Identical to [Strip.strip] by construction: ids are assigned in
+   first-occurrence order in both builders. *)
 let to_strip s =
   {
     Strip.uniques = Array.init s.n_unique (Arena.word_get s.uniques);
@@ -186,7 +185,7 @@ let rec ctz_clamped x acc limit =
   else ctz_clamped (x lsr 1) (acc + 1) limit
 
 (* Growable per-level histograms in word arenas; growth and trim match
-   [Streaming]/[Dfs_optimizer] exactly so all paths stay bit-identical.
+   [Dfs_optimizer] exactly so kernel and oracle stay bit-identical.
    [max_c] is on-heap control state (levels+1 small ints), not data. *)
 type tally = {
   hists : Arena.word array;
@@ -226,8 +225,8 @@ let tally_finish t =
 
 (* Merge shard tallies straight from their arenas into the final boxed
    histograms — no per-shard intermediate arrays. Width per level is the
-   max across shards of (max_c + 1), floored at 1, exactly as
-   [Streaming.merge_histograms] sizes its output. *)
+   max across shards of (max_c + 1), floored at 1, so the merge equals
+   the sequential run's trim. *)
 let merge_tallies ~max_level parts =
   Array.init (max_level + 1) (fun level ->
       let width =
@@ -244,9 +243,10 @@ let merge_tallies ~max_level parts =
       merged)
 
 (* One trace window [lo, hi): replay [0, lo) to reconstruct the recency
-   list, then tally. Same structure as [Streaming.window_histograms]
-   with the recency list in two i32 arenas and membership in a packed
-   bitset; the per-occurrence clear of [depth_count] touches only the
+   list (O(1) per replayed access, no tallying), then tally. Warm
+   occurrences partition by position, so summing window tallies is
+   exact. The recency list lives in two i32 arenas and membership in a
+   packed bitset; the per-occurrence clear of [depth_count] touches only the
    levels the prefix walk wrote (tracked via [max_touched]) instead of
    an unconditional fill of all levels. *)
 let window_tally ?(cancel = Cancel.none) s ~max_level ~lo ~hi =
@@ -307,11 +307,13 @@ let window_tally ?(cancel = Cancel.none) s ~max_level ~lo ~hi =
   done;
   t
 
-let window_histograms ?cancel s ~max_level ~lo ~hi =
-  tally_finish (window_tally ?cancel s ~max_level ~lo ~hi)
+(* Each shard pays an O(lo) replay prologue, so total replay work is
+   ~domains/2 passes over the trace; below this window size the replay
+   and Domain.spawn overhead outweigh the tally work split. *)
+let min_shard_refs = 65536
 
-let histograms ?(cancel = Cancel.none) ?(domains = 1)
-    ?(shard_threshold = Streaming.min_shard_refs) s ~max_level =
+let histograms ?(cancel = Cancel.none) ?(domains = 1) ?(shard_threshold = min_shard_refs) s
+    ~max_level =
   let n = s.n in
   let domains = max 1 domains in
   if domains = 1 || n < domains * shard_threshold then

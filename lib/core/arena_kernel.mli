@@ -1,8 +1,13 @@
-(** The streaming fused kernel on off-heap arenas — [--method arena].
+(** The streaming fused MRCT->histogram kernel on off-heap arenas — the
+    one production exact kernel ([--method arena]).
 
-    Same algorithm and bit-identical output as {!Streaming} (property
-    tested), with every hot table moved into {!Arena} bigarrays the GC
-    neither scans, copies, nor counts in [top_heap_words]:
+    It walks the same recency list as {!Mrct.build} but tallies every
+    conflicting reference straight into per-level histograms, so the
+    conflict table never exists. Output is bit-identical to the
+    materialized oracle ({!Mrct.build} + {!Dfs_optimizer.histograms},
+    the BCAT walk of {!Optimizer.explore}, and the LRU simulator —
+    property tested). Every hot table lives in {!Arena} bigarrays the
+    GC neither scans, copies, nor counts in [top_heap_words]:
 
     - the strip (per-reference ids + unique line addresses) is built
       {e directly from the trace} — the boxed line-address array,
@@ -15,8 +20,19 @@
 
     Per-reference footprint drops from ~50 B (boxed trace + strip +
     recency, all GC-scanned) to 4 B of ids plus O(N') side state, which
-    is what makes 10^9-reference traces representable and lets [dse
-    serve] admit jobs the boxed cost model had to reject. *)
+    is what makes 10^9-reference traces representable.
+
+    [domains > 1] shards the {e trace} into per-domain windows. Each
+    shard replays the prefix before its window to rebuild the recency
+    list, then tallies its own window; warm occurrences partition by
+    position, so the merge is exact. Sharded runs are fault-isolated
+    through {!Shard_exec}: a crashing domain is retried once in a fresh
+    domain, then its window is recomputed sequentially; only when all
+    three attempts fail does a typed {!Dse_error.Shard_failure} escape.
+    [cancel] (default {!Cancel.none}) is polled every
+    {!Cancel.poll_mask}+1 references of both the replay prologue and the
+    tally loop; expiry raises a typed {!Dse_error.Deadline_exceeded},
+    which is never retried. *)
 
 (** A read-only stripped trace in flat arenas. Safe to share across
     domains: after {!of_trace} returns it is never written again. *)
@@ -45,18 +61,25 @@ val address_bits : strip -> int
 val stats : strip -> Stats.t
 
 (** [to_strip s] is the boxed {!Strip.t} view, equal to [Strip.strip] of
-    the source trace — the bridge to the materializing methods (DFS,
-    BCAT walk) and the conflict-table printers. Costs O(N + N') boxed
+    the source trace — the bridge to the materializing oracle (MRCT,
+    DFS, BCAT walk) and the conflict-table printers. Costs O(N + N') boxed
     words; the arena path never calls it. *)
 val to_strip : strip -> Strip.t
 
+(** [min_shard_refs] is the smallest per-domain window (in trace
+    references) for which sharding is attempted; below it the
+    sequential kernel runs regardless of [domains]. *)
+val min_shard_refs : int
+
 (** [histograms ?cancel ?domains ?shard_threshold s ~max_level] is the
-    per-level conflict-cardinality histograms, bit-identical to
-    {!Streaming.histograms} on the boxed view. [domains] shards the
-    trace into windows exactly as the streaming kernel does (replay
-    prologue, {!Shard_exec} fault isolation, {!Streaming.min_shard_refs}
-    fallback threshold); every shard reads the same strip arenas by
-    reference. Raises [Invalid_argument] on a negative [max_level]. *)
+    per-level conflict-cardinality histograms ([result.(l).(c)] counts
+    warm occurrences whose conflict set meets their depth-[2^l] row in
+    exactly [c] references). [domains] (default 1, clamped to at least
+    1) shards the trace into windows; every shard reads the same strip
+    arenas by reference. [shard_threshold] (default {!min_shard_refs})
+    is the smallest per-domain window for which sharding is attempted —
+    tests lower it to exercise the sharded path on short traces. Raises
+    [Invalid_argument] on a negative [max_level]. *)
 val histograms :
   ?cancel:Cancel.t ->
   ?domains:int ->
@@ -64,11 +87,6 @@ val histograms :
   strip ->
   max_level:int ->
   int array array
-
-(** [window_histograms ?cancel s ~max_level ~lo ~hi] is one shard's
-    window, exposed for the sharding tests. *)
-val window_histograms :
-  ?cancel:Cancel.t -> strip -> max_level:int -> lo:int -> hi:int -> int array array
 
 (** [explore ?cancel ?domains ?shard_threshold s ~max_level ~k] runs the
     postlude on the arena histograms. *)

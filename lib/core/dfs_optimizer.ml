@@ -7,9 +7,7 @@ let rec ctz_clamped x acc limit =
   else if x land 1 = 1 then acc
   else ctz_clamped (x lsr 1) (acc + 1) limit
 
-(* Tally conflict sets into per-level histograms using a caller-supplied
-   iteration over (reference, conflict set) pairs. *)
-let histograms_of_iteration ~addresses ~max_level iterate =
+let histograms ~addresses mrct ~max_level =
   if max_level < 0 then invalid_arg "Dfs_optimizer: negative max_level";
   let hists = Array.make (max_level + 1) [||] in
   for l = 0 to max_level do
@@ -34,7 +32,8 @@ let histograms_of_iteration ~addresses ~max_level iterate =
      the deepest level at which u and v still share a row; the conflict
      cardinality at level l is then the suffix count. *)
   let depth_count = Array.make (max_level + 1) 0 in
-  iterate (fun u conflict ->
+  Mrct.iter
+    (fun u conflict ->
       if Array.length conflict > 0 then begin
         Array.fill depth_count 0 (max_level + 1) 0;
         let au = addresses.(u) in
@@ -48,14 +47,9 @@ let histograms_of_iteration ~addresses ~max_level iterate =
           running := !running + depth_count.(l);
           if !running > 0 then record l !running
         done
-      end);
+      end)
+    mrct;
   Array.mapi (fun l h -> Array.sub h 0 (max_c.(l) + 1)) hists
-
-let histograms ~addresses mrct ~max_level =
-  histograms_of_iteration ~addresses ~max_level (fun f -> Mrct.iter f mrct)
-
-let histograms_range ~addresses mrct ~max_level ~lo ~hi =
-  histograms_of_iteration ~addresses ~max_level (fun f -> Mrct.iter_range f mrct ~lo ~hi)
 
 let explore ~addresses mrct ~max_level ~k =
   Optimizer.of_histograms ~k (histograms ~addresses mrct ~max_level)

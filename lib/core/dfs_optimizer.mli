@@ -8,8 +8,8 @@
     the per-level histograms for *all* depths at once, without any tree.
 
     Results are bit-for-bit identical to {!Optimizer.explore} (property
-    tested); this is the variant the benchmarks and the CLI use by
-    default. *)
+    tested). Together with {!Mrct} it is the materialized oracle the
+    production {!Arena_kernel} is checked against. *)
 
 (** [explore ~addresses mrct ~max_level ~k] runs the exploration.
     [addresses] maps identifiers to their addresses (from {!Strip});
@@ -19,10 +19,3 @@ val explore : addresses:int array -> Mrct.t -> max_level:int -> k:int -> Optimiz
 (** [histograms ~addresses mrct ~max_level] exposes the per-level
     histograms (index = level). *)
 val histograms : addresses:int array -> Mrct.t -> max_level:int -> int array array
-
-(** [histograms_range ~addresses mrct ~max_level ~lo ~hi] restricts the
-    tally to the conflict sets of identifiers in [lo, hi); summing the
-    results of a partition of the identifier space element-wise equals
-    {!histograms} (this is what {!Parallel_optimizer} exploits). *)
-val histograms_range :
-  addresses:int array -> Mrct.t -> max_level:int -> lo:int -> hi:int -> int array array

@@ -58,12 +58,6 @@ let conflict_sets t u = t.conflicts.(u)
 let iter f t =
   Array.iteri (fun u sets -> Array.iter (fun set -> f u set) sets) t.conflicts
 
-let iter_range f t ~lo ~hi =
-  let lo = max 0 lo and hi = min hi (Array.length t.conflicts) in
-  for u = lo to hi - 1 do
-    Array.iter (fun set -> f u set) t.conflicts.(u)
-  done
-
 let total_sets t =
   Array.fold_left (fun acc sets -> acc + Array.length sets) 0 t.conflicts
 

@@ -31,10 +31,6 @@ val conflict_sets : t -> int -> int array array
     every identifier [u]. *)
 val iter : (int -> int array -> unit) -> t -> unit
 
-(** [iter_range f t ~lo ~hi] restricts {!iter} to identifiers in
-    [lo, hi) — the partitioning unit for parallel exploration. *)
-val iter_range : (int -> int array -> unit) -> t -> lo:int -> hi:int -> unit
-
 (** [total_sets t] is the number of conflict sets = N - N'. *)
 val total_sets : t -> int
 

@@ -21,19 +21,17 @@ type table = {
 val of_histograms :
   ?percents:int list -> name:string -> stats:Stats.t -> int array array -> table
 
-(** [run ?percents ?max_level ?line_words ?method_ ?domains ~name trace]
+(** [run ?percents ?max_level ?line_words ?domains ~name trace]
     strips and analyses the trace once, then solves for each budget.
     [percents] defaults to the paper's 5, 10, 15, 20; [max_level]
     defaults to the trace's address bits; [line_words] (default 1) folds
     the trace to line addresses first (model extension beyond the
-    paper). [method_] (default [Streaming]) selects the histogram
-    kernel and [domains] (default 1) its parallelism, as in
-    {!Analytical.explore_many}. *)
+    paper). [domains] (default 1) is the arena kernel's parallelism, as
+    in {!Analytical.explore_many}. *)
 val run :
   ?percents:int list ->
   ?max_level:int ->
   ?line_words:int ->
-  ?method_:Analytical.method_ ->
   ?domains:int ->
   name:string ->
   Trace.t ->

@@ -10,12 +10,12 @@ let time_wall f =
   let result = f () in
   (result, Unix.gettimeofday () -. start)
 
-let analytical_sample ?(repeats = 1) ?method_ ?domains ~name trace =
+let analytical_sample ?(repeats = 1) ~name trace =
   if repeats < 1 then invalid_arg "Timing.analytical_sample: repeats must be >= 1";
   let one () =
     let (), seconds =
       time_wall (fun () ->
-          ignore (Analytical_dse.run ?method_ ?domains ~name trace : Analytical_dse.table))
+          ignore (Analytical_dse.run ~name trace : Analytical_dse.table))
     in
     seconds
   in

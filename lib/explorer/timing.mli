@@ -17,18 +17,11 @@ val time : (unit -> 'a) -> 'a * float
 (** [time_wall f] is [(f (), elapsed_wall_seconds)]. *)
 val time_wall : (unit -> 'a) -> 'a * float
 
-(** [analytical_sample ?repeats ?method_ ?domains ~name trace] times a
+(** [analytical_sample ?repeats ~name trace] times a
     full analytical run (prelude + postlude at the paper's four budgets)
     in wall-clock seconds, keeping the best of [repeats] runs (default 1)
-    to damp scheduler noise. [method_]/[domains] are forwarded to
-    {!Analytical_dse.run}. *)
-val analytical_sample :
-  ?repeats:int ->
-  ?method_:Analytical.method_ ->
-  ?domains:int ->
-  name:string ->
-  Trace.t ->
-  sample
+    to damp scheduler noise. *)
+val analytical_sample : ?repeats:int -> name:string -> Trace.t -> sample
 
 (** [work x] for Figure 4's x axis: [n * n_unique] as float. *)
 val work : sample -> float

@@ -69,16 +69,15 @@ let with_retry ~retries ~retry_base ~retry_cap f =
 let unexpected socket =
   Error (Dse_error.Io_error { file = socket; message = "unexpected response kind from the server" })
 
-let submit ~socket ?(percents = [ 5; 10; 15; 20 ]) ?k ?max_level ?(method_ = Analytical.Arena)
-    ?(approx = false) ?(domains = 1) ?deadline ?(retries = 0) ?(retry_base = 0.1)
-    ?(retry_cap = 30.) ~name trace =
+let submit ~socket ?(percents = [ 5; 10; 15; 20 ]) ?k ?max_level ?(approx = false) ?(domains = 1)
+    ?deadline ?(retries = 0) ?(retry_base = 0.1) ?(retry_cap = 30.) ~name trace =
   if retries < 0 then invalid_arg "Client.submit: retries must be >= 0";
   if not (retry_base > 0.) then invalid_arg "Client.submit: retry_base must be > 0";
   if not (retry_cap > 0.) then invalid_arg "Client.submit: retry_cap must be > 0";
   let query =
     match k with Some k -> Protocol.Budget k | None -> Protocol.Percents percents
   in
-  let method_ = if approx then Protocol.Approx else Protocol.Exact method_ in
+  let method_ = if approx then Protocol.Approx else Protocol.Exact Analytical.Arena in
   with_retry ~retries ~retry_base ~retry_cap (fun () ->
       match
         request ~socket

@@ -13,7 +13,7 @@
 (** [request ~socket req] performs one request/response round trip. *)
 val request : socket:string -> Protocol.request -> (Protocol.response, Dse_error.t) result
 
-(** [submit ~socket ?percents ?k ?max_level ?method_ ?domains ?deadline
+(** [submit ~socket ?percents ?k ?max_level ?approx ?domains ?deadline
     ?retries ?retry_base ?retry_cap ~name trace] submits one job. [k]
     switches from the percentage sweep (default, the paper's
     5/10/15/20) to one absolute budget, mirroring [dse explore]'s
@@ -40,7 +40,7 @@ val request : socket:string -> Protocol.request -> (Protocol.response, Dse_error
     sketch (the trace never materialises server-side, and admission
     prices it at the sketch's fixed footprint) and answers with
     {!Protocol.Approx_table} / {!Protocol.Approx_optimal} — estimates
-    with error bars. [method_] is ignored when [approx] is set.
+    with error bars. Otherwise the job runs the exact arena kernel.
 
     The payload says whether the result came from the daemon's
     cache. *)
@@ -49,7 +49,6 @@ val submit :
   ?percents:int list ->
   ?k:int ->
   ?max_level:int ->
-  ?method_:Analytical.method_ ->
   ?approx:bool ->
   ?domains:int ->
   ?deadline:float ->

@@ -57,7 +57,14 @@ let magic = "DSRV"
    mismatch (both sides versioned, numbers differ) is rejected with the
    new Stale_ring error tag before any state is applied, and the
    sender's recovery is a Ring_status refetch. Health_reply grew
-   ring_version, the draining flag, and the replica-GC drop counter. *)
+   ring_version, the draining flag, and the replica-GC drop counter.
+
+   Within v7 the Submit method bytes 0-2 (the boxed streaming, dfs and
+   bcat kernels) were retired when the arena kernel became the only
+   exact path. The frame layout did not change and every v7 peer already
+   decodes Constraint_violation, so a retired byte is answered with that
+   typed error rather than bumping the version; WAL records keyed under
+   the old tags stay readable and simply age out of the LRU. *)
 let version = 7
 
 (* Caps the payload a peer can make us allocate; a 10M-reference trace
@@ -162,11 +169,7 @@ type response =
   | Cache_reply of { keys : Result_cache.key list; records : string list }
   | Ring_reply of { config : ring_config; draining : bool; pushed : int }
 
-let method_tag = function
-  | Analytical.Streaming -> 0
-  | Analytical.Dfs -> 1
-  | Analytical.Bcat_walk -> 2
-  | Analytical.Arena -> 3
+let method_tag Analytical.Arena = 3
 
 let method_spec_tag = function Exact m -> method_tag m | Approx -> 4
 
@@ -566,11 +569,11 @@ let ring_config_field c =
 
 let method_field c =
   match byte c with
-  | 0 -> Exact Analytical.Streaming
-  | 1 -> Exact Analytical.Dfs
-  | 2 -> Exact Analytical.Bcat_walk
   | 3 -> Exact Analytical.Arena
   | 4 -> Approx
+  | 0 | 1 | 2 ->
+    let message = "method retired; use arena" in
+    Dse_error.fail (Dse_error.Constraint_violation { context = "submit"; message })
   | b -> raise (Malformed (c.pos - 1, Printf.sprintf "unknown method tag %d" b))
 
 let query_field c =
@@ -582,20 +585,14 @@ let query_field c =
 (* Admission control runs on the declared count alone — before the
    corruption check, before any allocation — so an oversized job is
    rejected while it is still a varint and a string of frame bytes,
-   never having cost the daemon its decoded footprint. The byte
-   estimate is priced per kernel family: the submission's method was
-   decoded before the trace, so an arena job is judged by the arena
-   model (18 B/ref), the boxed methods pay the classic 50, and an
-   approx job the sketch's fixed footprint — reference count does not
-   enter its price at all, which is what lets a budget that rejects a
-   100M-reference exact job admit the same trace approximately. *)
+   never having cost the daemon its decoded footprint. The submission's
+   method was decoded before the trace, so an exact job is judged by the
+   arena model (18 B/ref) and an approx job by the sketch's fixed
+   footprint — reference count does not enter its price at all, which
+   is what lets a budget that rejects a 100M-reference exact job admit
+   the same trace approximately. *)
 let admit ?max_job_refs ?memory_budget ~method_ declared =
-  let model =
-    match method_ with
-    | Exact Analytical.Arena -> `Arena
-    | Exact (Analytical.Streaming | Analytical.Dfs | Analytical.Bcat_walk) -> `Boxed
-    | Approx -> `Sketch
-  in
+  let model = match method_ with Exact Analytical.Arena -> `Arena | Approx -> `Sketch in
   (match max_job_refs with
   | Some budget when declared > budget ->
     Dse_error.fail

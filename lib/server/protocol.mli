@@ -27,8 +27,8 @@ val version : int
     percentage sweep (Tables 7-30 layout) or one absolute miss budget. *)
 type query = Percents of int list | Budget of int
 
-(** How the daemon should analyse the submission: one of the exact
-    histogram kernels, or the one-pass approximate estimator. *)
+(** How the daemon should analyse the submission: the exact arena
+    kernel, or the one-pass approximate estimator. *)
 type method_spec = Exact of Analytical.method_ | Approx
 
 (** The decoded form of a submission's reference stream. Clients always
@@ -195,9 +195,11 @@ type response =
           verb. [pushed] is only meaningful for [Drain]: how many warm
           records the post-drain owners accepted. *)
 
-(** [method_tag m] is the stable wire tag of an exact kernel method (0 =
-    streaming, 1 = dfs, 2 = bcat, 3 = arena) — also the cache-key
-    component. *)
+(** [method_tag m] is the stable wire tag of the exact kernel (3 =
+    arena) — also the cache-key component. Tags 0-2 (the boxed
+    streaming, dfs and bcat kernels) are retired: a Submit carrying one
+    decodes to a typed {!Dse_error.Constraint_violation}
+    ("method retired; use arena"), not a framing error. *)
 val method_tag : Analytical.method_ -> int
 
 (** [method_spec_tag s] extends {!method_tag} with 4 = approx — the
@@ -231,12 +233,11 @@ val write_request : ?peer:string -> Unix.file_descr -> request -> (unit, Dse_err
     or whose {!Trace.estimate_bytes} exceeds [memory_budget], is
     rejected as [Error (Resource_exhausted _)] before the trace is
     decoded or allocated — the declared count is judged while it is
-    still a varint. The estimate is priced per kernel family (the
-    method field precedes the trace on the wire): arena jobs use the
-    [`Arena] model, the boxed methods the [`Boxed] one — so under one
-    [--memory-budget] the daemon admits arena jobs nearly 3x larger —
+    still a varint. The estimate is priced per method (the method field
+    precedes the trace on the wire): exact jobs use the [`Arena] model
     and approx jobs the [`Sketch] model, whose price is a fixed few MiB
-    independent of the declared length.
+    independent of the declared length. A retired method byte (0-2) is
+    rejected with [Error (Constraint_violation _)] before admission.
 
     [sketch_approx] (default false) selects the daemon's decode for
     [Approx] submissions: when set, the record stream is fed straight

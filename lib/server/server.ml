@@ -19,7 +19,7 @@ type config = {
    trace, or the approximate estimator over a profile the protocol
    layer already sketched during decode (no trace ever existed). *)
 type work =
-  | Exact_work of { trace : Trace.t; method_ : Analytical.method_ }
+  | Exact_work of Trace.t
   | Approx_work of Sketch.profile
 
 (* The node's current fleet view — one value, swapped whole under
@@ -103,10 +103,10 @@ let close_noerr fd = try Unix.close fd with Unix.Unix_error _ -> ()
    first while the cheap tier keeps answering. *)
 let watermark config = max 1 (((3 * config.max_pending) + 3) / 4)
 
-(* A job at or above one shard of streaming work is "heavy" for
-   shedding purposes: it is the class whose kernel time dominates queue
-   drain time under overload. *)
-let heavy_refs = Streaming.min_shard_refs
+(* A job at or above one shard of kernel work is "heavy" for shedding
+   purposes: it is the class whose kernel time dominates queue drain
+   time under overload. *)
+let heavy_refs = Arena_kernel.min_shard_refs
 
 (* How long until a worker likely frees up: queue depth spread over the
    pool, at an assumed quarter-second per heavy job — deliberately
@@ -746,14 +746,12 @@ let run_job t ~heartbeat job =
          counts; an already-expired job fails here without a kernel run *)
       Cancel.check cancel;
       (match job.work with
-      | Exact_work { trace; method_ } ->
+      | Exact_work trace ->
         let prepared = Analytical.prepare ?max_level:job.max_level trace in
-        (* O(1) off the arena build: the default arena method never boxes
-           the strip, so a job's heap cost is the decoded trace alone *)
+        (* O(1) off the arena build: the kernel never boxes the strip, so
+           a job's heap cost is the decoded trace alone *)
         let stats = Analytical.stats prepared in
-        let histograms =
-          Analytical.histograms ~cancel ~method_ ~domains:job.domains prepared
-        in
+        let histograms = Analytical.histograms ~cancel ~domains:job.domains prepared in
         Result_cache.Exact { stats; histograms }
       | Approx_work profile ->
         (* the estimator is exercised once here, so a degenerate profile
@@ -914,7 +912,7 @@ let handle_submission t fd ~name ~trace ~query ~method_ ~domains ~max_level ~dea
      here, and a sketched exact one is impossible to serve. *)
   let work =
     match (method_, trace) with
-    | Protocol.Exact m, Protocol.Full trace -> Ok (Exact_work { trace; method_ = m })
+    | Protocol.Exact Analytical.Arena, Protocol.Full trace -> Ok (Exact_work trace)
     | Protocol.Approx, Protocol.Sketched profile -> Ok (Approx_work profile)
     | Protocol.Approx, Protocol.Full trace -> Ok (Approx_work (Sketch.of_trace trace))
     | Protocol.Exact _, Protocol.Sketched _ ->
@@ -972,7 +970,7 @@ let handle_submission t fd ~name ~trace ~query ~method_ ~domains ~max_level ~dea
            tier with pings and cache probes. *)
         let heavy =
           match work with
-          | Exact_work { trace; _ } -> Trace.length trace >= heavy_refs
+          | Exact_work trace -> Trace.length trace >= heavy_refs
           | Approx_work _ -> false
         in
         let pending = Job_queue.length t.queue in

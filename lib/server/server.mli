@@ -48,10 +48,11 @@
       footprint); oversized jobs get a typed
       {!Dse_error.Resource_exhausted} before any trace allocation.
     - {b Overload shedding.} Past the queue watermark (3/4 of
-      [max_pending]), heavy submissions (a streaming shard or more of
-      references) are refused with a load-proportional [retry_after]
-      hint that client backoff honors; light jobs, pings, health
-      probes and cache hits keep being answered.
+      [max_pending]), heavy submissions (at least one kernel shard,
+      {!Arena_kernel.min_shard_refs} references) are refused with a
+      load-proportional [retry_after] hint that client backoff honors;
+      light jobs, pings, health probes and cache hits keep being
+      answered.
     - {b Health plane.} A {!Protocol.Health} request is answered inline
       from the accept loop with per-worker heartbeat ages, queue depth
       and watermark, shed/admission counters, cache and WAL health, and

@@ -1,21 +1,22 @@
+(* Built eagerly at module initialisation: the table is read from every
+   domain that frames a message, and in OCaml 5 two domains forcing one
+   shared lazy value at the same time can raise [Undefined] (from
+   CamlinternalLazy) in the loser. *)
 let table =
-  lazy
-    (Array.init 256 (fun n ->
-         let c = ref n in
-         for _ = 0 to 7 do
-           c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
-         done;
-         !c))
+  Array.init 256 (fun n ->
+      let c = ref n in
+      for _ = 0 to 7 do
+        c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+      done;
+      !c)
 
 let init = 0xFFFFFFFF
 
-let update_byte crc byte =
-  (Lazy.force table).((crc lxor byte) land 0xFF) lxor (crc lsr 8)
+let update_byte crc byte = table.((crc lxor byte) land 0xFF) lxor (crc lsr 8)
 
 let finalize crc = (crc lxor 0xFFFFFFFF) land 0xFFFFFFFF
 
 let update_string crc s =
-  let table = Lazy.force table in
   let crc = ref crc in
   for i = 0 to String.length s - 1 do
     crc := table.((!crc lxor Char.code (String.unsafe_get s i)) land 0xFF) lxor (!crc lsr 8)

@@ -138,31 +138,21 @@ let fingerprint t =
   done;
   fingerprint_finish !h ~len:t.len
 
-(* Pessimistic per-reference footprint, in bytes, of admitting a job.
-   Two cost models, one per kernel family:
-
-   [`Boxed] — the classic strip + boxed streaming kernel:
-     9  the trace itself (8-byte address word + 1 kind byte),
-    24  stripping scratch (boxed line-address copy, stripped-id array,
-        hash-table slot for the unique-address probe, growth slack),
-    17  streaming-kernel recency state (per-unique list cell amortised
-        across references, window scratch).
-   50 per reference plus a 1 KiB fixed floor.
-
-   [`Arena] — the off-heap arena kernel (the default method): the strip
-   is built straight from the trace into bigarrays, so the boxed copies
-   above never exist and the GC never has to head-room them:
-     9  the decoded trace (same as above — it is boxed either way),
+(* Pessimistic per-reference footprint, in bytes, of admitting an
+   exact job. [`Arena] prices the off-heap arena kernel: the strip is
+   built straight from the trace into bigarrays, so no boxed copy of it
+   ever exists and the GC never has to head-room one:
+     9  the decoded trace (8-byte address word + 1 kind byte — it is
+        boxed),
      4  the int32 id arena,
      5  uniques + hash table + recency arenas and bitset, amortised
         per reference (they are per-unique; on every registry workload
         the true share is far smaller, this allows N' close to N).
-   18 per reference plus the same floor.
+   18 per reference plus a 1 KiB fixed floor.
 
-   Both are over- rather than under-estimates, which is the right
-   direction for admission control: rejecting a job that would have fit
-   costs a retry elsewhere; admitting one that does not fit OOMs the
-   daemon. *)
+   This over- rather than under-estimates, which is the right direction
+   for admission control: rejecting a job that would have fit costs a
+   retry elsewhere; admitting one that does not fit OOMs the daemon. *)
 (* [`Sketch] — the one-pass approximate profiler never materialises the
    trace at all: HLL registers (8 KiB), the top-K table (~100 KiB) and
    two bucketed-LRU probes (~1 MiB) are fixed-size whatever [refs] is.
@@ -172,7 +162,6 @@ let sketch_bytes = 4 * 1024 * 1024
 let estimate_bytes ~model ~refs =
   if refs < 0 then invalid_arg "Trace.estimate_bytes: negative reference count";
   match model with
-  | `Boxed -> 1024 + (refs * 50)
   | `Arena -> 1024 + (refs * 18)
   | `Sketch -> sketch_bytes
 

@@ -96,19 +96,16 @@ val fingerprint_finish : int64 -> len:int -> int64
     ([--memory-budget], [--max-job-refs]) can reject oversized jobs
     while they are still just a varint on the wire.
 
-    [model] selects the kernel family the job will run on: [`Boxed]
-    (50 B/ref — decoded trace + boxed stripping scratch + streaming
-    recency state; the streaming/dfs/bcat methods) or [`Arena]
-    (18 B/ref — decoded trace + int32 id arena + amortised off-heap
-    unique/recency state; the default arena method, whose strip never
-    exists as boxed arrays) or [`Sketch] (the one-pass approximate
-    profiler: a fixed 4 MiB regardless of [refs] — HyperLogLog
-    registers, the top-K heavy-hitter table and the two bucketed-LRU
-    probes are all trace-length-independent, which is what lets the
-    daemon admit billion-reference approx jobs under a memory budget
-    that would reject them exactly). The per-ref models include a 1 KiB
-    fixed floor. Raises [Invalid_argument] on a negative count. *)
-val estimate_bytes : model:[ `Boxed | `Arena | `Sketch ] -> refs:int -> int
+    [model] selects the kind of job: [`Arena] (the exact arena kernel:
+    18 B/ref — decoded trace + int32 id arena + amortised off-heap
+    unique/recency state — plus a 1 KiB floor) or [`Sketch] (the
+    one-pass approximate profiler: a fixed 4 MiB regardless of [refs] —
+    HyperLogLog registers, the top-K heavy-hitter table and the two
+    bucketed-LRU probes are all trace-length-independent, which is what
+    lets the daemon admit billion-reference approx jobs under a memory
+    budget that would reject them exactly). Raises [Invalid_argument]
+    on a negative count. *)
+val estimate_bytes : model:[ `Arena | `Sketch ] -> refs:int -> int
 
 val pp_kind : Format.formatter -> kind -> unit
 val equal_kind : kind -> kind -> bool

@@ -9,7 +9,6 @@ let () =
          Test_robustness.suites;
          Test_cachesim.suites;
          Test_core.suites;
-         Test_streaming.suites;
          Test_arena.suites;
          Test_vm.suites;
          Test_asm_parser.suites;

@@ -1,9 +1,15 @@
-(* Tests for the off-heap arena kernel: the Arena primitives (bitsets,
-   growable word arenas), the arena strip builder against the boxed
-   prelude, and bit-identity of the arena histograms with the streaming
-   kernel, the materialized DFS path, and the reference simulator —
-   including the zero-copy guarantee that sharding never clones the
-   strip onto the GC heap. *)
+(* Tests for the off-heap arena kernel, the one production exact
+   kernel: the Arena primitives (bitsets, growable word arenas), the
+   arena strip builder against the boxed prelude, and bit-identity of
+   the arena histograms with the paper-faithful oracle ({!Oracle}: the
+   materialized MRCT under the fused DFS and the BCAT walk) and the
+   reference LRU simulator — including the zero-copy guarantee that
+   sharding never clones the strip onto the GC heap.
+
+   The "streaming:*" suites test the same kernel through the
+   {!Analytical} facade: it is the single-pass streaming fusion of
+   MRCT -> histogram, and those suites carry the streaming algorithm's
+   equivalence and edge cases. *)
 
 let check_int = Alcotest.(check int)
 
@@ -15,9 +21,6 @@ let prop ?(count = 120) name gen f =
 let gen_addresses = QCheck2.Gen.(array_size (int_range 1 250) (int_bound 127))
 
 let gen_line_words = QCheck2.Gen.map (fun k -> 1 lsl k) (QCheck2.Gen.int_bound 3)
-
-let materialized_histograms stripped ~max_level =
-  Dfs_optimizer.histograms ~addresses:stripped.Strip.uniques (Mrct.build stripped) ~max_level
 
 (* -- Arena primitives -- *)
 
@@ -96,9 +99,8 @@ let prop_strip_equals_boxed =
   prop "arena strip = boxed strip (ids, uniques, stats; random line_words)"
     QCheck2.Gen.(pair gen_addresses gen_line_words)
     (fun (addrs, line_words) ->
-      let prepared = Analytical.prepare ~line_words (Trace.of_addresses addrs) in
-      let astrip = Analytical.arena_strip prepared in
-      let stripped = Analytical.stripped prepared in
+      let astrip = Arena_kernel.of_trace ~line_words (Trace.of_addresses addrs) in
+      let stripped = Strip.strip_addresses (Array.map (fun a -> a / line_words) addrs) in
       Arena_kernel.to_strip astrip = stripped
       && Arena_kernel.stats astrip = Stats.compute_stripped stripped)
 
@@ -122,18 +124,16 @@ let test_strip_rejects_bad_line_words () =
         (fun () -> ignore (Arena_kernel.of_trace ~line_words trace)))
     [ 0; -4; 3; 12 ]
 
-(* -- histogram identity: arena = streaming = materialized = simulator -- *)
+(* -- histogram identity: arena = materialized oracle -- *)
 
-let prop_arena_equals_streaming =
-  prop "arena histograms = streaming = materialized DFS (random line_words)"
+let prop_arena_equals_materialized =
+  prop "arena histograms = materialized DFS (random line_words)"
     QCheck2.Gen.(pair gen_addresses gen_line_words)
     (fun (addrs, line_words) ->
-      let prepared = Analytical.prepare ~line_words (Trace.of_addresses addrs) in
-      let stripped = Analytical.stripped prepared in
-      let max_level = Analytical.max_level prepared in
-      let arena = Arena_kernel.histograms (Analytical.arena_strip prepared) ~max_level in
-      arena = Streaming.histograms stripped ~max_level
-      && arena = materialized_histograms stripped ~max_level)
+      let astrip = Arena_kernel.of_trace ~line_words (Trace.of_addresses addrs) in
+      let max_level = Arena_kernel.address_bits astrip in
+      Arena_kernel.histograms astrip ~max_level
+      = Oracle.histograms (Arena_kernel.to_strip astrip) ~max_level)
 
 let prop_arena_shard_invariant =
   prop ~count:60 "arena histograms independent of domain count (forced sharding)"
@@ -147,53 +147,27 @@ let prop_arena_shard_invariant =
       Arena_kernel.histograms ~domains ~shard_threshold:8 astrip ~max_level = seq
       && Arena_kernel.histograms ~domains astrip ~max_level = seq)
 
-let prop_arena_exact_vs_simulator =
-  prop ~count:150 "arena misses = streaming misses = simulated LRU non-cold misses"
-    QCheck2.Gen.(
-      quad gen_addresses (map (fun k -> 1 lsl k) (int_bound 5)) (int_range 1 6) gen_line_words)
-    (fun (addrs, depth, associativity, line_words) ->
-      QCheck2.assume (Array.length addrs > 0);
-      let trace = Trace.of_addresses addrs in
-      let prepared = Analytical.prepare ~line_words trace in
-      let depth = min depth (1 lsl Analytical.max_level prepared) in
-      let arena = Analytical.misses ~method_:Analytical.Arena prepared ~depth ~associativity in
-      let streaming =
-        Analytical.misses ~method_:Analytical.Streaming prepared ~depth ~associativity
-      in
-      let sim =
-        (Cache.simulate (Config.make ~line_words ~depth ~associativity ()) trace).Cache.misses
-      in
-      arena = streaming && arena = sim)
-
-let prop_explore_arena_agrees =
-  prop ~count:80 "explore: arena = streaming = dfs" gen_addresses (fun addrs ->
-      QCheck2.assume (Array.length addrs > 0);
-      let prepared = Analytical.prepare (Trace.of_addresses addrs) in
-      let pairs method_ =
-        Optimizer.optimal_pairs (Analytical.explore_prepared ~method_ prepared ~k:7)
-      in
-      pairs Analytical.Arena = pairs Analytical.Streaming
-      && pairs Analytical.Arena = pairs Analytical.Dfs)
-
 (* the fallback threshold hides the sharded path from small random
    traces, so also drive a trace long enough to shard for real *)
 let test_arena_sharded_long_trace () =
-  let body = 37 and iterations = (4 * Streaming.min_shard_refs / 37) + 1 in
-  let trace = Synthetic.loop ~base:0 ~body ~iterations in
-  let astrip = Arena_kernel.of_trace trace in
+  let body = 37 and iterations = (4 * Arena_kernel.min_shard_refs / 37) + 1 in
+  let astrip = Arena_kernel.of_trace (Synthetic.loop ~base:0 ~body ~iterations) in
   let max_level = Arena_kernel.address_bits astrip in
   check_bool "trace long enough to shard" true
-    (Arena_kernel.num_refs astrip >= 4 * Streaming.min_shard_refs);
+    (Arena_kernel.num_refs astrip >= 4 * Arena_kernel.min_shard_refs);
   let seq = Arena_kernel.histograms astrip ~max_level in
   check_bool "4 shards identical" true
     (Arena_kernel.histograms ~domains:4 astrip ~max_level = seq);
-  check_bool "matches streaming" true
-    (Streaming.histograms (Strip.strip trace) ~max_level = seq)
+  check_bool "matches materialized" true
+    (Oracle.histograms (Arena_kernel.to_strip astrip) ~max_level = seq)
 
-(* every PowerStone workload, both trace kinds: the kernel that ships as
-   the default must agree with the boxed one on all 24 real traces *)
+(* every PowerStone workload, both trace kinds: the arena kernel — the
+   one streaming kernel — must agree with the materialized MRCT oracle
+   on all 24 real traces *)
 let powerstone_identity_case (b : Workload.t) =
-  Alcotest.test_case (b.Workload.name ^ " arena = streaming (inst + data)") `Slow (fun () ->
+  Alcotest.test_case
+    (b.Workload.name ^ " arena = streaming kernel, checked against the materialized oracle")
+    `Slow (fun () ->
       let itrace, dtrace = Workload.traces b in
       List.iter
         (fun trace ->
@@ -201,7 +175,7 @@ let powerstone_identity_case (b : Workload.t) =
           let max_level = Strip.address_bits stripped in
           check_bool "identical histograms" true
             (Arena_kernel.histograms (Arena_kernel.of_trace trace) ~max_level
-            = Streaming.histograms stripped ~max_level))
+            = Oracle.histograms stripped ~max_level))
         [ itrace; dtrace ])
 
 (* -- the zero-copy guarantee -- *)
@@ -212,7 +186,7 @@ let test_sharded_run_copies_no_strip () =
      allocated there directly). The sharded arena run hands every domain
      the same bigarray handles, so cumulative major-heap allocation
      stays orders of magnitude below one strip copy. *)
-  let refs = 4 * Streaming.min_shard_refs in
+  let refs = 4 * Arena_kernel.min_shard_refs in
   let trace = Synthetic.loop ~base:0 ~body:48 ~iterations:((refs + 47) / 48) in
   let astrip = Arena_kernel.of_trace trace in
   let max_level = Arena_kernel.address_bits astrip in
@@ -225,7 +199,7 @@ let test_sharded_run_copies_no_strip () =
     true
     (major_delta < float_of_int (Arena_kernel.num_refs astrip) /. 2.);
   check_bool "and the result is right" true
-    (Streaming.histograms (Strip.strip trace) ~max_level = hists)
+    (Arena_kernel.histograms astrip ~max_level = hists)
 
 (* -- errors and degenerate input -- *)
 
@@ -254,6 +228,124 @@ let test_arena_cancellation () =
   | exception Dse_error.Error (Dse_error.Deadline_exceeded _) -> ()
   | _ -> Alcotest.fail "already-cancelled token did not stop the kernel"
 
+(* -- the streaming kernel through the Analytical facade, against the
+   oracle and the simulator -- *)
+
+let oracle prepared =
+  Oracle.histograms (Oracle.stripped prepared) ~max_level:(Analytical.max_level prepared)
+
+let test_streaming_paper () =
+  let prepared = Analytical.prepare (Paper_example.trace ()) in
+  check_bool "histograms identical" true (Analytical.histograms prepared = oracle prepared);
+  Alcotest.(check (list (pair int int)))
+    "pairs" [ (1, 5); (2, 3); (4, 2); (8, 2); (16, 1) ]
+    (Optimizer.optimal_pairs (Analytical.explore_prepared prepared ~k:0))
+
+(* the facade's max_level clamp and line folding, against the oracle *)
+let prop_streaming_equals_materialized =
+  prop "streaming histograms = materialized DFS histograms (random line_words, max_level)"
+    QCheck2.Gen.(triple gen_addresses gen_line_words (int_range (-1) 8))
+    (fun (addrs, line_words, max_level) ->
+      let prepared = Analytical.prepare ~max_level ~line_words (Trace.of_addresses addrs) in
+      Analytical.histograms prepared = oracle prepared)
+
+let prop_streaming_shard_invariant =
+  prop ~count:60 "streaming histograms independent of domain count"
+    QCheck2.Gen.(pair gen_addresses (int_range 2 6))
+    (fun (addrs, domains) ->
+      let prepared = Analytical.prepare (Trace.of_addresses addrs) in
+      Analytical.histograms ~domains prepared = Analytical.histograms prepared)
+
+let test_streaming_sharded_long_trace () =
+  let body = 37 and iterations = (4 * Arena_kernel.min_shard_refs / 37) + 1 in
+  let prepared = Analytical.prepare (Synthetic.loop ~base:0 ~body ~iterations) in
+  check_bool "4 shards match the oracle" true
+    (Analytical.histograms ~domains:4 prepared = oracle prepared)
+
+(* four-way exactness: arena = BCAT walk = fused DFS = LRU simulator *)
+let prop_streaming_exact_vs_simulator =
+  prop ~count:150 "streaming misses = BCAT walk = DFS = simulated LRU non-cold misses"
+    QCheck2.Gen.(
+      quad gen_addresses (map (fun k -> 1 lsl k) (int_bound 5)) (int_range 1 6) gen_line_words)
+    (fun (addrs, depth, associativity, line_words) ->
+      QCheck2.assume (Array.length addrs > 0);
+      let trace = Trace.of_addresses addrs in
+      let prepared = Analytical.prepare ~line_words trace in
+      let depth = min depth (1 lsl Analytical.max_level prepared) in
+      let rec log2 n = if n <= 1 then 0 else 1 + log2 (n lsr 1) in
+      let level = log2 depth and stripped = Oracle.stripped prepared in
+      let arena = Analytical.misses prepared ~depth ~associativity in
+      let dfs =
+        Optimizer.misses_of_histogram (Oracle.histograms stripped ~max_level:level).(level)
+          ~associativity
+      in
+      let sim =
+        (Cache.simulate (Config.make ~line_words ~depth ~associativity ()) trace).Cache.misses
+      in
+      arena = Oracle.bcat_misses stripped ~level ~associativity && arena = dfs && arena = sim)
+
+let prop_explore_methods_agree =
+  prop ~count:80 "explore: streaming = dfs = bcat walk" gen_addresses (fun addrs ->
+      QCheck2.assume (Array.length addrs > 0);
+      let prepared = Analytical.prepare (Trace.of_addresses addrs) in
+      let stripped = Oracle.stripped prepared and max_level = Analytical.max_level prepared in
+      let pairs = Optimizer.optimal_pairs in
+      let arena = pairs (Analytical.explore_prepared prepared ~k:7) in
+      arena = pairs (Oracle.dfs_explore stripped ~max_level ~k:7)
+      && arena = pairs (Oracle.bcat_explore stripped ~max_level ~k:7))
+
+let test_streaming_empty_trace () =
+  let prepared = Analytical.prepare (Trace.create ()) in
+  check_bool "matches the oracle" true (Analytical.histograms prepared = oracle prepared);
+  check_bool "sharded empty identical" true
+    (Analytical.histograms ~domains:8 prepared = oracle prepared)
+
+let test_streaming_single_ref () =
+  let prepared = Analytical.prepare (Trace.of_addresses [| 42 |]) in
+  Array.iter
+    (fun h -> Alcotest.(check (array int)) "cold only" [| 0 |] h)
+    (Analytical.histograms prepared);
+  check_int "no non-cold misses" 0 (Analytical.misses prepared ~depth:1 ~associativity:1)
+
+(* every occurrence after the first is warm with an empty conflict set *)
+let test_streaming_repeated_single_address () =
+  let prepared = Analytical.prepare (Trace.of_addresses (Array.make 1000 5)) in
+  check_bool "matches the oracle" true (Analytical.histograms prepared = oracle prepared);
+  check_int "no misses" 0 (Analytical.misses prepared ~depth:2 ~associativity:1)
+
+(* kernel and oracle refuse a negative level alike; the facade clamps a
+   negative max_level to 0 and rejects a depth below 1 *)
+let test_streaming_rejects_negative_level () =
+  let prepared = Analytical.prepare (Trace.of_addresses [| 1; 2 |]) in
+  Alcotest.check_raises "kernel" (Invalid_argument "Arena_kernel: negative max_level") (fun () ->
+      ignore (Arena_kernel.histograms (Analytical.arena_strip prepared) ~max_level:(-1)));
+  Alcotest.check_raises "oracle" (Invalid_argument "Dfs_optimizer: negative max_level")
+    (fun () -> ignore (Oracle.histograms (Oracle.stripped prepared) ~max_level:(-1)));
+  check_int "clamped max_level" 0
+    (Analytical.max_level (Analytical.prepare ~max_level:(-1) (Trace.of_addresses [| 1 |])));
+  Alcotest.check_raises "depth below 1"
+    (Invalid_argument "Analytical.misses: depth must be a positive power of two") (fun () ->
+      ignore (Analytical.misses prepared ~depth:0 ~associativity:1))
+
+let test_facade_defaults () =
+  let prepared = Analytical.prepare (Paper_example.trace ()) in
+  let stripped = Oracle.stripped prepared and max_level = Analytical.max_level prepared in
+  check_bool "explore = BCAT walk" true
+    (Optimizer.optimal_pairs (Analytical.explore_prepared prepared ~k:0)
+    = Optimizer.optimal_pairs (Oracle.bcat_explore stripped ~max_level ~k:0));
+  check_int "misses facade" 5 (Analytical.misses prepared ~depth:1 ~associativity:1);
+  check_bool "stats from the arena build" true
+    (Analytical.stats prepared = Stats.compute_stripped stripped)
+
+let prop_domains_facade_invariant =
+  prop ~count:50 "explore_prepared invariant in domains" gen_addresses (fun addrs ->
+      QCheck2.assume (Array.length addrs > 0);
+      let prepared = Analytical.prepare (Trace.of_addresses addrs) in
+      let pairs domains =
+        Optimizer.optimal_pairs (Analytical.explore_prepared ~domains prepared ~k:3)
+      in
+      pairs 1 = pairs 4)
+
 let suites =
   [
     ( "arena",
@@ -269,10 +361,8 @@ let suites =
         prop_strip_equals_boxed;
         Alcotest.test_case "empty trace" `Quick test_strip_empty_trace;
         Alcotest.test_case "bad line_words rejected" `Quick test_strip_rejects_bad_line_words;
-        prop_arena_equals_streaming;
+        prop_arena_equals_materialized;
         prop_arena_shard_invariant;
-        prop_arena_exact_vs_simulator;
-        prop_explore_arena_agrees;
         Alcotest.test_case "sharded long trace" `Quick test_arena_sharded_long_trace;
         Alcotest.test_case "sharded run copies no strip" `Quick
           test_sharded_run_copies_no_strip;
@@ -281,4 +371,23 @@ let suites =
         Alcotest.test_case "pre-cancelled token" `Quick test_arena_cancellation;
       ] );
     ("arena-powerstone", List.map powerstone_identity_case Registry.all);
+    ( "streaming:equivalence",
+      [
+        Alcotest.test_case "paper example" `Quick test_streaming_paper;
+        prop_streaming_equals_materialized;
+        prop_streaming_shard_invariant;
+        Alcotest.test_case "sharded long trace" `Slow test_streaming_sharded_long_trace;
+        prop_streaming_exact_vs_simulator;
+        prop_explore_methods_agree;
+      ] );
+    ( "streaming:edges",
+      [
+        Alcotest.test_case "empty trace" `Quick test_streaming_empty_trace;
+        Alcotest.test_case "single reference" `Quick test_streaming_single_ref;
+        Alcotest.test_case "repeated single address" `Quick
+          test_streaming_repeated_single_address;
+        Alcotest.test_case "negative level rejected" `Quick test_streaming_rejects_negative_level;
+        Alcotest.test_case "facade defaults" `Quick test_facade_defaults;
+        prop_domains_facade_invariant;
+      ] );
   ]

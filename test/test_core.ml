@@ -344,11 +344,9 @@ let prop_model_monotone_in_depth =
       QCheck2.assume (Array.length addrs > 0);
       let prepared = Analytical.prepare (Trace.of_addresses addrs) in
       let result = Analytical.explore_prepared prepared ~k:0 in
+      let stripped = Oracle.stripped prepared in
       let misses level =
-        let hist =
-          Dfs_optimizer.histograms ~addresses:(Analytical.stripped prepared).Strip.uniques
-            (Analytical.mrct prepared) ~max_level:level
-        in
+        let hist = Oracle.histograms stripped ~max_level:level in
         Optimizer.misses_of_histogram hist.(level) ~associativity:2
       in
       let levels = Array.length result.Optimizer.levels in
@@ -361,14 +359,16 @@ let prop_model_monotone_in_depth =
 
 let test_analytical_facade () =
   let trace = Paper_example.trace () in
-  let via_dfs = Analytical.explore trace ~k:0 in
-  let via_bcat = Analytical.explore ~method_:Analytical.Bcat_walk trace ~k:0 in
-  check_bool "methods agree" true
-    (Optimizer.optimal_pairs via_dfs = Optimizer.optimal_pairs via_bcat);
   let prepared = Analytical.prepare trace in
+  let stripped = Oracle.stripped prepared in
+  let via_arena = Analytical.explore trace ~k:0 in
+  let via_bcat =
+    Oracle.bcat_explore stripped ~max_level:(Analytical.max_level prepared) ~k:0
+  in
+  check_bool "kernel agrees with the BCAT walk" true
+    (Optimizer.optimal_pairs via_arena = Optimizer.optimal_pairs via_bcat);
   check_int "misses facade" 5 (Analytical.misses prepared ~depth:1 ~associativity:1);
-  check_int "misses facade bcat" 5
-    (Analytical.misses ~method_:Analytical.Bcat_walk prepared ~depth:1 ~associativity:1);
+  check_int "misses bcat" 5 (Oracle.bcat_misses stripped ~level:0 ~associativity:1);
   Alcotest.check_raises "bad depth"
     (Invalid_argument "Analytical.misses: depth must be a positive power of two") (fun () ->
       ignore (Analytical.misses prepared ~depth:3 ~associativity:1))

@@ -37,7 +37,7 @@ let test_line_size_folds_uniques () =
   (* words 0..7 fold to 2 lines of 4 words *)
   let trace = Trace.of_addresses [| 0; 1; 2; 3; 4; 5; 6; 7 |] in
   let prepared = Analytical.prepare ~line_words:4 trace in
-  check_int "unique lines" 2 (Strip.num_unique (Analytical.stripped prepared))
+  check_int "unique lines" 2 (Arena_kernel.num_unique (Analytical.arena_strip prepared))
 
 (* -- trace reduction -- *)
 
@@ -100,55 +100,40 @@ let prop_reduce_keeps_uniques =
       let uniques t = (Strip.strip t).Strip.uniques |> Array.to_list |> List.sort compare in
       uniques trace = uniques r.Reduce.reduced)
 
-(* -- parallel optimizer -- *)
+(* -- parallel exploration: the paper's "distributed sets" remark, as
+   trace-window shards of the arena kernel checked against the
+   sequential materialized oracle. A small [shard_threshold] forces real
+   shards even on short traces. *)
+
+let sharded ~domains trace =
+  let astrip = Arena_kernel.of_trace trace in
+  let max_level = Arena_kernel.address_bits astrip in
+  ( Arena_kernel.histograms ~domains ~shard_threshold:16 astrip ~max_level,
+    Oracle.histograms (Arena_kernel.to_strip astrip) ~max_level )
 
 let prop_parallel_equals_sequential =
   prop ~count:60 "parallel histograms = sequential (1..5 domains)"
     QCheck2.Gen.(pair gen_addresses (int_range 1 5))
     (fun (addrs, domains) ->
-      let stripped = Strip.strip_addresses addrs in
-      let mrct = Mrct.build stripped in
-      let max_level = Strip.address_bits stripped in
-      let seq = Dfs_optimizer.histograms ~addresses:stripped.Strip.uniques mrct ~max_level in
-      let par =
-        Parallel_optimizer.histograms ~domains ~addresses:stripped.Strip.uniques mrct
-          ~max_level
-      in
-      seq = par)
+      let par, seq = sharded ~domains (Trace.of_addresses addrs) in
+      par = seq)
 
 let test_parallel_real_trace () =
   let trace = Workload.data_trace (Registry.find "engine") in
-  let prepared = Analytical.prepare trace in
-  let addresses = (Analytical.stripped prepared).Strip.uniques in
-  let mrct = Analytical.mrct prepared in
-  let seq =
-    Dfs_optimizer.explore ~addresses mrct ~max_level:(Analytical.max_level prepared) ~k:50
-  in
-  let par =
-    Parallel_optimizer.explore ~domains:4 ~addresses mrct
-      ~max_level:(Analytical.max_level prepared) ~k:50
-  in
+  let astrip = Arena_kernel.of_trace trace in
+  let max_level = Arena_kernel.address_bits astrip in
+  let seq = Oracle.dfs_explore (Arena_kernel.to_strip astrip) ~max_level ~k:50 in
+  let par = Arena_kernel.explore ~domains:4 ~shard_threshold:256 astrip ~max_level ~k:50 in
   check_bool "same pairs" true (Optimizer.optimal_pairs seq = Optimizer.optimal_pairs par)
 
-(* the satellite guarantee behind `dse explore --method dfs --domains N`:
-   identifier-partitioned histograms match the sequential DFS bit for bit
-   on a real PowerStone trace *)
 let test_parallel_powerstone_histograms () =
-  let trace = Workload.data_trace (Registry.find "compress") in
-  let stripped = Strip.strip trace in
-  let mrct = Mrct.build stripped in
-  let max_level = Strip.address_bits stripped in
-  let seq = Dfs_optimizer.histograms ~addresses:stripped.Strip.uniques mrct ~max_level in
-  let par =
-    Parallel_optimizer.histograms ~domains:4 ~addresses:stripped.Strip.uniques mrct ~max_level
-  in
+  let par, seq = sharded ~domains:4 (Workload.data_trace (Registry.find "compress")) in
   check_bool "histograms identical" true (seq = par)
 
 let test_parallel_degenerate () =
-  let stripped = Strip.strip_addresses [||] in
-  let mrct = Mrct.build stripped in
-  let h = Parallel_optimizer.histograms ~domains:8 ~addresses:[||] mrct ~max_level:3 in
-  check_int "levels" 4 (Array.length h)
+  let par, seq = sharded ~domains:8 (Trace.create ()) in
+  check_int "levels" 2 (Array.length par);
+  check_bool "matches the oracle" true (par = seq)
 
 (* -- synthetic generators -- *)
 

@@ -274,73 +274,73 @@ let with_fault spec f =
       Dse_error.on_degradation := old)
     (fun () -> f logs)
 
-let recovery_stripped () =
-  Strip.strip (Synthetic.loop ~base:0 ~body:37 ~iterations:30)
+(* 1110 references: a [shard_threshold] of 64 makes even 4 domains
+   split the trace into real windows *)
+let recovery_strip () = Arena_kernel.of_trace (Synthetic.loop ~base:0 ~body:37 ~iterations:30)
 
-let streaming_with_fault ~times =
-  let stripped = recovery_stripped () in
-  let max_level = Strip.address_bits stripped in
-  let expected = Streaming.histograms stripped ~max_level in
+let arena_with_fault ~times =
+  let astrip = recovery_strip () in
+  let max_level = Arena_kernel.address_bits astrip in
+  let expected = Arena_kernel.histograms astrip ~max_level in
   with_fault (Some { Fault.kind = Fault.Fail; shard = 2; times }) (fun logs ->
-      let got = Streaming.histograms ~domains:4 ~shard_threshold:64 stripped ~max_level in
+      let got = Arena_kernel.histograms ~domains:4 ~shard_threshold:64 astrip ~max_level in
       (got = expected, List.length !logs))
 
 let test_shard_retry_recovers () =
-  let identical, degradations = streaming_with_fault ~times:1 in
+  let identical, degradations = arena_with_fault ~times:1 in
   check_bool "histograms identical to sequential" true identical;
   check_int "one degradation logged (retry)" 1 degradations
 
 let test_shard_sequential_fallback () =
-  let identical, degradations = streaming_with_fault ~times:2 in
+  let identical, degradations = arena_with_fault ~times:2 in
   check_bool "histograms identical to sequential" true identical;
   check_int "two degradations logged (retry + sequential)" 2 degradations
 
 let test_shard_failure_exhausted () =
-  let stripped = recovery_stripped () in
-  let max_level = Strip.address_bits stripped in
+  let astrip = recovery_strip () in
+  let max_level = Arena_kernel.address_bits astrip in
   with_fault (Some { Fault.kind = Fault.Fail; shard = 2; times = 3 }) (fun _logs ->
-      match Streaming.histograms ~domains:4 ~shard_threshold:64 stripped ~max_level with
+      match Arena_kernel.histograms ~domains:4 ~shard_threshold:64 astrip ~max_level with
       | _ -> Alcotest.fail "expected Shard_failure"
       | exception Dse_error.Error (Dse_error.Shard_failure { shard; attempts; _ } as e) ->
         check_int "shard" 2 shard;
         check_int "attempts" 3 attempts;
         check_int "exit code 5" 5 (Dse_error.exit_code e))
 
+(* a 3-domain run of the parallel optimizer through both recovery rungs
+   (retry, then sequential recompute) still equals the materialized
+   oracle *)
 let test_parallel_optimizer_recovers () =
-  let stripped = recovery_stripped () in
-  let max_level = Strip.address_bits stripped in
-  let addresses = stripped.Strip.uniques in
-  let mrct = Mrct.build stripped in
-  let expected = Dfs_optimizer.histograms ~addresses mrct ~max_level in
+  let astrip = recovery_strip () in
+  let max_level = Arena_kernel.address_bits astrip in
+  let expected = Oracle.histograms (Arena_kernel.to_strip astrip) ~max_level in
   with_fault (Some { Fault.kind = Fault.Fail; shard = 1; times = 2 }) (fun logs ->
-      let got = Parallel_optimizer.histograms ~domains:3 ~addresses mrct ~max_level in
-      check_bool "identifier-sharded histograms identical" true (got = expected);
+      let got = Arena_kernel.histograms ~domains:3 ~shard_threshold:64 astrip ~max_level in
+      check_bool "sharded histograms identical to the oracle" true (got = expected);
       check_int "degradations logged" 2 (List.length !logs))
 
 let test_explore_invariant_under_fault () =
   (* the user-facing result (--domains N) is invariant under an injected
      shard failure *)
-  let trace = Synthetic.loop ~base:0 ~body:37 ~iterations:30 in
-  let prepared = Analytical.prepare trace in
-  let baseline =
-    Optimizer.optimal_pairs (Analytical.explore_prepared ~method_:Analytical.Dfs prepared ~k:5)
-  in
+  let astrip = recovery_strip () in
+  let max_level = Arena_kernel.address_bits astrip in
+  let baseline = Optimizer.optimal_pairs (Arena_kernel.explore astrip ~max_level ~k:5) in
   with_fault (Some { Fault.kind = Fault.Fail; shard = 1; times = 1 }) (fun _logs ->
       let faulted =
         Optimizer.optimal_pairs
-          (Analytical.explore_prepared ~method_:Analytical.Dfs ~domains:3 prepared ~k:5)
+          (Arena_kernel.explore ~domains:3 ~shard_threshold:64 astrip ~max_level ~k:5)
       in
       check_bool "optimal pairs invariant" true (faulted = baseline))
 
 let prop_streaming_shards_with_faults =
-  prop ~count:40 "sharded streaming under injected fault = sequential"
+  prop ~count:40 "sharded streaming kernel under injected fault = sequential"
     QCheck2.Gen.(triple gen_addresses (int_range 2 5) (int_range 0 4))
     (fun (addrs, domains, faulty_shard) ->
-      let stripped = Strip.strip_addresses addrs in
-      let max_level = Strip.address_bits stripped in
-      let expected = Streaming.histograms stripped ~max_level in
+      let astrip = Arena_kernel.of_trace (Trace.of_addresses addrs) in
+      let max_level = Arena_kernel.address_bits astrip in
+      let expected = Arena_kernel.histograms astrip ~max_level in
       with_fault (Some { Fault.kind = Fault.Fail; shard = faulty_shard; times = 1 }) (fun _logs ->
-          Streaming.histograms ~domains ~shard_threshold:1 stripped ~max_level = expected))
+          Arena_kernel.histograms ~domains ~shard_threshold:1 astrip ~max_level = expected))
 
 let suites =
   [

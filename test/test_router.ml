@@ -201,7 +201,7 @@ let test_frame_reads_survive_dripping () =
   let request =
     Protocol.Submit
       { name = "drip"; trace = Protocol.Full trace; query = Protocol.Percents [ 5; 10 ];
-        method_ = Protocol.Exact Analytical.Dfs; domains = 2; max_level = Some 6;
+        method_ = Protocol.Exact Analytical.Arena; domains = 2; max_level = Some 6;
         deadline = None }
   in
   let request_bytes = capture_frame (fun fd -> Protocol.write_request fd request) in
@@ -515,6 +515,20 @@ let test_router_identity_and_locality () =
           check_bool "no failovers on a healthy fleet" true (s.Router.failovers = 0);
           check_bool "no hedges on a fast fleet" true (s.Router.hedged = 0)))
 
+(* A retired method byte is refused while the gateway decodes the
+   frame, before any backend is involved; an arena submission on the
+   same gateway still lands. *)
+let test_router_rejects_retired_methods () =
+  with_backends 1 (fun backends _servers ->
+      with_router (router_config backends) (fun addr router ->
+          Frames.expect_retired_methods_rejected addr;
+          check_int "no backend saw them" 0
+            (ok_or_fail (Client.server_stats ~socket:(List.hd backends))).Protocol.jobs_completed;
+          check_bool "no failovers" true ((Router.stats router).Router.failovers = 0);
+          let trace = trace_of_seed 0 in
+          let payload = ok_or_fail (Client.submit ~socket:addr ~name:"after" trace) in
+          expect_table "after" trace payload))
+
 let test_router_failover_past_dead_backend () =
   with_backends 3 (fun backends servers ->
       with_router (router_config backends) (fun addr router ->
@@ -579,7 +593,7 @@ let test_router_config_validation () =
       { (router_config [ "/tmp/a.sock" ]) with Router.replicas = 0 };
     ]
 
-(* Wide enough to shard at --domains 2 (>= 2 x Streaming.min_shard_refs),
+(* Wide enough to shard at --domains 2 (>= 2 x Arena_kernel.min_shard_refs),
    tiny working set so the healthy run is sub-second — the same shape
    the watchdog tests use. *)
 let hang_trace = lazy (Synthetic.loop ~base:0 ~body:256 ~iterations:544)
@@ -587,7 +601,7 @@ let hang_trace = lazy (Synthetic.loop ~base:0 ~body:256 ~iterations:544)
 let test_router_hedges_slow_backend () =
   let trace = Lazy.force hang_trace in
   check_bool "trace shards at 2 domains" true
-    (Trace.length trace >= 2 * Streaming.min_shard_refs);
+    (Trace.length trace >= 2 * Arena_kernel.min_shard_refs);
   with_backends ~workers:1 2 (fun backends _servers ->
       with_router
         (router_config ~hedge:(Router.Fixed 0.3) backends)
@@ -652,6 +666,7 @@ let suites =
         Alcotest.test_case "failover past a dead backend" `Quick
           test_router_failover_past_dead_backend;
         Alcotest.test_case "exhaustion is typed" `Quick test_router_exhaustion_is_typed;
+        Alcotest.test_case "retired methods rejected" `Quick test_router_rejects_retired_methods;
         Alcotest.test_case "config validation" `Quick test_router_config_validation;
         Alcotest.test_case "hedging rescues a wedged backend" `Quick
           test_router_hedges_slow_backend;

@@ -61,29 +61,23 @@ let test_cancel_token () =
 let test_kernels_honour_cancellation () =
   let trace = Synthetic.loop ~base:0 ~body:512 ~iterations:8 in
   let prepared = Analytical.prepare trace in
+  let max_level = Analytical.max_level prepared in
+  let oracle = Oracle.histograms (Oracle.stripped prepared) ~max_level in
   List.iter
-    (fun (label, method_, domains) ->
+    (fun (label, domains) ->
       raises_deadline label (fun () ->
-          Analytical.histograms ~cancel:(expired_token ()) ~method_ ~domains prepared);
+          Analytical.histograms ~cancel:(expired_token ()) ~domains prepared);
       (* an un-expired token changes nothing *)
-      let unconstrained = Analytical.histograms ~method_ ~domains prepared in
-      let watched =
-        Analytical.histograms ~cancel:(Cancel.after 3600.) ~method_ ~domains prepared
-      in
-      check_bool (label ^ ": identical under a live token") true (unconstrained = watched))
-    [
-      ("streaming", Analytical.Streaming, 1);
-      ("streaming-x4", Analytical.Streaming, 4);
-      ("dfs", Analytical.Dfs, 1);
-      ("dfs-x4", Analytical.Dfs, 4);
-      ("bcat", Analytical.Bcat_walk, 1);
-    ];
+      let watched = Analytical.histograms ~cancel:(Cancel.after 3600.) ~domains prepared in
+      check_bool (label ^ ": identical to the oracle under a live token") true
+        (watched = oracle))
+    [ ("arena", 1); ("arena-x4", 4) ];
   (* cancellation must not be eaten by the shard recovery ladder: the
      expiry surfaces as Deadline_exceeded, never as a Shard_failure
      after three futile retries *)
   raises_deadline "no shard retries" (fun () ->
-      Streaming.histograms ~cancel:(expired_token ()) ~domains:4 ~shard_threshold:1
-        (Analytical.stripped prepared) ~max_level:(Analytical.max_level prepared))
+      Arena_kernel.histograms ~cancel:(expired_token ()) ~domains:4 ~shard_threshold:1
+        (Analytical.arena_strip prepared) ~max_level)
 
 (* -- LRU result cache -- *)
 

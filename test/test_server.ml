@@ -50,7 +50,7 @@ let test_request_roundtrip () =
             name = "t";
             trace = Protocol.Full trace;
             query = Protocol.Percents [ 5; 10 ];
-            method_ = Protocol.Exact Analytical.Dfs;
+            method_ = Protocol.Exact Analytical.Arena;
             domains = 3;
             max_level = Some 7;
             deadline = Some 1.5;
@@ -63,7 +63,7 @@ let test_request_roundtrip () =
       | Protocol.Full t -> Trace.to_list t = Trace.to_list trace
       | Protocol.Sketched _ -> false);
     check_bool "query" true (s.query = Protocol.Percents [ 5; 10 ]);
-    check_bool "method" true (s.method_ = Protocol.Exact Analytical.Dfs);
+    check_bool "method" true (s.method_ = Protocol.Exact Analytical.Arena);
     check_int "domains" 3 s.domains;
     check_bool "max_level" true (s.max_level = Some 7);
     check_bool "deadline" true (s.deadline = Some 1.5)
@@ -75,19 +75,47 @@ let test_request_roundtrip () =
             name = "";
             trace = Protocol.Full trace;
             query = Protocol.Budget 42;
-            method_ = Protocol.Exact Analytical.Streaming;
+            method_ = Protocol.Approx;
             domains = 1;
             max_level = None;
             deadline = None;
           })
    with
   | Protocol.Submit s ->
+    check_bool "approx" true (s.method_ = Protocol.Approx);
     check_bool "budget" true (s.query = Protocol.Budget 42);
     check_bool "no max_level" true (s.max_level = None);
     check_bool "no deadline" true (s.deadline = None)
   | _ -> Alcotest.fail "expected Submit");
   check_bool "ping" true (roundtrip_request Protocol.Ping = Protocol.Ping);
   check_bool "stats" true (roundtrip_request Protocol.Server_stats = Protocol.Server_stats)
+
+(* Every method byte decodes without raising: 3 (arena) and 4 (approx)
+   are accepted, the retired 0-2 are a typed constraint violation, and
+   everything else is a framing error. *)
+let prop_method_byte_decoding =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:40 ~name:"method byte: only 3 and 4 decode, nothing raises"
+       QCheck2.Gen.(list_size (int_range 1 20) (int_bound 4095))
+       (fun addrs ->
+         List.for_all
+           (fun method_byte ->
+             let frame =
+               Frames.submit ~method_byte ~declared:(List.length addrs) addrs
+             in
+             let decoded =
+               with_socketpair (fun a b ->
+                   Transport.write_all a frame;
+                   Protocol.read_request b)
+             in
+             match (method_byte, decoded) with
+             | 3, Ok (Some (Protocol.Submit { method_ = Protocol.Exact Analytical.Arena; _ }))
+             | 4, Ok (Some (Protocol.Submit { method_ = Protocol.Approx; _ })) ->
+               true
+             | (0 | 1 | 2), Error e -> Frames.is_retired_method e
+             | b, Error (Dse_error.Corrupt_binary _) -> b > 4
+             | _ -> false)
+           (List.init 256 Fun.id)))
 
 let test_response_roundtrip () =
   let trace = Workload.data_trace (Registry.find "bcnt") in
@@ -179,7 +207,7 @@ let test_protocol_damage () =
                 name = "t";
                 trace = Protocol.Full (Trace.of_addresses [| 1; 2; 3; 4; 5 |]);
                 query = Protocol.Budget 1;
-                method_ = Protocol.Exact Analytical.Streaming;
+                method_ = Protocol.Exact Analytical.Arena;
                 domains = 1;
                 max_level = None;
                 deadline = None;
@@ -441,8 +469,10 @@ let test_sigterm_drains () =
 
 let test_job_shard_recovery () =
   with_server ~workers:1 (fun socket _server ->
-      let name, trace = List.hd (Lazy.force small_traces) in
-      let clean = ok_or_fail (Client.submit ~socket ~method_:Analytical.Dfs ~name trace) in
+      (* 139264 references over 256 lines: wide enough to shard at 2
+         domains (>= 2 x Arena_kernel.min_shard_refs), cheap to run *)
+      let name = "wide" and trace = Synthetic.loop ~base:0 ~body:256 ~iterations:544 in
+      let clean = ok_or_fail (Client.submit ~socket ~name trace) in
       Fault.set (Some { Fault.kind = Fault.Fail; shard = 1; times = 1 });
       Fun.protect
         ~finally:(fun () -> Fault.set None)
@@ -450,14 +480,13 @@ let test_job_shard_recovery () =
           (* domains=2 is a fresh cache key; the injected fault exercises
              the retry rung inside the worker, invisibly to the client *)
           let silence = Dse_error.(!on_degradation) in
-          Dse_error.on_degradation := (fun _ -> ());
+          let degradations = Atomic.make 0 in
+          Dse_error.on_degradation := (fun _ -> Atomic.incr degradations);
           Fun.protect
             ~finally:(fun () -> Dse_error.on_degradation := silence)
             (fun () ->
-              let faulted =
-                ok_or_fail
-                  (Client.submit ~socket ~method_:Analytical.Dfs ~domains:2 ~name trace)
-              in
+              let faulted = ok_or_fail (Client.submit ~socket ~domains:2 ~name trace) in
+              check_bool "the injected fault fired" true (Atomic.get degradations >= 1);
               check_bool "recovered identically" true
                 (clean.Protocol.outcome = faulted.Protocol.outcome))))
 
@@ -466,6 +495,7 @@ let suites =
     ( "server:protocol",
       [
         Alcotest.test_case "request roundtrip" `Quick test_request_roundtrip;
+        prop_method_byte_decoding;
         Alcotest.test_case "response roundtrip" `Quick test_response_roundtrip;
         Alcotest.test_case "damage detection" `Quick test_protocol_damage;
       ] );

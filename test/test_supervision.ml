@@ -41,20 +41,19 @@ let test_heartbeat () =
 
 let test_estimate_bytes () =
   check_bool "zero refs still costs the envelope" true
-    (Trace.estimate_bytes ~model:`Boxed ~refs:0 > 0);
+    (Trace.estimate_bytes ~model:`Arena ~refs:0 > 0);
   check_bool "monotone" true
-    (Trace.estimate_bytes ~model:`Boxed ~refs:1000
-    < Trace.estimate_bytes ~model:`Boxed ~refs:2000);
-  (* the arena model is strictly cheaper per reference — the whole point
-     of pricing admission per kernel family *)
-  check_bool "arena cheaper than boxed" true
-    (Trace.estimate_bytes ~model:`Arena ~refs:1_000_000
-    < Trace.estimate_bytes ~model:`Boxed ~refs:1_000_000 / 2);
-  (* pessimistic: a real trace's storage never exceeds either estimate *)
+    (Trace.estimate_bytes ~model:`Arena ~refs:1000
+    < Trace.estimate_bytes ~model:`Arena ~refs:2000);
+  (* the price of an exact job: 18 B/ref over a 1 KiB floor *)
+  check_int "arena price" (1024 + (18 * 1_000_000))
+    (Trace.estimate_bytes ~model:`Arena ~refs:1_000_000);
+  check_bool "sketch price ignores the length" true
+    (Trace.estimate_bytes ~model:`Sketch ~refs:0
+    = Trace.estimate_bytes ~model:`Sketch ~refs:1_000_000_000);
+  (* pessimistic: a real trace's storage never exceeds the estimate *)
   let trace = Trace.of_addresses (Array.init 4096 (fun i -> i)) in
   let words = Obj.reachable_words (Obj.repr trace) in
-  check_bool "boxed upper bound on real storage" true
-    (words * 8 < Trace.estimate_bytes ~model:`Boxed ~refs:(Trace.length trace));
   check_bool "arena upper bound on real storage" true
     (words * 8 < Trace.estimate_bytes ~model:`Arena ~refs:(Trace.length trace));
   (match Trace.estimate_bytes ~model:`Arena ~refs:(-1) with
@@ -304,7 +303,7 @@ let with_server ?(workers = 2) ?(max_pending = 16) ?(hang_timeout = 30.) ?max_jo
       if Sys.file_exists path then Sys.remove path)
     (fun () -> f path server)
 
-(* Wide but cheap: 139264 references (>= 2 x Streaming.min_shard_refs,
+(* Wide but cheap: 139264 references (>= 2 x Arena_kernel.min_shard_refs,
    so --domains 2 takes the sharded path the hang injection lives on)
    over only 256 uniques. The small working set matters twice: the
    healthy shard — whose polls beat the job's shared heartbeat — drains
@@ -316,7 +315,7 @@ let hang_trace = lazy (Synthetic.loop ~base:0 ~body:256 ~iterations:544)
 let test_watchdog_answers_hung_job () =
   let trace = Lazy.force hang_trace in
   check_bool "trace is wide enough to shard at 2 domains" true
-    (Trace.length trace >= 2 * Streaming.min_shard_refs);
+    (Trace.length trace >= 2 * Arena_kernel.min_shard_refs);
   let hang_timeout = 0.75 in
   Fault.set (Some { Fault.kind = Fault.Hang; shard = 0; times = 1 });
   Fun.protect
@@ -389,79 +388,55 @@ let test_admission_rejects_oversized_trace () =
       let h = ok_or_fail (Client.health ~socket) in
       check_int "rejection counted" 1 h.Protocol.admission_rejected)
 
-(* Admission prices per kernel family: under one memory budget the same
-   trace is rejected as a streaming job (50 B/ref boxed model) and
-   accepted as an arena job (18 B/ref off-heap model) — the operational
-   payoff of the arena kernel. *)
+(* Admission prices per kernel: an exact job pays the arena model
+   (18 B/ref), an approx job the sketch's fixed footprint. Under one
+   memory budget a trace too large for the exact kernel is still
+   admitted approximately, and a smaller exact job is admitted at its
+   arena price and answered bit-identically to a direct run. *)
 let test_admission_prices_per_kernel () =
-  let refs = 100_000 in
-  let trace = Trace.of_addresses (Array.init refs (fun i -> i land 255)) in
-  (* 3 MiB sits between the arena estimate (~1.8 MB) and the boxed
-     estimate (~5.0 MB) for 100k references *)
-  let budget = 3 * 1024 * 1024 in
-  check_bool "budget splits the two cost models" true
-    (Trace.estimate_bytes ~model:`Arena ~refs <= budget
-    && Trace.estimate_bytes ~model:`Boxed ~refs > budget);
+  let budget = Trace.estimate_bytes ~model:`Sketch ~refs:0 + 1024 in
+  let big_refs = 300_000 and small_refs = 100_000 in
+  let big = Trace.of_addresses (Array.init big_refs (fun i -> i land 255)) in
+  let small = Trace.of_addresses (Array.init small_refs (fun i -> i land 255)) in
+  check_bool "budget splits the two traces under the arena model" true
+    (Trace.estimate_bytes ~model:`Arena ~refs:big_refs > budget
+    && Trace.estimate_bytes ~model:`Arena ~refs:small_refs <= budget);
   with_server ~memory_budget:budget (fun socket _server ->
-      (match Client.submit ~socket ~method_:Analytical.Streaming ~name:"j" trace with
+      (match Client.submit ~socket ~name:"big" big with
       | Error (Dse_error.Resource_exhausted { resource; needed; budget = echoed }) ->
         check_bool "estimate named" true (resource = "estimated bytes");
-        check_int "boxed pricing" (Trace.estimate_bytes ~model:`Boxed ~refs) needed;
+        check_int "arena pricing" (Trace.estimate_bytes ~model:`Arena ~refs:big_refs) needed;
         check_int "budget echoed" budget echoed
       | Error e -> Alcotest.failf "wrong error class: %s" (Dse_error.to_string e)
-      | Ok _ -> Alcotest.fail "streaming job admitted over budget");
-      let cold = ok_or_fail (Client.submit ~socket ~method_:Analytical.Arena ~name:"j" trace) in
+      | Ok _ -> Alcotest.fail "exact job admitted over budget");
+      let approx = ok_or_fail (Client.submit ~socket ~approx:true ~name:"big" big) in
+      check_bool "approx job admitted at the sketch price" true
+        (match approx.Protocol.outcome with Protocol.Approx_table _ -> true | _ -> false);
+      let cold = ok_or_fail (Client.submit ~socket ~name:"j" small) in
       check_bool "arena job admitted and computed" true (not cold.Protocol.cache_hit);
-      check_bool "arena result is the boxed kernel's result" true
-        (cold.Protocol.outcome = Protocol.Table (Analytical_dse.run ~name:"j" trace));
+      check_bool "arena result is the direct run's result" true
+        (cold.Protocol.outcome = Protocol.Table (Analytical_dse.run ~name:"j" small));
       (* cached re-query of the admitted job is bit-identical *)
-      let warm = ok_or_fail (Client.submit ~socket ~method_:Analytical.Arena ~name:"j" trace) in
+      let warm = ok_or_fail (Client.submit ~socket ~name:"j" small) in
       check_bool "cache hit" true warm.Protocol.cache_hit;
       check_bool "bit-identical outcome" true (warm.Protocol.outcome = cold.Protocol.outcome);
       let h = ok_or_fail (Client.health ~socket) in
       check_int "one admission rejection" 1 h.Protocol.admission_rejected;
-      check_int "one kernel run" 1 h.Protocol.jobs_completed;
+      check_int "two kernel runs" 2 h.Protocol.jobs_completed;
       check_int "one cache hit" 1 h.Protocol.cache_hits)
+
+(* Retired method bytes get a typed constraint violation, and the
+   daemon keeps serving. *)
+let test_retired_methods_rejected () =
+  with_server (fun socket _server ->
+      Frames.expect_retired_methods_rejected socket;
+      match Frames.exchange socket (Frames.submit ~method_byte:3 ~declared:3 [ 1; 2; 1 ]) with
+      | Ok (Protocol.Result _) -> ()
+      | _ -> Alcotest.fail "arena submission after the rejections failed")
 
 (* A submission frame declaring [refs] references but carrying none of
    them: admission must judge the declared varint, not the bytes. *)
-let declared_refs_frame ~refs =
-  let varint buf v =
-    let v = ref v in
-    let continue = ref true in
-    while !continue do
-      let byte = !v land 0x7F in
-      v := !v lsr 7;
-      if !v = 0 then begin
-        Buffer.add_char buf (Char.chr byte);
-        continue := false
-      end
-      else Buffer.add_char buf (Char.chr (byte lor 0x80))
-    done
-  in
-  let payload = Buffer.create 64 in
-  varint payload 4;
-  Buffer.add_string payload "huge";
-  Buffer.add_char payload '\000' (* method: streaming *);
-  varint payload 1 (* domains *);
-  Buffer.add_char payload '\000' (* no max_level *);
-  Buffer.add_char payload '\000' (* no deadline *);
-  Buffer.add_char payload '\001' (* query: budget *);
-  varint payload 1;
-  varint payload refs (* declared trace length; no accesses follow *);
-  let payload = Buffer.contents payload in
-  let frame = Buffer.create 64 in
-  Buffer.add_string frame "DSRV";
-  Buffer.add_char frame (Char.chr Protocol.version);
-  Buffer.add_char frame '\001' (* tag: submit *);
-  varint frame (String.length payload);
-  Buffer.add_string frame payload;
-  let body = Buffer.contents frame in
-  let crc = Crc32.digest_string body in
-  for i = 0 to 3 do
-    Buffer.add_char frame (Char.chr ((crc lsr (8 * i)) land 0xFF))
-  done;
-  Buffer.contents frame
+let declared_refs_frame ~refs = Frames.submit ~name:"huge" ~method_byte:3 ~declared:refs []
 
 let test_admission_runs_before_allocation () =
   (* 400M declared references estimate to ~20 GB; if the daemon tried
@@ -476,7 +451,7 @@ let test_admission_runs_before_allocation () =
         ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
         (fun () ->
           Unix.connect fd (Unix.ADDR_UNIX socket);
-          let frame = Bytes.of_string (declared_refs_frame ~refs:declared) in
+          let frame = declared_refs_frame ~refs:declared in
           let rec write_all off =
             if off < Bytes.length frame then
               write_all (off + Unix.write fd frame off (Bytes.length frame - off))
@@ -485,10 +460,10 @@ let test_admission_runs_before_allocation () =
           match ok_or_fail (Protocol.read_response fd) with
           | Protocol.Server_error (Dse_error.Resource_exhausted { resource; needed; budget }) ->
             check_bool "estimate named" true (resource = "estimated bytes");
-            (* the raw frame declares method streaming, so the boxed
-               cost model prices it *)
+            (* the raw frame declares the exact arena method, so the
+               arena cost model prices it *)
             check_bool "needed reflects the declaration" true
-              (needed = Trace.estimate_bytes ~model:`Boxed ~refs:declared);
+              (needed = Trace.estimate_bytes ~model:`Arena ~refs:declared);
             check_int "budget echoed" (64 * 1024 * 1024) budget
           | Protocol.Server_error e -> Alcotest.failf "wrong error: %s" (Dse_error.to_string e)
           | _ -> Alcotest.fail "declared-oversized submission accepted");
@@ -512,7 +487,7 @@ let test_shedding_heavy_jobs_past_watermark () =
   with_server ~workers:1 ~max_pending:4 ~on_job_start:hook (fun socket _server ->
       let light seed = Trace.of_addresses (Array.init 64 (fun i -> i * seed)) in
       let heavy =
-        Trace.of_addresses (Array.init Streaming.min_shard_refs (fun i -> i land 1023))
+        Trace.of_addresses (Array.init Arena_kernel.min_shard_refs (fun i -> i land 1023))
       in
       let submit_async name trace =
         Domain.spawn (fun () -> Client.submit ~socket ~name trace)
@@ -605,6 +580,7 @@ let suites =
           test_admission_rejects_oversized_trace;
         Alcotest.test_case "admission precedes allocation" `Quick
           test_admission_runs_before_allocation;
+        Alcotest.test_case "retired methods rejected" `Quick test_retired_methods_rejected;
         Alcotest.test_case "admission prices per kernel" `Quick
           test_admission_prices_per_kernel;
         Alcotest.test_case "sheds heavy jobs past watermark" `Quick
