@@ -60,51 +60,3 @@ let word_grow (a : word) ~len ~capacity =
   let bigger = word_create capacity in
   Bigarray.Array1.blit (Bigarray.Array1.sub a 0 len) (Bigarray.Array1.sub bigger 0 len);
   bigger
-
-(* -- packed bitset ----------------------------------------------------
-
-   63 usable bits per word arena entry (OCaml's native int). Packing at
-   63 rather than 64 keeps every mask operation in immediate-int range —
-   no Int64 boxing anywhere — at the cost of a division by a constant
-   the compiler strengths-reduces to a multiply. *)
-
-module Bits = struct
-  type t = { data : word; bits : int }
-
-  let bits_per_word = 63
-
-  let create bits =
-    if bits < 0 then invalid_arg "Arena.Bits.create: negative size";
-    { data = word_create ((bits + bits_per_word - 1) / bits_per_word); bits }
-
-  let length t = t.bits
-
-  let get t i = (word_get t.data (i / bits_per_word) lsr (i mod bits_per_word)) land 1 = 1
-
-  let set t i =
-    let w = i / bits_per_word in
-    word_set t.data w (word_get t.data w lor (1 lsl (i mod bits_per_word)))
-
-  let unset t i =
-    let w = i / bits_per_word in
-    word_set t.data w (word_get t.data w land lnot (1 lsl (i mod bits_per_word)))
-
-  let clear t = word_fill t.data 0
-
-  (* SWAR popcount of one 63-bit word: pairwise sums, nibble sums, then
-     a multiply gathers the byte sums into the top byte. All constants
-     fit OCaml's 63-bit int; the final shift keeps only the gathered
-     total (<= 63, so no overflow into the truncated sign position). *)
-  let popcount_word x =
-    let x = x - ((x lsr 1) land 0x5555555555555555) in
-    let x = (x land 0x3333333333333333) + ((x lsr 2) land 0x3333333333333333) in
-    let x = (x + (x lsr 4)) land 0x0F0F0F0F0F0F0F0F in
-    (x * 0x0101010101010101) lsr 56
-
-  let popcount t =
-    let total = ref 0 in
-    for w = 0 to word_length t.data - 1 do
-      total := !total + popcount_word (word_get t.data w)
-    done;
-    !total
-end

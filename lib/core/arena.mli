@@ -46,29 +46,3 @@ val word_fill : word -> int -> unit
     with [a]'s first [len] entries blitted in — the doubling step of the
     growable tally and unique tables, bigarray-to-bigarray. *)
 val word_grow : word -> len:int -> capacity:int -> word
-
-(** Packed bitsets at 63 bits per word-arena entry: membership flags for
-    up to [length] elements in [length/63] words, off-heap. 63 (not 64)
-    keeps every mask an immediate OCaml int — no [Int64] boxing. *)
-module Bits : sig
-  type t
-
-  val bits_per_word : int
-
-  (** [create n] is a cleared set over [0, n). Raises [Invalid_argument]
-      on a negative [n]. *)
-  val create : int -> t
-
-  val length : t -> int
-
-  val get : t -> int -> bool
-
-  val set : t -> int -> unit
-
-  val unset : t -> int -> unit
-
-  val clear : t -> unit
-
-  (** [popcount t] is the number of set bits (SWAR, no branches). *)
-  val popcount : t -> int
-end

@@ -6,7 +6,6 @@
      ids          i32 arena, 4 B/ref   (vs 8 B boxed + GC scan)
      uniques      word arena, 8 B/unique
      next/prev    i32 arenas, 8 B/unique combined
-     in_list      packed bitset, 1 bit/unique
      tallies      word arenas, grown geometrically off-heap
 
    The strip is built ONCE, directly from the trace — the boxed
@@ -41,15 +40,6 @@ let i32_set (a : Arena.i32) i v = Bigarray.Array1.unsafe_set a i (Int32.of_int v
 let word_get (a : Arena.word) i : int = Bigarray.Array1.unsafe_get a i [@@inline]
 
 let word_set (a : Arena.word) i (v : int) = Bigarray.Array1.unsafe_set a i v [@@inline]
-
-(* Recency-membership bitset in [Arena.Bits]' packed layout (63 bits per
-   word entry), accessed through the same local primitives. *)
-let bit_get w i = (word_get w (i / 63) lsr (i mod 63)) land 1 = 1 [@@inline]
-
-let bit_set w i =
-  let j = i / 63 in
-  word_set w j (word_get w j lor (1 lsl (i mod 63)))
-  [@@inline]
 
 let num_refs s = s.n
 
@@ -179,10 +169,28 @@ let to_strip s =
 
 (* -- the fused kernel -------------------------------------------------- *)
 
-let rec ctz_clamped x acc limit =
-  if acc >= limit then limit
-  else if x land 1 = 1 then acc
-  else ctz_clamped (x lsr 1) (acc + 1) limit
+(* The conflict-level step: the deepest level at which two line
+   addresses still share a row is the trailing-zero count of their XOR,
+   clamped to [max_level]. Setting bit [max_level] (the sentinel) folds
+   the clamp into the count: ctz (x lor 2^m) = min (ctz x, m). One
+   lookup in a 256-entry trailing-zero table then answers every step
+   whose sentinelled XOR has a nonzero low byte; the byte loop below
+   runs only for addresses that agree on their low 8 bits. [max_level]
+   is capped at 62 for the sentinel, which changes nothing: the XOR of
+   two distinct non-negative addresses is nonzero, so its count is at
+   most 61. The table is a [string], so a lookup is one load and never
+   allocates. *)
+let ctz_byte =
+  String.init 256 (fun b ->
+      let rec count b n = if n = 8 || b land 1 = 1 then n else count (b lsr 1) (n + 1) in
+      Char.chr (count b 0))
+
+let rec ctz_sentinelled y acc =
+  let low = y land 0xFF in
+  if low <> 0 then acc + Char.code (String.unsafe_get ctz_byte low)
+  else ctz_sentinelled (y lsr 8) (acc + 8)
+
+let sentinel_bit max_level = 1 lsl min max_level 62
 
 (* Growable per-level histograms in word arenas; growth and trim match
    [Dfs_optimizer] exactly so kernel and oracle stay bit-identical.
@@ -245,10 +253,13 @@ let merge_tallies ~max_level parts =
 (* One trace window [lo, hi): replay [0, lo) to reconstruct the recency
    list (O(1) per replayed access, no tallying), then tally. Warm
    occurrences partition by position, so summing window tallies is
-   exact. The recency list lives in two i32 arenas and membership in a
-   packed bitset; the per-occurrence clear of [depth_count] touches only the
-   levels the prefix walk wrote (tracked via [max_touched]) instead of
-   an unconditional fill of all levels. *)
+   exact. The recency list lives in two i32 arenas. No membership set
+   is needed: [of_trace] assigns ids in first-occurrence order, so a
+   reference is cold exactly when its id equals [seen], the count of
+   distinct ids met so far, and warm exactly when [u < seen]. The
+   per-occurrence clear of [depth_count] touches only the levels the
+   prefix walk wrote (tracked via [max_touched]) instead of an
+   unconditional fill of all levels. *)
 let window_tally ?(cancel = Cancel.none) s ~max_level ~lo ~hi =
   let t = tally_create max_level in
   let n' = s.n_unique in
@@ -256,7 +267,8 @@ let window_tally ?(cancel = Cancel.none) s ~max_level ~lo ~hi =
   let prev = Arena.i32_create (n' + 1) in
   Arena.i32_fill next n';
   Arena.i32_fill prev n';
-  let in_list = Arena.word_create ((max n' 1 + 62) / 63) in
+  let seen = ref 0 in
+  let sentinel = sentinel_bit max_level in
   let ids = s.ids in
   let uniques = s.uniques in
   let unlink u =
@@ -274,19 +286,19 @@ let window_tally ?(cancel = Cancel.none) s ~max_level ~lo ~hi =
   for j = 0 to lo - 1 do
     if j land Cancel.poll_mask = 0 then Cancel.check cancel;
     let u = i32_get ids j in
-    if bit_get in_list u then unlink u else bit_set in_list u;
+    if u < !seen then unlink u else incr seen;
     push_front u
   done;
   let depth_count = t.depth_count in
   for j = lo to hi - 1 do
     if j land Cancel.poll_mask = 0 then Cancel.check cancel;
     let u = i32_get ids j in
-    if bit_get in_list u then begin
+    if u < !seen then begin
       let au = word_get uniques u in
       let v = ref (i32_get next n') in
       let max_touched = ref (-1) in
       while !v <> u do
-        let shared = ctz_clamped (au lxor word_get uniques !v) 0 max_level in
+        let shared = ctz_sentinelled ((au lxor word_get uniques !v) lor sentinel) 0 in
         word_set depth_count shared (word_get depth_count shared + 1);
         if shared > !max_touched then max_touched := shared;
         v := i32_get next !v
@@ -302,7 +314,7 @@ let window_tally ?(cancel = Cancel.none) s ~max_level ~lo ~hi =
       done;
       unlink u
     end
-    else bit_set in_list u;
+    else incr seen;
     push_front u
   done;
   t

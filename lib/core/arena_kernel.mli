@@ -13,7 +13,10 @@
       {e directly from the trace} — the boxed line-address array,
       [Hashtbl], and [Strip.t] of the classic prelude never exist — and
       is shared by reference across shard domains;
-    - the recency list is two int32 arenas plus a packed 63-bit bitset;
+    - the recency list is two int32 arenas; no membership set is kept,
+      because ids are assigned in first-occurrence order and so a
+      reference is warm exactly when its id is below the count of
+      distinct ids seen so far;
     - per-level tallies and [depth_count] accumulate in per-shard word
       arenas merged straight into the final histograms, no intermediate
       per-shard arrays.

@@ -47,17 +47,19 @@ let misses_at bcat mrct ~level ~associativity =
   misses_of_histogram (histogram_at bcat mrct ~level) ~associativity
 
 let level_result_of_histogram ~k ~level histogram =
-  (* Scan associativities upward until the budget is met; the histogram
-     length bounds the largest useful associativity. *)
-  let rec search a =
-    let m = misses_of_histogram histogram ~associativity:a in
-    if m <= k then (a, m) else search (a + 1)
-  in
-  let min_associativity, misses = search 1 in
+  (* The miss count at associativity [a] is the suffix sum of [c >= a],
+     non-increasing in [a] and zero from [max 1 (length)] on. Walk down
+     from there, growing the suffix sum one bucket per step, while the
+     next smaller associativity still meets the budget: O(width). *)
+  let a = ref (max 1 (Array.length histogram)) and misses = ref 0 in
+  while !a > 1 && !misses + histogram.(!a - 1) <= k do
+    misses := !misses + histogram.(!a - 1);
+    decr a
+  done;
   { level;
     depth = 1 lsl level;
-    min_associativity;
-    misses;
+    min_associativity = !a;
+    misses = !misses;
     zero_miss_associativity = max 1 (Array.length histogram);
   }
 

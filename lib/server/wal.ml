@@ -20,24 +20,50 @@ let max_payload = 256 * 1024 * 1024
 
 (* -- encoding -- *)
 
-let add_varint buf v =
-  if v < 0 then invalid_arg "Wal: negative varint";
-  let v = ref v in
-  let continue = ref true in
-  while !continue do
-    let byte = !v land 0x7F in
-    v := !v lsr 7;
-    if !v = 0 then begin
-      Buffer.add_char buf (Char.chr byte);
-      continue := false
-    end
-    else Buffer.add_char buf (Char.chr (byte lor 0x80))
-  done
+(* A record is built in one exactly-sized [Bytes]: a sizing pass over
+   the payload varints, a writing pass, then the CRC footer. Records run
+   to several KB (one varint per histogram bucket) and compaction
+   re-encodes every live entry at once, so each copy of a record is a
+   major-heap allocation worth avoiding. *)
 
-let add_fingerprint buf fp =
+let varint_size v =
+  if v < 0 then invalid_arg "Wal: negative varint";
+  let rec go v n = if v < 0x80 then n else go (v lsr 7) (n + 1) in
+  go v 1
+
+(* Writes [v] at [pos]; returns the position just past it. *)
+let rec put_varint b pos v =
+  if v < 0x80 then begin
+    Bytes.set b pos (Char.chr v);
+    pos + 1
+  end
+  else begin
+    Bytes.set b pos (Char.chr (v land 0x7F lor 0x80));
+    put_varint b (pos + 1) (v lsr 7)
+  end
+
+let put_fingerprint b pos fp =
   for i = 0 to 7 do
-    Buffer.add_char buf (Char.chr (Int64.to_int (Int64.shift_right_logical fp (8 * i)) land 0xFF))
-  done
+    Bytes.set b (pos + i)
+      (Char.chr (Int64.to_int (Int64.shift_right_logical fp (8 * i)) land 0xFF))
+  done;
+  pos + 8
+
+(* Every payload varint after the fingerprint, in wire order. *)
+let iter_payload_varints f (key : Result_cache.key) (stats : Stats.t) histograms =
+  f key.Result_cache.method_tag;
+  f key.Result_cache.domains;
+  f (key.Result_cache.max_level + 1);
+  f stats.Stats.n;
+  f stats.Stats.n_unique;
+  f stats.Stats.address_bits;
+  f stats.Stats.max_misses;
+  f (Array.length histograms);
+  Array.iter
+    (fun histogram ->
+      f (Array.length histogram);
+      Array.iter f histogram)
+    histograms
 
 (* Approx entries are deliberately not persisted: the record format is
    the exact histogram summary, and an approx profile is cheap to
@@ -48,35 +74,26 @@ let encode_record (key : Result_cache.key) (entry : Result_cache.entry) =
   match entry with
   | Result_cache.Approx _ -> None
   | Result_cache.Exact { stats; histograms } ->
-    let payload = Buffer.create 256 in
-    add_fingerprint payload key.Result_cache.fingerprint;
-    add_varint payload key.Result_cache.method_tag;
-    add_varint payload key.Result_cache.domains;
-    add_varint payload (key.Result_cache.max_level + 1);
-    add_varint payload stats.Stats.n;
-    add_varint payload stats.Stats.n_unique;
-    add_varint payload stats.Stats.address_bits;
-    add_varint payload stats.Stats.max_misses;
-    add_varint payload (Array.length histograms);
-    Array.iter
-      (fun histogram ->
-        add_varint payload (Array.length histogram);
-        Array.iter (add_varint payload) histogram)
-      histograms;
-    let payload = Buffer.contents payload in
-    let buf = Buffer.create (String.length payload + 16) in
-    Buffer.add_string buf magic;
-    Buffer.add_char buf (Char.chr version);
-    add_varint buf (String.length payload);
-    Buffer.add_string buf payload;
-    let body = Buffer.contents buf in
-    let crc = Crc32.digest_string body in
-    let record = Buffer.create (String.length body + 4) in
-    Buffer.add_string record body;
-    for i = 0 to 3 do
-      Buffer.add_char record (Char.chr ((crc lsr (8 * i)) land 0xFF))
+    let payload_len = ref 8 in
+    iter_payload_varints (fun v -> payload_len := !payload_len + varint_size v) key stats histograms;
+    let payload_len = !payload_len in
+    let header_len = String.length magic + 1 + varint_size payload_len in
+    let body_len = header_len + payload_len in
+    let b = Bytes.create (body_len + 4) in
+    Bytes.blit_string magic 0 b 0 (String.length magic);
+    Bytes.set b (String.length magic) (Char.chr version);
+    let pos = ref (put_varint b (String.length magic + 1) payload_len) in
+    pos := put_fingerprint b !pos key.Result_cache.fingerprint;
+    iter_payload_varints (fun v -> pos := put_varint b !pos v) key stats histograms;
+    let crc = ref Crc32.init in
+    for i = 0 to body_len - 1 do
+      crc := Crc32.update_byte !crc (Char.code (Bytes.unsafe_get b i))
     done;
-    Some (Buffer.contents record)
+    let crc = Crc32.finalize !crc in
+    for i = 0 to 3 do
+      Bytes.set b (body_len + i) (Char.chr ((crc lsr (8 * i)) land 0xFF))
+    done;
+    Some (Bytes.unsafe_to_string b)
 
 (* -- replay -- *)
 
@@ -264,11 +281,10 @@ let open_ ?(compact_factor = 4) ~capacity ~snapshot path =
       { path; capacity; compact_factor; snapshot; mutex = Mutex.create (); fd; appended = 0 })
 
 let write_all fd s =
-  let bytes = Bytes.of_string s in
-  let len = Bytes.length bytes in
+  let len = String.length s in
   let off = ref 0 in
   while !off < len do
-    off := !off + Unix.write fd bytes !off (len - !off)
+    off := !off + Unix.write_substring fd s !off (len - !off)
   done
 
 (* The rename above made the compacted log the live one in the

@@ -145,7 +145,7 @@ let fingerprint t =
      9  the decoded trace (8-byte address word + 1 kind byte — it is
         boxed),
      4  the int32 id arena,
-     5  uniques + hash table + recency arenas and bitset, amortised
+     5  uniques + hash table + recency arenas, amortised
         per reference (they are per-unique; on every registry workload
         the true share is far smaller, this allows N' close to N).
    18 per reference plus a 1 KiB fixed floor.

@@ -20,3 +20,24 @@ let bcat_misses stripped ~level ~associativity =
   Optimizer.misses_at
     (Bcat.build ~max_level:level (Zero_one.build stripped))
     (Mrct.build stripped) ~level ~associativity
+
+(* The postlude by its definition (paper Algorithm 3): scan
+   associativities upward from 1 and stop at the first whose suffix-sum
+   miss count meets the budget. O(width x A) per level, re-summing at
+   every step; [Optimizer.of_histograms] must equal it field by field. *)
+let level_result ~k ~level histogram =
+  let rec search a =
+    let m = Optimizer.misses_of_histogram histogram ~associativity:a in
+    if m <= k then (a, m) else search (a + 1)
+  in
+  let min_associativity, misses = search 1 in
+  {
+    Optimizer.level;
+    depth = 1 lsl level;
+    min_associativity;
+    misses;
+    zero_miss_associativity = max 1 (Array.length histogram);
+  }
+
+let of_histograms ~k histograms =
+  { Optimizer.k; levels = Array.mapi (fun level h -> level_result ~k ~level h) histograms }

@@ -1,5 +1,5 @@
 (* Tests for the off-heap arena kernel, the one production exact
-   kernel: the Arena primitives (bitsets, growable word arenas), the
+   kernel: the Arena primitives (i32 and growable word arenas), the
    arena strip builder against the boxed prelude, and bit-identity of
    the arena histograms with the paper-faithful oracle ({!Oracle}: the
    materialized MRCT under the fused DFS and the BCAT walk) and the
@@ -50,37 +50,6 @@ let test_word_grow () =
   for i = 4 to 9 do
     check_int "tail zeroed" 0 (Arena.word_get b i)
   done
-
-let test_bits_basic () =
-  (* indices straddling the 63-bit word boundary *)
-  let b = Arena.Bits.create 200 in
-  check_int "length" 200 (Arena.Bits.length b);
-  List.iter
-    (fun i ->
-      check_bool "initially clear" false (Arena.Bits.get b i);
-      Arena.Bits.set b i;
-      check_bool "set" true (Arena.Bits.get b i))
-    [ 0; 62; 63; 64; 125; 126; 127; 199 ];
-  check_int "popcount" 8 (Arena.Bits.popcount b);
-  Arena.Bits.unset b 63;
-  check_bool "unset" false (Arena.Bits.get b 63);
-  check_bool "neighbours untouched" true (Arena.Bits.get b 62 && Arena.Bits.get b 64);
-  check_int "popcount after unset" 7 (Arena.Bits.popcount b);
-  Arena.Bits.clear b;
-  check_int "popcount after clear" 0 (Arena.Bits.popcount b);
-  check_bool "cleared" false (Arena.Bits.get b 126);
-  Alcotest.check_raises "negative size" (Invalid_argument "Arena.Bits.create: negative size")
-    (fun () -> ignore (Arena.Bits.create (-1)))
-
-let prop_bits_popcount =
-  prop "Bits.popcount = cardinality of the set index set"
-    QCheck2.Gen.(list_size (int_bound 80) (int_bound 499))
-    (fun indices ->
-      let b = Arena.Bits.create 500 in
-      List.iter (Arena.Bits.set b) indices;
-      let distinct = List.sort_uniq compare indices in
-      Arena.Bits.popcount b = List.length distinct
-      && List.for_all (Arena.Bits.get b) distinct)
 
 (* -- the arena strip vs the boxed prelude -- *)
 
@@ -146,6 +115,41 @@ let prop_arena_shard_invariant =
          these small traces genuinely split into windows *)
       Arena_kernel.histograms ~domains ~shard_threshold:8 astrip ~max_level = seq
       && Arena_kernel.histograms ~domains astrip ~max_level = seq)
+
+(* [gen_addresses] draws from [0, 127], where no XOR of two distinct
+   addresses has a zero low byte, so the conflict-level step never leaves
+   its byte table. Strided addresses do: a random base plus [k lsl s]
+   with [s] in 8..24 gives pairs that agree on their low 8 (or more)
+   bits, at widths up to about 40 bits. [max_level] ranges below and
+   above 8, so the clamp sentinel lands in the low byte and above it. *)
+let gen_strided_addresses =
+  QCheck2.Gen.(
+    let* base = int_bound ((1 lsl 40) - 1) in
+    let* strides = list_size (int_range 1 3) (int_range 8 24) in
+    array_size (int_range 1 200)
+      (let* s = oneofl strides in
+       let* k = int_bound 15 in
+       let* jitter = oneof [ return 0; int_bound 255 ] in
+       return (base + (k lsl s) + jitter)))
+
+let prop_arena_wide_addresses =
+  prop ~count:150 "wide strided addresses: arena = materialized DFS = simulated LRU, sharded too"
+    QCheck2.Gen.(
+      quad gen_strided_addresses (oneof [ int_range 0 7; int_range 8 44 ]) (int_range 1 4)
+        (int_range 2 4))
+    (fun (addrs, max_level, associativity, domains) ->
+      let trace = Trace.of_addresses addrs in
+      let astrip = Arena_kernel.of_trace trace in
+      let hists = Arena_kernel.histograms astrip ~max_level in
+      (* the simulator allocates every set, so keep its depth small; it
+         still reaches the levels where the byte table falls back *)
+      let level = min max_level 12 in
+      let sim =
+        (Cache.simulate (Config.make ~depth:(1 lsl level) ~associativity ()) trace).Cache.misses
+      in
+      hists = Oracle.histograms (Arena_kernel.to_strip astrip) ~max_level
+      && Arena_kernel.histograms ~domains ~shard_threshold:8 astrip ~max_level = hists
+      && Optimizer.misses_of_histogram hists.(level) ~associativity = sim)
 
 (* the fallback threshold hides the sharded path from small random
    traces, so also drive a trace long enough to shard for real *)
@@ -352,8 +356,6 @@ let suites =
       [
         Alcotest.test_case "i32 arena round-trip" `Quick test_i32_roundtrip;
         Alcotest.test_case "word_grow preserves prefix, zeroes tail" `Quick test_word_grow;
-        Alcotest.test_case "bitset across word boundaries" `Quick test_bits_basic;
-        prop_bits_popcount;
       ] );
     ( "arena-kernel",
       [
@@ -363,6 +365,7 @@ let suites =
         Alcotest.test_case "bad line_words rejected" `Quick test_strip_rejects_bad_line_words;
         prop_arena_equals_materialized;
         prop_arena_shard_invariant;
+        prop_arena_wide_addresses;
         Alcotest.test_case "sharded long trace" `Quick test_arena_sharded_long_trace;
         Alcotest.test_case "sharded run copies no strip" `Quick
           test_sharded_run_copies_no_strip;

@@ -303,6 +303,28 @@ let prop_level0_misses_formula =
       misses
       = Strip.num_refs stripped - Strip.num_unique stripped - !repeats)
 
+(* The linear-time postlude against its definition: random per-level
+   histograms, including the degenerate [||], [|0|] and all-zero ones,
+   under every budget from 0 to just past the largest miss total. *)
+let gen_histogram =
+  QCheck2.Gen.(
+    oneof
+      [
+        return [||];
+        return [| 0 |];
+        map (fun n -> Array.make n 0) (int_range 1 8);
+        array_size (int_range 0 12) (int_bound 20);
+      ])
+
+let prop_postlude_matches_definition =
+  prop ~count:300 "of_histograms = upward associativity scan (min assoc, misses, zero-miss)"
+    QCheck2.Gen.(
+      let* hists = array_size (int_range 1 5) gen_histogram in
+      let total = Array.fold_left (fun acc h -> max acc (Array.fold_left ( + ) 0 h)) 0 hists in
+      let* k = int_range 0 (total + 3) in
+      return (hists, k))
+    (fun (hists, k) -> Optimizer.of_histograms ~k hists = Oracle.of_histograms ~k hists)
+
 (* -- the central exactness property -- *)
 
 let analytical_misses addrs ~depth ~associativity =
@@ -424,6 +446,7 @@ let suites =
         Alcotest.test_case "optimal pairs" `Quick test_optimal_pairs;
         Alcotest.test_case "DFS on paper example" `Quick test_dfs_paper;
         prop_dfs_equals_bcat_walk;
+        prop_postlude_matches_definition;
       ] );
     ( "core:exactness",
       [

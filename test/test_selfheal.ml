@@ -155,6 +155,54 @@ let read_file path = In_channel.with_open_bin path In_channel.input_all
 let write_file path data =
   Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc data)
 
+(* The on-disk record bytes are a format: logs written by earlier
+   builds must replay, and replicas exchange records verbatim. These
+   bytes were produced by the buffer-staged encoder the single-buffer
+   one replaced. The small record covers multi-byte varints, a
+   fingerprint with its top bit set, the unbounded max_level and empty
+   histograms; the large one (14 KB) a multi-byte payload length. *)
+let test_wal_golden_records () =
+  let hex s =
+    String.to_seq s |> Seq.map (fun c -> Printf.sprintf "%02x" (Char.code c)) |> List.of_seq
+    |> String.concat ""
+  in
+  let encode key entry =
+    match Wal.encode_record key entry with
+    | Some record -> record
+    | None -> Alcotest.fail "exact entry not encoded"
+  in
+  let small_key =
+    { Result_cache.fingerprint = 0x8123456789ABCDEFL; method_tag = 3; domains = 2; max_level = -1 }
+  in
+  let small_entry =
+    Result_cache.Exact
+      {
+        stats = { Stats.n = 300; n_unique = 129; address_bits = 17; max_misses = 0 };
+        histograms = [| [||]; [| 0 |]; [| 0; 1; 200; 16384 |] |];
+      }
+  in
+  let small = encode small_key small_entry in
+  Alcotest.(check string)
+    "small record bytes"
+    "44534557011defcdab8967452381030200ac028101110003000100040001c801808001cf3b8ec5" (hex small);
+  let big_key = { Result_cache.fingerprint = 42L; method_tag = 3; domains = 1; max_level = 20 } in
+  let big_entry =
+    Result_cache.Exact
+      {
+        stats = { Stats.n = 25_000; n_unique = 2024; address_bits = 14; max_misses = 17_000 };
+        histograms =
+          Array.init 15 (fun l ->
+              Array.init (40 * (l + 1)) (fun c -> ((c * 7919) + (l * 104729)) land 0xFFFFF));
+      }
+  in
+  let big = encode big_key big_entry in
+  check_int "large record length" 14381 (String.length big);
+  Alcotest.(check string)
+    "large record digest" "a898ce621a5ddfc67be55c60bd67642e" (Digest.to_hex (Digest.string big));
+  check_bool "both decode back" true
+    (Wal.decode_record small = Some (small_key, small_entry)
+    && Wal.decode_record big = Some (big_key, big_entry))
+
 let test_wal_roundtrip () =
   let path = temp_wal () in
   check_bool "missing file is empty" true ((ok_or_fail (Wal.replay path)).Wal.entries = []);
@@ -502,6 +550,7 @@ let suites =
         Alcotest.test_case "LRU bound and eviction" `Quick test_cache_lru_bound;
         Alcotest.test_case "inflight table" `Quick test_inflight;
         Alcotest.test_case "wal roundtrip" `Quick test_wal_roundtrip;
+        Alcotest.test_case "wal golden record bytes" `Quick test_wal_golden_records;
         Alcotest.test_case "wal torn tail" `Quick test_wal_torn_tail;
         Alcotest.test_case "wal bit flip" `Quick test_wal_bitflip;
         Alcotest.test_case "wal compaction" `Quick test_wal_compaction;
