@@ -8,7 +8,7 @@
     [Arena_kernel.to_strip (arena_strip prepared)]. *)
 
 (** The exact analysis method. One constructor: the fused kernel on
-    off-heap {!Arena_kernel} bigarrays, whose strip, recency list and
+    off-heap {!Arena_kernel} bigarrays, whose strip, slot state and
     tallies are GC-invisible and shared by reference across shard
     domains, so peak {e heap} is O(1) in N. Kept as a type because it is
     the exact half of the served method field. *)

@@ -9,9 +9,9 @@
    boxed [int array] footprint that used to dominate peak heap.
 
    Two element widths cover every table the kernel keeps:
-     - [i32]: per-reference tables (stripped ids, recency next/prev).
-       4 bytes per entry; ids and list indices are bounded by N' < 2^31,
-       checked at creation time by the callers that narrow.
+     - [i32]: per-reference and per-slot tables (stripped ids, the
+       kernel's slot <-> id maps). 4 bytes per entry; ids and slot
+       indices stay below 2^31, checked by the strip builder.
      - [word]: tables indexed by or holding full addresses / counters
        (uniques, tallies). Native 63-bit ints, 8 bytes per entry,
        unboxed on access.
@@ -45,13 +45,9 @@ let i32_get (a : i32) i = Int32.to_int (Bigarray.Array1.unsafe_get a i)
 
 let i32_set (a : i32) i v = Bigarray.Array1.unsafe_set a i (Int32.of_int v)
 
-let i32_fill (a : i32) v = Bigarray.Array1.fill a (Int32.of_int v)
-
 let word_get (a : word) i = Bigarray.Array1.unsafe_get a i
 
 let word_set (a : word) i (v : int) = Bigarray.Array1.unsafe_set a i v
-
-let word_fill (a : word) v = Bigarray.Array1.fill a v
 
 (* [word_grow a len cap'] is a fresh zeroed arena of [cap'] entries with
    the first [len] copied over — the doubling step of growable tables.

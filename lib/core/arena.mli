@@ -12,9 +12,9 @@
     local unboxing (no per-access allocation; property-checked by the
     bench minor-word assertions). *)
 
-(** 4-byte entries: per-reference tables (ids, recency links). Callers
-    must keep values within int32 range; the strip builder enforces
-    N' < 2^31. *)
+(** 4-byte entries: per-reference tables (ids) and the kernel's slot
+    maps. Callers must keep values within int32 range; the strip builder
+    bounds N' so that ids and slot indices fit. *)
 type i32 = (int32, Bigarray.int32_elt, Bigarray.c_layout) Bigarray.Array1.t
 
 (** 8-byte native-int entries: address and counter tables. *)
@@ -34,13 +34,9 @@ val i32_get : i32 -> int -> int
 
 val i32_set : i32 -> int -> int -> unit
 
-val i32_fill : i32 -> int -> unit
-
 val word_get : word -> int -> int
 
 val word_set : word -> int -> int -> unit
-
-val word_fill : word -> int -> unit
 
 (** [word_grow a ~len ~capacity] is a zeroed arena of [capacity] entries
     with [a]'s first [len] entries blitted in — the doubling step of the

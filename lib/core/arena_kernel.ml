@@ -1,18 +1,21 @@
 (* The streaming fused MRCT->histogram kernel (see the interface): the
-   recency-list walk of [Mrct.build] folding shared-bit counts straight
-   into per-level histograms. Every hot table is an [Arena] bigarray the
-   GC neither scans nor copies:
+   conflict counts of [Mrct.build] taken straight from bit-planes of the
+   last-access slots, level by level, into per-level histograms. Every
+   hot table is an [Arena] bigarray the GC neither scans nor copies:
 
      ids          i32 arena, 4 B/ref   (vs 8 B boxed + GC scan)
      uniques      word arena, 8 B/unique
-     next/prev    i32 arenas, 8 B/unique combined
+     slot state   i32 slot -> id map, ~8 B/unique at ~2 N' slots;
+                  i32 id -> slot map, 4 B/unique;
+                  alive mask, base address and bit-planes,
+                  8 B per 62 slots each
      tallies      word arenas, grown geometrically off-heap
 
    The strip is built ONCE, directly from the trace — the boxed
    line-address array, [Hashtbl], and [Strip.t] of the classic prelude
    are never allocated — and shared by reference across shard domains:
    each [Shard_exec] closure captures the same handles, so a sharded run
-   adds per-shard recency state (O(N')) and nothing proportional to N.
+   adds per-shard slot state (O(N')) and nothing proportional to N.
 
    Outputs are bit-identical to the materialized oracle: identical
    first-occurrence id assignment, identical histogram growth/trim
@@ -47,10 +50,11 @@ let num_unique s = s.n_unique
 
 let address_bits s = s.address_bits
 
-(* ids are narrowed to int32; the sentinel n' must fit too. Any trace
+(* ids are narrowed to int32, and so are the kernel's slot indices,
+   which reach about 2 N' x 64/62 (see [slots_create]). Any trace
    with this many distinct lines is far past what the daemon admits, but
    the guard turns silent truncation into a typed refusal. *)
-let max_uniques = 0x7FFFFFFE
+let max_uniques = 1_000_000_000
 
 let too_many_uniques () =
   Dse_error.fail
@@ -169,28 +173,192 @@ let to_strip s =
 
 (* -- the fused kernel -------------------------------------------------- *)
 
-(* The conflict-level step: the deepest level at which two line
-   addresses still share a row is the trailing-zero count of their XOR,
-   clamped to [max_level]. Setting bit [max_level] (the sentinel) folds
-   the clamp into the count: ctz (x lor 2^m) = min (ctz x, m). One
-   lookup in a 256-entry trailing-zero table then answers every step
-   whose sentinelled XOR has a nonzero low byte; the byte loop below
-   runs only for addresses that agree on their low 8 bits. [max_level]
-   is capped at 62 for the sentinel, which changes nothing: the XOR of
-   two distinct non-negative addresses is nonzero, so its count is at
-   most 61. The table is a [string], so a lookup is one load and never
-   allocates. *)
-let ctz_byte =
-  String.init 256 (fun b ->
-      let rec count b n = if n = 8 || b land 1 = 1 then n else count (b lsr 1) (n + 1) in
-      Char.chr (count b 0))
+(* Slot state. Every id met so far owns one slot, the position of its
+   last access in access order, so slots are ordered by recency and the
+   conflict set of a warm occurrence of [u] is exactly the ids alive in
+   the slots after [u]'s. A word holds 62 slots: bit 62 is the sign bit
+   of an OCaml int, and keeping it clear keeps [lsr] and the popcount
+   simple. Slot [s] lives in word [s lsr 6] at bit [s land 63]; bits 62
+   and 63 are skipped, so finding a slot is a shift and a mask.
 
-let rec ctz_sentinelled y acc =
-  let low = y land 0xFF in
-  if low <> 0 then acc + Char.code (String.unsafe_get ctz_byte low)
-  else ctz_sentinelled (y lsr 8) (acc + 8)
+   Word [w] owns [stride] consecutive entries of [bits]: the alive mask,
+   one bit-plane per address bit [0 .. planes-1], and the word's base
+   address [c], the address of its slot 0. Bit [b] of plane [l] is bit
+   [l] of [a xor c] for the address [a] in the word's slot [b]. The
+   planes are the paper's zero/one sets restricted to 62 slots, relative
+   to [c]: XOR with [c] keeps agreement on every bit, and neighbouring
+   slots usually share high bits, so placing a line sets fewer of them.
+   The conflicts that share [u]'s depth-[2^l] row are the alive slots
+   where planes [0 .. l-1] agree with [u]'s address xor [c]: one AND per
+   plane and one popcount per level.
 
-let sentinel_bit max_level = 1 lsl min max_level 62
+   Dead slots are not reused; [compact] squeezes them out in order. *)
+type slots = {
+  id_of : Arena.i32;  (* slot -> id, meaningful for alive slots *)
+  slot_of : Arena.i32;  (* id -> last-access slot *)
+  bits : Arena.word;
+  planes : int;
+  stride : int;
+  words : int;  (* capacity, in words: about 2 N' slots, always above N' *)
+  mutable next_slot : int;
+  mutable first_dead : int;  (* lowest word holding a dead slot; [words] if none *)
+  mutable dead_scanned : int;  (* all-dead words scanned since the last compaction *)
+}
+
+let slots_per_word = 62
+
+let succ_slot s =
+  let s = s + 1 in
+  if s land 63 = slots_per_word then s + 2 else s
+[@@inline]
+
+(* SWAR popcount of a non-negative int below 2^62. The first mask skips
+   bit 62, and the byte sum (at most 62) fits in the 7 bits the 63-bit
+   multiply leaves above bit 56. *)
+let popcount x =
+  let x = x - ((x lsr 1) land 0x1555555555555555) in
+  let x = (x land 0x3333333333333333) + ((x lsr 2) land 0x3333333333333333) in
+  let x = (x + (x lsr 4)) land 0x0F0F0F0F0F0F0F0F in
+  (x * 0x0101010101010101) lsr 56
+[@@inline]
+
+(* [log2_of_pow2.[(2^l * debruijn) lsr 57]] is [l] for [l < 62]: the
+   top six bits of the 63-bit product are a window of the de Bruijn
+   sequence [debruijn], and its windows all differ. *)
+let debruijn = 0x03f79d71b4cb0a89
+
+let log2_of_pow2 =
+  let t = Bytes.make 64 '\000' in
+  for l = 0 to 61 do
+    Bytes.set t (((1 lsl l) * debruijn) lsr 57) (Char.chr l)
+  done;
+  Bytes.unsafe_to_string t
+
+(* Planes stop below the top address bit: two distinct addresses that
+   agree on every lower bit differ there, so that plane would only ever
+   empty the count after the deepest level with a conflict. They also
+   stop at [max_level]: that level is recorded and the count stops.
+   Capacity is about 2 N' slots, so a compaction that moves every alive
+   slot comes at most once per N' references, but never fewer than
+   [min_words] words: a trace over a few dozen lines would otherwise
+   compact every few dozen references. *)
+let min_words = 16
+
+let slots_create s ~max_level =
+  let planes = min max_level (s.address_bits - 1) in
+  let words = max min_words (((2 * s.n_unique) + slots_per_word - 1) / slots_per_word) in
+  {
+    id_of = Arena.i32_create (words * 64);
+    slot_of = Arena.i32_create s.n_unique;
+    bits = Arena.word_create (words * (planes + 2));
+    planes;
+    stride = planes + 2;
+    words;
+    next_slot = 0;
+    first_dead = words;
+    dead_scanned = 0;
+  }
+
+(* Mark [slot] alive and OR the one-bits of address [a] xor the word's
+   base into its planes, which are clear: a slot is written once between
+   zeroings, and slot 0 of a word, written first, sets the base. The
+   loop visits only the one-bits, each located by [log2_of_pow2]. *)
+let set_slot_bits st slot a =
+  let bits = st.bits in
+  let base = (slot lsr 6) * st.stride in
+  let bit = 1 lsl (slot land 63) in
+  word_set bits base (word_get bits base lor bit);
+  let word_base = base + 1 + st.planes in
+  if bit = 1 then word_set bits word_base a;
+  let a = ref ((a lxor word_get bits word_base) land ((1 lsl st.planes) - 1)) in
+  while !a <> 0 do
+    let low = !a land - !a in
+    let at = base + 1 + Char.code (String.unsafe_get log2_of_pow2 ((low * debruijn) lsr 57)) in
+    word_set bits at (word_get bits at lor bit);
+    a := !a lxor low
+  done
+
+let place st uniques u =
+  let slot = st.next_slot in
+  set_slot_bits st slot (word_get uniques u);
+  i32_set st.id_of slot u;
+  i32_set st.slot_of u slot;
+  st.next_slot <- succ_slot slot
+
+let kill st slot =
+  let w = slot lsr 6 in
+  let base = w * st.stride in
+  word_set st.bits base (word_get st.bits base land lnot (1 lsl (slot land 63)));
+  if w < st.first_dead then st.first_dead <- w
+
+(* Squeeze the dead slots out, preserving order, from the first word
+   that holds one, so a long-lived prefix never moves; the moved slots'
+   bits are rebuilt from their addresses. Plain loops over the arenas,
+   with no sub-array proxy and no closure, so a compaction allocates
+   nothing. *)
+let compact st uniques =
+  let from = min st.first_dead (st.next_slot lsr 6) and stop = (st.next_slot + 63) lsr 6 in
+  let dst = ref (from * 64) in
+  for w = from to stop - 1 do
+    let alive = word_get st.bits (w * st.stride) in
+    for b = 0 to slots_per_word - 1 do
+      if (alive lsr b) land 1 = 1 then begin
+        i32_set st.id_of !dst (i32_get st.id_of ((w * 64) + b));
+        dst := succ_slot !dst
+      end
+    done
+  done;
+  for i = from * st.stride to (stop * st.stride) - 1 do
+    word_set st.bits i 0
+  done;
+  let slot = ref (from * 64) in
+  while !slot < !dst do
+    let u = i32_get st.id_of !slot in
+    set_slot_bits st !slot (word_get uniques u);
+    i32_set st.slot_of u !slot;
+    slot := succ_slot !slot
+  done;
+  st.next_slot <- !dst;
+  st.first_dead <- st.words;
+  st.dead_scanned <- 0
+
+(* Two rules keep scans short. A full slot array must compact. So must a
+   run of dead words: once the all-dead words scanned since the last
+   compaction outnumber the words in use, scanning them again would cost
+   more than squeezing them out. *)
+let needs_compaction st =
+  st.next_slot = st.words * 64 || st.dead_scanned > (st.next_slot + 63) lsr 6
+
+(* Count one warm occurrence of [u], last seen in slot [p], into
+   [depth_count]: level [l] gets the alive slots after [p] whose
+   addresses agree with [au] on bits [0 .. l-1], the conflicts that
+   share [u]'s depth-[2^l] row. Each word stops at the first level with
+   no such slot, and at [planes]. Returns the deepest level counted, or
+   -1 for an empty conflict set. *)
+let count_conflicts st depth_count au p =
+  let bits = st.bits and stride = st.stride and planes = st.planes in
+  let first = p lsr 6 in
+  let top = ref (-1) in
+  for w = first to (st.next_slot - 1) lsr 6 do
+    let base = w * stride in
+    let alive = word_get bits base in
+    if alive = 0 then st.dead_scanned <- st.dead_scanned + 1
+    else begin
+      let m = ref (if w = first then alive land lnot ((2 lsl (p land 63)) - 1) else alive) in
+      let x = au lxor word_get bits (base + 1 + planes) in
+      let l = ref 0 in
+      while !m <> 0 do
+        let level = !l in
+        word_set depth_count level (word_get depth_count level + popcount !m);
+        if level = planes then m := 0
+        else
+          m := !m land lnot (word_get bits (base + 1 + level) lxor -((x lsr level) land 1));
+        l := level + 1
+      done;
+      if !l - 1 > !top then top := !l - 1
+    end
+  done;
+  !top
 
 (* Growable per-level histograms in word arenas; growth and trim match
    [Dfs_optimizer] exactly so kernel and oracle stay bit-identical.
@@ -250,78 +418,58 @@ let merge_tallies ~max_level parts =
         parts;
       merged)
 
-(* One trace window [lo, hi): replay [0, lo) to reconstruct the recency
-   list (O(1) per replayed access, no tallying), then tally. Warm
-   occurrences partition by position, so summing window tallies is
-   exact. The recency list lives in two i32 arenas. No membership set
-   is needed: [of_trace] assigns ids in first-occurrence order, so a
+(* One trace window [lo, hi). The prologue builds the slot state at
+   [lo] straight from last-access order in O(lo + N'): one pass records
+   each id's last position in [0, lo) (in [slot_of]), a second places
+   the ids in the order of those positions. No membership set is
+   needed: [of_trace] assigns ids in first-occurrence order, so a
    reference is cold exactly when its id equals [seen], the count of
-   distinct ids met so far, and warm exactly when [u < seen]. The
-   per-occurrence clear of [depth_count] touches only the levels the
-   prefix walk wrote (tracked via [max_touched]) instead of an
-   unconditional fill of all levels. *)
+   distinct ids met so far, and warm exactly when [u < seen]. Warm
+   occurrences partition by position, so summing window tallies is
+   exact. *)
 let window_tally ?(cancel = Cancel.none) s ~max_level ~lo ~hi =
   let t = tally_create max_level in
-  let n' = s.n_unique in
-  let next = Arena.i32_create (n' + 1) in
-  let prev = Arena.i32_create (n' + 1) in
-  Arena.i32_fill next n';
-  Arena.i32_fill prev n';
+  let st = slots_create s ~max_level in
+  let ids = s.ids and uniques = s.uniques and slot_of = st.slot_of in
   let seen = ref 0 in
-  let sentinel = sentinel_bit max_level in
-  let ids = s.ids in
-  let uniques = s.uniques in
-  let unlink u =
-    let p = i32_get prev u and nx = i32_get next u in
-    i32_set next p nx;
-    i32_set prev nx p
-  in
-  let push_front u =
-    let first = i32_get next n' in
-    i32_set next n' u;
-    i32_set prev u n';
-    i32_set next u first;
-    i32_set prev first u
-  in
   for j = 0 to lo - 1 do
     if j land Cancel.poll_mask = 0 then Cancel.check cancel;
     let u = i32_get ids j in
-    if u < !seen then unlink u else incr seen;
-    push_front u
+    if u = !seen then incr seen;
+    i32_set slot_of u j
+  done;
+  for j = 0 to lo - 1 do
+    if j land Cancel.poll_mask = 0 then Cancel.check cancel;
+    let u = i32_get ids j in
+    if i32_get slot_of u = j then place st uniques u
   done;
   let depth_count = t.depth_count in
   for j = lo to hi - 1 do
     if j land Cancel.poll_mask = 0 then Cancel.check cancel;
     let u = i32_get ids j in
     if u < !seen then begin
-      let au = word_get uniques u in
-      let v = ref (i32_get next n') in
-      let max_touched = ref (-1) in
-      while !v <> u do
-        let shared = ctz_sentinelled ((au lxor word_get uniques !v) lor sentinel) 0 in
-        word_set depth_count shared (word_get depth_count shared + 1);
-        if shared > !max_touched then max_touched := shared;
-        v := i32_get next !v
+      let p = i32_get slot_of u in
+      (* the level counts are nonincreasing in l, so every level up to
+         [top] records a nonzero count: the same (level, count) pairs as
+         a suffix sum over the conflicts' shared levels *)
+      let top = count_conflicts st depth_count (word_get uniques u) p in
+      for l = 0 to top do
+        record t l (word_get depth_count l);
+        word_set depth_count l 0
       done;
-      (* suffix-sum over touched levels only, clearing as it reads:
-         running >= 1 for every l <= max_touched, so this records the
-         same (level, count) pairs as a full 0..max_level sweep *)
-      let running = ref 0 in
-      for l = !max_touched downto 0 do
-        running := !running + word_get depth_count l;
-        word_set depth_count l 0;
-        record t l !running
-      done;
-      unlink u
+      kill st p
     end
     else incr seen;
-    push_front u
+    if needs_compaction st then compact st uniques;
+    place st uniques u
   done;
   t
 
-(* Each shard pays an O(lo) replay prologue, so total replay work is
-   ~domains/2 passes over the trace; below this window size the replay
-   and Domain.spawn overhead outweigh the tally work split. *)
+(* Each shard pays an O(lo + N') prologue, two passes over [0, lo)
+   and one placement per id met there, so total prologue work is
+   ~domains/2 passes over the trace; below this window size that and
+   Domain.spawn outweigh the tally work split. The daemon's
+   [Server.heavy_refs] reuses it as the size of a heavy job. *)
 let min_shard_refs = 65536
 
 let histograms ?(cancel = Cancel.none) ?(domains = 1) ?(shard_threshold = min_shard_refs) s

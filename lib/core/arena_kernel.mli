@@ -1,22 +1,39 @@
 (** The streaming fused MRCT->histogram kernel on off-heap arenas — the
     one production exact kernel ([--method arena]).
 
-    It walks the same recency list as {!Mrct.build} but tallies every
-    conflicting reference straight into per-level histograms, so the
-    conflict table never exists. Output is bit-identical to the
-    materialized oracle ({!Mrct.build} + {!Dfs_optimizer.histograms},
-    the BCAT walk of {!Optimizer.explore}, and the LRU simulator —
-    property tested). Every hot table lives in {!Arena} bigarrays the
-    GC neither scans, copies, nor counts in [top_heap_words]:
+    It counts the same conflict sets as {!Mrct.build} without ever
+    listing them. Every id met so far owns one {e slot}, the position
+    of its last access in access order, so the conflict set [C] of a
+    warm occurrence of [u] is exactly the alive slots after [u]'s.
+    Slots pack 62 to a word, and each word keeps an alive mask plus
+    one bit-plane per address bit, taken relative to the address in
+    the word's first slot: the paper's zero/one sets restricted to 62
+    slots. The references of [C] that share [u]'s
+    depth-[2^l] row are the alive slots whose planes [0 .. l-1] agree
+    with [u]'s address, so a word's contribution to every level is one
+    AND per plane and one popcount per level, stopping at the first
+    level with none — [|C ∩ S|] for every level of the BCAT at once.
+    Output is bit-identical to the materialized oracle ({!Mrct.build}
+    + {!Dfs_optimizer.histograms}, the BCAT walk of
+    {!Optimizer.explore}, and the LRU simulator — property tested).
+    Every hot table lives in {!Arena} bigarrays the GC neither scans,
+    copies, nor counts in [top_heap_words]:
 
     - the strip (per-reference ids + unique line addresses) is built
       {e directly from the trace} — the boxed line-address array,
       [Hashtbl], and [Strip.t] of the classic prelude never exist — and
       is shared by reference across shard domains;
-    - the recency list is two int32 arenas; no membership set is kept,
-      because ids are assigned in first-occurrence order and so a
-      reference is warm exactly when its id is below the count of
-      distinct ids seen so far;
+    - the slot state: a slot -> id map over about 2 N' slots, an
+      id -> slot map, and the alive masks, base addresses and
+      bit-planes. A warm
+      occurrence clears its old slot and takes the next one. Dead
+      slots are squeezed out, in order and without allocating, when
+      the slots run out or when the all-dead words scanned since the
+      last compaction outnumber the words in use; compaction starts at
+      the first word holding a dead slot, so a long-lived prefix never
+      moves. No membership set is kept, because ids are assigned in
+      first-occurrence order and so a reference is warm exactly when
+      its id is below the count of distinct ids seen so far;
     - per-level tallies and [depth_count] accumulate in per-shard word
       arenas merged straight into the final histograms, no intermediate
       per-shard arrays.
@@ -26,14 +43,14 @@
     is what makes 10^9-reference traces representable.
 
     [domains > 1] shards the {e trace} into per-domain windows. Each
-    shard replays the prefix before its window to rebuild the recency
-    list, then tallies its own window; warm occurrences partition by
-    position, so the merge is exact. Sharded runs are fault-isolated
+    shard rebuilds the slot state at the start [lo] of its window from
+    last-access order in O(lo + N'), then tallies its own window; warm
+    occurrences partition by position, so the merge is exact. Sharded runs are fault-isolated
     through {!Shard_exec}: a crashing domain is retried once in a fresh
     domain, then its window is recomputed sequentially; only when all
     three attempts fail does a typed {!Dse_error.Shard_failure} escape.
     [cancel] (default {!Cancel.none}) is polled every
-    {!Cancel.poll_mask}+1 references of both the replay prologue and the
+    {!Cancel.poll_mask}+1 references of both prologue passes and the
     tally loop; expiry raises a typed {!Dse_error.Deadline_exceeded},
     which is never retried. *)
 

@@ -139,16 +139,26 @@ let fingerprint t =
   fingerprint_finish !h ~len:t.len
 
 (* Pessimistic per-reference footprint, in bytes, of admitting an
-   exact job. [`Arena] prices the off-heap arena kernel: the strip is
-   built straight from the trace into bigarrays, so no boxed copy of it
-   ever exists and the GC never has to head-room one:
-     9  the decoded trace (8-byte address word + 1 kind byte — it is
-        boxed),
-     4  the int32 id arena,
-     5  uniques + hash table + recency arenas, amortised
-        per reference (they are per-unique; on every registry workload
-        the true share is far smaller, this allows N' close to N).
-   18 per reference plus a 1 KiB fixed floor.
+   exact job. [`Arena] prices the off-heap arena kernel from a
+   measurement: the peak resident bytes of a one-domain
+   [Analytical.prepare] + [histograms] over a decoded trace, on
+   all-unique traces of 10^5 to 4 x 10^6 references and on the 24
+   registry traces. An all-unique trace is the worst case, because
+   every per-unique table is then as large as the trace allows:
+     9  the decoded trace (8-byte address word + 1 kind byte, boxed);
+     4  the int32 id arena;
+    24  the unique-address arena: 8 B/unique, doubled when full, and
+        the old copy lives until the GC frees it;
+    48  the strip builder's hash table: 8 B entries at most half full,
+        so up to 32 B/unique, plus the old table during a rehash.
+   The kernel's slot state (8 B/unique of slot -> id map at ~2 N'
+   capacity, 4 B of id -> slot map, ~0.26 B per bit-plane) comes
+   after the builder's tables are garbage and added ~1 B/ref to their
+   peak. Measured worst: 87 B/ref over the trace at 2^21 + 1 uniques;
+   on the registry traces at most 38. 100 per reference plus a 1 KiB
+   fixed floor. Each further shard domain adds its own slot state, up
+   to ~16 B/unique (141 B/ref over the trace at 4 domains, all-unique);
+   the price does not depend on the domain count.
 
    This over- rather than under-estimates, which is the right direction
    for admission control: rejecting a job that would have fit costs a
@@ -162,7 +172,7 @@ let sketch_bytes = 4 * 1024 * 1024
 let estimate_bytes ~model ~refs =
   if refs < 0 then invalid_arg "Trace.estimate_bytes: negative reference count";
   match model with
-  | `Arena -> 1024 + (refs * 18)
+  | `Arena -> 1024 + (refs * 100)
   | `Sketch -> sketch_bytes
 
 let pp_kind fmt k = Format.fprintf fmt "%c" (kind_to_char k)

@@ -97,8 +97,8 @@ val fingerprint_finish : int64 -> len:int -> int64
     while they are still just a varint on the wire.
 
     [model] selects the kind of job: [`Arena] (the exact arena kernel:
-    18 B/ref — decoded trace + int32 id arena + amortised off-heap
-    unique/recency state — plus a 1 KiB floor) or [`Sketch] (the
+    100 B/ref — decoded trace, int32 id arena, and the unique, hash and
+    slot arenas at their all-unique worst — plus a 1 KiB floor) or [`Sketch] (the
     one-pass approximate profiler: a fixed 4 MiB regardless of [refs] —
     HyperLogLog registers, the top-K heavy-hitter table and the two
     bucketed-LRU probes are all trace-length-independent, which is what

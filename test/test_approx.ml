@@ -371,7 +371,7 @@ let test_daemon_approx_smoke () =
       if Sys.file_exists path then Sys.remove path)
     (fun () ->
       let socket = path in
-      (* big enough that an exact submission (18 bytes/ref under the
+      (* big enough that an exact submission (100 bytes/ref under the
          default arena pricing) blows the 8 MiB admission budget —
          approx is priced at the sketch's fixed footprint, so it passes
          where exact is rejected *)

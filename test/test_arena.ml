@@ -31,8 +31,6 @@ let test_i32_roundtrip () =
   check_int "set/get" 123456 (Arena.i32_get a 3);
   Arena.i32_set a 0 (-7);
   check_int "negative survives the int32 round-trip" (-7) (Arena.i32_get a 0);
-  Arena.i32_fill a 9;
-  check_int "fill" 9 (Arena.i32_get a 4);
   check_int "length" 5 (Arena.i32_length a);
   (* a requested size of 0 still allocates a sentinel slot *)
   check_int "empty arena still addressable" 1 (Arena.i32_length (Arena.i32_create 0))
@@ -182,6 +180,127 @@ let powerstone_identity_case (b : Workload.t) =
             = Oracle.histograms stripped ~max_level))
         [ itrace; dtrace ])
 
+(* -- the slot state machine: compaction and the shard prologue --
+
+   Each shape below drives one path of the kernel's slot state: full
+   compactions, partial ones behind a long-lived prefix, the dead-scan
+   trigger, alive counts straddling a 62-slot word, and shard prologues.
+   Every one is checked against the materialized oracle (DFS over MRCT),
+   sequentially and sharded with a small [shard_threshold], and its miss
+   count at a small level against the LRU simulator. *)
+
+let agrees_with_oracle addrs ~max_level ~associativity ~domains =
+  let trace = Trace.of_addresses addrs in
+  let astrip = Arena_kernel.of_trace trace in
+  let max_level = if max_level < 0 then Arena_kernel.address_bits astrip else max_level in
+  let hists = Arena_kernel.histograms astrip ~max_level in
+  let level = min max_level 10 in
+  let sim =
+    (Cache.simulate (Config.make ~depth:(1 lsl level) ~associativity ()) trace).Cache.misses
+  in
+  hists = Oracle.histograms (Arena_kernel.to_strip astrip) ~max_level
+  && Arena_kernel.histograms ~domains ~shard_threshold:8 astrip ~max_level = hists
+  && Optimizer.misses_of_histogram hists.(level) ~associativity = sim
+
+(* [-1] stands for the trace's own address width *)
+let gen_max_level = QCheck2.Gen.oneofl [ 0; 1; 8; -1; 70 ]
+
+(* an odd multiplier permutes [0, 2^24), so distinct ids keep distinct
+   addresses while their low bits look random *)
+let scatter x = (x * 0x9E3779B1) land ((1 lsl 24) - 1)
+
+(* a few lines, thousands of references: the slot array fills and
+   compacts over and over *)
+let prop_slots_tiny_working_set =
+  prop ~count:40 "slots: tiny N', long trace (repeated full compactions)"
+    QCheck2.Gen.(
+      let* lines = array_size (int_range 1 8) (int_bound ((1 lsl 24) - 1)) in
+      let* picks = array_size (int_range 1500 5000) (int_bound 1000) in
+      let* max_level = gen_max_level in
+      let* associativity = int_range 1 4 in
+      let* domains = int_range 2 4 in
+      return
+        ( Array.map (fun k -> lines.(k mod Array.length lines)) picks,
+          max_level,
+          associativity,
+          domains ))
+    (fun (addrs, max_level, associativity, domains) ->
+      agrees_with_oracle addrs ~max_level ~associativity ~domains)
+
+(* [k] one-shot lines, then a hot loop over [hot] lines that re-touches
+   one of [m] rotating lines every [period] references: the one-shot
+   prefix never moves (partial compaction), and the rotating touches
+   scan the hot loop's dead words (the dead-scan trigger) *)
+let one_shot_then_hot_loop ~k ~hot ~m ~period ~tail =
+  Array.init (k + tail) (fun i ->
+      if i < k then scatter i
+      else
+        let i = i - k in
+        if i mod period = period - 1 then scatter (k + hot + (i / period mod m))
+        else scatter (k + (i mod hot)))
+
+let prop_slots_one_shot_prefix =
+  prop ~count:40 "slots: one-shot prefix then hot loop (partial and dead-scan compactions)"
+    QCheck2.Gen.(
+      let* k = int_range 100 1500 in
+      let* hot = int_range 1 3 in
+      let* m = int_range 1 30 in
+      let* period = int_range 2 200 in
+      let* tail = int_range 1000 4000 in
+      let* max_level = gen_max_level in
+      let* associativity = int_range 1 4 in
+      let* domains = int_range 2 4 in
+      return
+        (one_shot_then_hot_loop ~k ~hot ~m ~period ~tail, max_level, associativity, domains))
+    (fun (addrs, max_level, associativity, domains) ->
+      agrees_with_oracle addrs ~max_level ~associativity ~domains)
+
+(* alive counts just below, at and above one and two 62-slot words, in
+   a fresh random order every pass *)
+let prop_slots_word_boundary =
+  prop ~count:30 "slots: N' straddling the 62-slot word boundary"
+    QCheck2.Gen.(
+      let* n = oneofl [ 61; 62; 63; 123; 124; 125 ] in
+      let* passes = list_size (int_range 2 4) (shuffle_l (List.init n scatter)) in
+      let* max_level = gen_max_level in
+      let* associativity = int_range 1 4 in
+      let* domains = int_range 2 4 in
+      return (Array.of_list (List.concat passes), max_level, associativity, domains))
+    (fun (addrs, max_level, associativity, domains) ->
+      agrees_with_oracle addrs ~max_level ~associativity ~domains)
+
+(* A loop over [n] lines places one slot per reference, so the
+   sequential run compacts first at reference 992 (16 words of 62
+   slots) and then every [992 - n]. Two or three shards of a trace sized
+   so that a window starts a few references either side of those points
+   rebuild their state at [lo] from last-access order. *)
+let prop_slots_shard_after_compaction =
+  prop ~count:30 "slots: shard windows starting next to a compaction"
+    QCheck2.Gen.(
+      let* n = int_range 2 40 in
+      let* domains = int_range 2 3 in
+      let* which = int_bound 1 in
+      let* delta = int_range (-2) 2 in
+      let* max_level = gen_max_level in
+      let* associativity = int_range 1 4 in
+      let lo = (if which = 0 then 992 else 992 + (992 - n)) + delta in
+      return (Array.init (lo * domains) (fun i -> scatter (i mod n)), max_level, associativity, domains))
+    (fun (addrs, max_level, associativity, domains) ->
+      agrees_with_oracle addrs ~max_level ~associativity ~domains)
+
+(* The dead-slot adversary, scaled down: 2000 one-shot lines, then 8000
+   references of a 2-line hot loop that re-touches one of 14 rotating
+   lines every 142 references. *)
+let test_slots_dead_slot_adversary () =
+  let addrs = one_shot_then_hot_loop ~k:2000 ~hot:2 ~m:14 ~period:(2000 / 14) ~tail:8000 in
+  List.iter
+    (fun max_level ->
+      check_bool
+        (Printf.sprintf "arena = oracle = simulator (max_level %d)" max_level)
+        true
+        (agrees_with_oracle addrs ~max_level ~associativity:2 ~domains:3))
+    [ 0; 8; -1; 70 ]
+
 (* -- the zero-copy guarantee -- *)
 
 let test_sharded_run_copies_no_strip () =
@@ -204,6 +323,26 @@ let test_sharded_run_copies_no_strip () =
     (major_delta < float_of_int (Arena_kernel.num_refs astrip) /. 2.);
   check_bool "and the result is right" true
     (Arena_kernel.histograms astrip ~max_level = hists)
+
+(* On a loop nest over 48 lines the kernel compacts about once per 944
+   references, so an allocation per compaction (or per reference) would
+   make minor words grow with N. *)
+let test_kernel_minor_words_flat () =
+  let minor_words refs =
+    let astrip =
+      Arena_kernel.of_trace (Synthetic.loop ~base:0 ~body:48 ~iterations:(refs / 48))
+    in
+    let max_level = Arena_kernel.address_bits astrip in
+    let before = Gc.minor_words () in
+    ignore (Sys.opaque_identity (Arena_kernel.histograms astrip ~max_level));
+    Gc.minor_words () -. before
+  in
+  let small = minor_words 100_000 and large = minor_words 1_000_000 in
+  check_bool
+    (Printf.sprintf "minor words %.0f at N = 100K and %.0f at N = 1M differ by < 1000" small
+       large)
+    true
+    (Float.abs (large -. small) < 1000.)
 
 (* -- errors and degenerate input -- *)
 
@@ -369,9 +508,18 @@ let suites =
         Alcotest.test_case "sharded long trace" `Quick test_arena_sharded_long_trace;
         Alcotest.test_case "sharded run copies no strip" `Quick
           test_sharded_run_copies_no_strip;
+        Alcotest.test_case "minor words flat in N" `Quick test_kernel_minor_words_flat;
         Alcotest.test_case "negative levels rejected" `Quick test_arena_rejects_negative_level;
         Alcotest.test_case "repeated single address" `Quick test_arena_repeated_single_address;
         Alcotest.test_case "pre-cancelled token" `Quick test_arena_cancellation;
+      ] );
+    ( "arena-slots",
+      [
+        prop_slots_tiny_working_set;
+        prop_slots_one_shot_prefix;
+        prop_slots_word_boundary;
+        prop_slots_shard_after_compaction;
+        Alcotest.test_case "dead-slot adversary" `Quick test_slots_dead_slot_adversary;
       ] );
     ("arena-powerstone", List.map powerstone_identity_case Registry.all);
     ( "streaming:equivalence",

@@ -45,8 +45,8 @@ let test_estimate_bytes () =
   check_bool "monotone" true
     (Trace.estimate_bytes ~model:`Arena ~refs:1000
     < Trace.estimate_bytes ~model:`Arena ~refs:2000);
-  (* the price of an exact job: 18 B/ref over a 1 KiB floor *)
-  check_int "arena price" (1024 + (18 * 1_000_000))
+  (* the price of an exact job: 100 B/ref over a 1 KiB floor *)
+  check_int "arena price" (1024 + (100 * 1_000_000))
     (Trace.estimate_bytes ~model:`Arena ~refs:1_000_000);
   check_bool "sketch price ignores the length" true
     (Trace.estimate_bytes ~model:`Sketch ~refs:0
@@ -308,7 +308,7 @@ let with_server ?(workers = 2) ?(max_pending = 16) ?(hang_timeout = 30.) ?max_jo
    over only 256 uniques. The small working set matters twice: the
    healthy shard — whose polls beat the job's shared heartbeat — drains
    in well under the hang timeout, so the silence the watchdog measures
-   starts promptly; and recency walks stay short, so the replacement's
+   starts promptly; and conflict counts stay short, so the replacement's
    rerun is sub-second. *)
 let hang_trace = lazy (Synthetic.loop ~base:0 ~body:256 ~iterations:544)
 
@@ -348,14 +348,23 @@ let test_watchdog_answers_hung_job () =
             (payload.Protocol.outcome = Protocol.Table (Analytical_dse.run ~name:"wedge" trace))))
 
 let test_slow_job_with_heartbeats_survives () =
-  (* a genuinely slow job (~1s of kernel work) against a hang timeout
-     it dwarfs: the heartbeat at every cancellation poll keeps the
-     watchdog away, and the answer matches the sequential pipeline.
-     1024 uniques keep the per-reference recency walk short, so polls —
-     and therefore beats — stay orders of magnitude denser than the
-     timeout (a 16k-unique trace can gap ~0.4 s between 1024-reference
-     polls and would flap this test). *)
-  let trace = Synthetic.loop ~base:0 ~body:1024 ~iterations:136 in
+  (* a genuinely slow job (at least 1 s of kernel work) against a hang
+     timeout it dwarfs: the heartbeat at every cancellation poll keeps
+     the watchdog away, and the answer matches the sequential pipeline.
+     The trace is sized by calibration, doubling the loop count until an
+     in-process run takes 1 s, so a faster kernel still outlives the
+     timeout. 1024 uniques keep the per-reference conflict count short
+     (a scan of at most ~2 x 1024 slots, 62 to a word), so polls, and
+     therefore beats, stay orders of magnitude denser than the timeout
+     (a 16k-unique trace can gap ~0.4 s between 1024-reference polls and
+     would flap this test). *)
+  let rec calibrate iterations =
+    let trace = Synthetic.loop ~base:0 ~body:1024 ~iterations in
+    let started = Unix.gettimeofday () in
+    ignore (Analytical_dse.run ~name:"slow" trace);
+    if Unix.gettimeofday () -. started >= 1. then trace else calibrate (2 * iterations)
+  in
+  let trace = calibrate 136 in
   with_server ~workers:1 ~hang_timeout:0.4 (fun socket _server ->
       let started = Unix.gettimeofday () in
       let payload = ok_or_fail (Client.submit ~socket ~name:"slow" trace) in
@@ -389,13 +398,13 @@ let test_admission_rejects_oversized_trace () =
       check_int "rejection counted" 1 h.Protocol.admission_rejected)
 
 (* Admission prices per kernel: an exact job pays the arena model
-   (18 B/ref), an approx job the sketch's fixed footprint. Under one
+   (100 B/ref), an approx job the sketch's fixed footprint. Under one
    memory budget a trace too large for the exact kernel is still
    admitted approximately, and a smaller exact job is admitted at its
    arena price and answered bit-identically to a direct run. *)
 let test_admission_prices_per_kernel () =
   let budget = Trace.estimate_bytes ~model:`Sketch ~refs:0 + 1024 in
-  let big_refs = 300_000 and small_refs = 100_000 in
+  let big_refs = 300_000 and small_refs = 40_000 in
   let big = Trace.of_addresses (Array.init big_refs (fun i -> i land 255)) in
   let small = Trace.of_addresses (Array.init small_refs (fun i -> i land 255)) in
   check_bool "budget splits the two traces under the arena model" true
@@ -439,7 +448,7 @@ let test_retired_methods_rejected () =
 let declared_refs_frame ~refs = Frames.submit ~name:"huge" ~method_byte:3 ~declared:refs []
 
 let test_admission_runs_before_allocation () =
-  (* 400M declared references estimate to ~20 GB; if the daemon tried
+  (* 400M declared references estimate to ~40 GB; if the daemon tried
      to materialise the trace before judging it, the heap high-water
      mark would explode (or the machine would). It must instead answer
      from the declared varint alone. *)
