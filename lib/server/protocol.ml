@@ -1,15 +1,7 @@
-(* Wire format, reusing the LEB128 + CRC-32 idiom of the v2 binary
-   trace framing (lib/trace/trace_io.ml):
-
-     "DSRV" | version (1 byte) | tag (1 byte) | payload length (LEB128)
-            | payload | CRC-32 (4 bytes LE, over every preceding byte)
-
-   All integer fields inside payloads are non-negative LEB128 varints;
-   strings are length-prefixed; trace records use the same
-   (addr lsl 2) lor kind_tag encoding as the binary trace format. Any
-   framing damage (bad magic, truncated varint, CRC mismatch, declared
-   lengths exceeding the payload) surfaces as a typed
-   [Dse_error.Corrupt_binary] with the byte offset, never a raw
+(* Frames are the [Wire] envelope with magic "DSRV" and a tag byte;
+   payload fields are Wire varints, length-prefixed strings, 8-byte LE
+   IEEE-754 bits and trace records. Any framing damage surfaces as a
+   typed [Dse_error.Corrupt_binary] with the byte offset, never a raw
    exception — a corrupt submission must be a structured reply to that
    one client, not a daemon crash. *)
 
@@ -67,9 +59,7 @@ let magic = "DSRV"
    the old tags stay readable and simply age out of the LRU. *)
 let version = 7
 
-(* Caps the payload a peer can make us allocate; a 10M-reference trace
-   encodes to ~50 MB, so this is generous without being unbounded. *)
-let max_payload = 256 * 1024 * 1024
+let max_payload = Wire.max_payload
 
 type query = Percents of int list | Budget of int
 
@@ -181,74 +171,33 @@ let submission_refs = function
   | Full trace -> Trace.length trace
   | Sketched profile -> profile.Sketch.n
 
-let kind_tag = function Trace.Fetch -> 0 | Trace.Read -> 1 | Trace.Write -> 2
-
 (* -- payload encoding -- *)
 
-let add_varint buf v =
-  if v < 0 then invalid_arg "Protocol: negative varint";
-  let v = ref v in
-  let continue = ref true in
-  while !continue do
-    let byte = !v land 0x7F in
-    v := !v lsr 7;
-    if !v = 0 then begin
-      Buffer.add_char buf (Char.chr byte);
-      continue := false
-    end
-    else Buffer.add_char buf (Char.chr (byte lor 0x80))
-  done
+let add_list buf xs = Wire.put_list buf Wire.put_varint xs
 
-let add_string buf s =
-  add_varint buf (String.length s);
-  Buffer.add_string buf s
+let add_bool buf b = Wire.put_byte buf (if b then 1 else 0)
 
-let add_list buf xs =
-  add_varint buf (List.length xs);
-  List.iter (add_varint buf) xs
-
-let add_bool buf b = Buffer.add_char buf (if b then '\001' else '\000')
-
-(* Deadlines are the only non-integral wire field; IEEE-754 bits, LE. *)
-let add_f64 buf v =
-  let bits = Int64.bits_of_float v in
-  for i = 0 to 7 do
-    Buffer.add_char buf (Char.chr (Int64.to_int (Int64.shift_right_logical bits (8 * i)) land 0xFF))
-  done
-
-let add_i64 buf bits =
-  for i = 0 to 7 do
-    Buffer.add_char buf (Char.chr (Int64.to_int (Int64.shift_right_logical bits (8 * i)) land 0xFF))
-  done
-
-(* Cache keys cross the wire for the replication verbs; the fingerprint
-   is raw 8-byte LE (it is a full 64-bit hash, varint would inflate it)
-   and max_level rides +1 so the "unbounded" sentinel (-1) stays a
-   non-negative varint — the same layout as the WAL record header. *)
-let add_cache_key buf (k : Result_cache.key) =
-  add_i64 buf k.Result_cache.fingerprint;
-  add_varint buf k.Result_cache.method_tag;
-  add_varint buf k.Result_cache.domains;
-  add_varint buf (k.Result_cache.max_level + 1)
+(* Deadlines, error-bar estimates and health ages are the only
+   non-integral wire fields: IEEE-754 bits in the 8-byte LE field. *)
+let add_f64 buf v = Wire.put_i64 buf (Int64.bits_of_float v)
 
 let add_ring_config buf { ring_version; nodes; replication } =
-  add_varint buf ring_version;
-  add_varint buf replication;
-  add_varint buf (List.length nodes);
-  List.iter (add_string buf) nodes
+  Wire.put_varint buf ring_version;
+  Wire.put_varint buf replication;
+  Wire.put_list buf Wire.put_string nodes
 
 let encode_query buf = function
   | Percents ps ->
-    Buffer.add_char buf '\000';
+    Wire.put_byte buf 0;
     add_list buf ps
   | Budget k ->
-    Buffer.add_char buf '\001';
-    add_varint buf k
+    Wire.put_byte buf 1;
+    Wire.put_varint buf k
 
 let encode_trace buf trace =
-  add_varint buf (Trace.length trace);
+  Wire.put_varint buf (Trace.length trace);
   Trace.iter
-    (fun (a : Trace.access) -> add_varint buf ((a.Trace.addr lsl 2) lor kind_tag a.Trace.kind))
+    (fun (a : Trace.access) -> Wire.put_record buf ~addr:a.Trace.addr ~kind:a.Trace.kind)
     trace
 
 let encode_request buf = function
@@ -261,14 +210,14 @@ let encode_request buf = function
       | Full trace -> trace
       | Sketched _ -> invalid_arg "Protocol: a sketched submission cannot be re-encoded"
     in
-    add_string buf name;
-    Buffer.add_char buf (Char.chr (method_spec_tag method_));
-    add_varint buf domains;
+    Wire.put_string buf name;
+    Wire.put_byte buf (method_spec_tag method_);
+    Wire.put_varint buf domains;
     (match max_level with
     | None -> add_bool buf false
     | Some level ->
       add_bool buf true;
-      add_varint buf level);
+      Wire.put_varint buf level);
     (match deadline with
     | None -> add_bool buf false
     | Some seconds ->
@@ -278,66 +227,64 @@ let encode_request buf = function
     encode_trace buf trace
   | Server_stats | Ping | Health | Ring_status -> ()
   | Replicate { ring_version; records } ->
-    add_varint buf ring_version;
-    add_varint buf (List.length records);
-    List.iter (add_string buf) records
+    Wire.put_varint buf ring_version;
+    Wire.put_list buf Wire.put_string records
   | Cache_query { ring_version; keys } ->
-    add_varint buf ring_version;
-    add_varint buf (List.length keys);
-    List.iter (add_cache_key buf) keys
+    Wire.put_varint buf ring_version;
+    Wire.put_list buf Result_cache.write_key keys
   | Ring_update { config } -> add_ring_config buf config
   | Drain { config } -> add_ring_config buf config
 
 let encode_error buf = function
   | Dse_error.Parse_error { file; line; message } ->
-    Buffer.add_char buf '\000';
-    add_string buf file;
-    add_varint buf line;
-    add_string buf message
+    Wire.put_byte buf 0;
+    Wire.put_string buf file;
+    Wire.put_varint buf line;
+    Wire.put_string buf message
   | Dse_error.Corrupt_binary { file; offset; message } ->
-    Buffer.add_char buf '\001';
-    add_string buf file;
-    add_varint buf offset;
-    add_string buf message
+    Wire.put_byte buf 1;
+    Wire.put_string buf file;
+    Wire.put_varint buf offset;
+    Wire.put_string buf message
   | Dse_error.Constraint_violation { context; message } ->
-    Buffer.add_char buf '\002';
-    add_string buf context;
-    add_string buf message
+    Wire.put_byte buf 2;
+    Wire.put_string buf context;
+    Wire.put_string buf message
   | Dse_error.Shard_failure { shard; attempts; message } ->
-    Buffer.add_char buf '\003';
-    add_varint buf (max 0 shard);
-    add_varint buf attempts;
-    add_string buf message
+    Wire.put_byte buf 3;
+    Wire.put_varint buf (max 0 shard);
+    Wire.put_varint buf attempts;
+    Wire.put_string buf message
   | Dse_error.Io_error { file; message } ->
-    Buffer.add_char buf '\004';
-    add_string buf file;
-    add_string buf message
+    Wire.put_byte buf 4;
+    Wire.put_string buf file;
+    Wire.put_string buf message
   | Dse_error.Queue_full { pending; max_pending; retry_after } ->
-    Buffer.add_char buf '\005';
-    add_varint buf pending;
-    add_varint buf max_pending;
+    Wire.put_byte buf 5;
+    Wire.put_varint buf pending;
+    Wire.put_varint buf max_pending;
     add_f64 buf retry_after
   | Dse_error.Deadline_exceeded { elapsed; limit } ->
-    Buffer.add_char buf '\006';
+    Wire.put_byte buf 6;
     add_f64 buf elapsed;
     add_f64 buf limit
   | Dse_error.Worker_stalled { elapsed; job } ->
-    Buffer.add_char buf '\007';
+    Wire.put_byte buf 7;
     add_f64 buf elapsed;
-    add_string buf job
+    Wire.put_string buf job
   | Dse_error.Resource_exhausted { resource; needed; budget } ->
-    Buffer.add_char buf '\008';
-    add_string buf resource;
-    add_varint buf needed;
-    add_varint buf budget
+    Wire.put_byte buf 8;
+    Wire.put_string buf resource;
+    Wire.put_varint buf needed;
+    Wire.put_varint buf budget
   | Dse_error.Backend_unavailable { node; attempts } ->
-    Buffer.add_char buf '\009';
-    add_string buf node;
-    add_varint buf attempts
+    Wire.put_byte buf 9;
+    Wire.put_string buf node;
+    Wire.put_varint buf attempts
   | Dse_error.Stale_ring { seen; expected } ->
-    Buffer.add_char buf '\010';
-    add_varint buf seen;
-    add_varint buf expected
+    Wire.put_byte buf 10;
+    Wire.put_varint buf seen;
+    Wire.put_varint buf expected
 
 (* Approximate quantities cross the wire as raw IEEE-754 bits: a cached
    re-query must be bit-identical to the first answer, and any decimal
@@ -348,67 +295,57 @@ let add_bounds buf (b : Approx_dse.bounds) =
   add_f64 buf b.Approx_dse.hi
 
 let add_cell buf (c : Approx_dse.cell) =
-  add_varint buf c.Approx_dse.assoc;
-  add_varint buf c.Approx_dse.assoc_lo;
-  add_varint buf c.Approx_dse.assoc_hi
-
-let encode_stats buf (s : Stats.t) =
-  add_varint buf s.Stats.n;
-  add_varint buf s.Stats.n_unique;
-  add_varint buf s.Stats.address_bits;
-  add_varint buf s.Stats.max_misses
+  Wire.put_varint buf c.Approx_dse.assoc;
+  Wire.put_varint buf c.Approx_dse.assoc_lo;
+  Wire.put_varint buf c.Approx_dse.assoc_hi
 
 let encode_outcome buf = function
   | Table (t : Analytical_dse.table) ->
-    Buffer.add_char buf '\000';
-    add_string buf t.Analytical_dse.name;
-    encode_stats buf t.Analytical_dse.stats;
+    Wire.put_byte buf 0;
+    Wire.put_string buf t.Analytical_dse.name;
+    Result_cache.write_stats buf t.Analytical_dse.stats;
     add_list buf t.Analytical_dse.percents;
     add_list buf t.Analytical_dse.budgets;
-    add_varint buf (List.length t.Analytical_dse.rows);
-    List.iter
-      (fun (depth, assocs) ->
-        add_varint buf depth;
+    Wire.put_list buf
+      (fun buf (depth, assocs) ->
+        Wire.put_varint buf depth;
         add_list buf assocs)
       t.Analytical_dse.rows
   | Optimal (r : Optimizer.t) ->
-    Buffer.add_char buf '\001';
-    add_varint buf r.Optimizer.k;
-    add_varint buf (Array.length r.Optimizer.levels);
+    Wire.put_byte buf 1;
+    Wire.put_varint buf r.Optimizer.k;
+    Wire.put_varint buf (Array.length r.Optimizer.levels);
     Array.iter
       (fun (l : Optimizer.level_result) ->
-        add_varint buf l.Optimizer.level;
-        add_varint buf l.Optimizer.depth;
-        add_varint buf l.Optimizer.min_associativity;
-        add_varint buf l.Optimizer.misses;
-        add_varint buf l.Optimizer.zero_miss_associativity)
+        Wire.put_varint buf l.Optimizer.level;
+        Wire.put_varint buf l.Optimizer.depth;
+        Wire.put_varint buf l.Optimizer.min_associativity;
+        Wire.put_varint buf l.Optimizer.misses;
+        Wire.put_varint buf l.Optimizer.zero_miss_associativity)
       r.Optimizer.levels
   | Approx_table (t : Approx_dse.table) ->
-    Buffer.add_char buf '\002';
-    add_string buf t.Approx_dse.name;
-    add_varint buf t.Approx_dse.n;
+    Wire.put_byte buf 2;
+    Wire.put_string buf t.Approx_dse.name;
+    Wire.put_varint buf t.Approx_dse.n;
     add_bounds buf t.Approx_dse.distinct;
     add_bounds buf t.Approx_dse.max_misses;
     add_f64 buf t.Approx_dse.alpha;
     add_f64 buf t.Approx_dse.fit_r2;
-    add_varint buf t.Approx_dse.address_bits;
+    Wire.put_varint buf t.Approx_dse.address_bits;
     add_list buf t.Approx_dse.percents;
     add_list buf t.Approx_dse.budgets;
-    add_varint buf (List.length t.Approx_dse.rows);
-    List.iter
-      (fun (depth, cells) ->
-        add_varint buf depth;
-        add_varint buf (List.length cells);
-        List.iter (add_cell buf) cells)
+    Wire.put_list buf
+      (fun buf (depth, cells) ->
+        Wire.put_varint buf depth;
+        Wire.put_list buf add_cell cells)
       t.Approx_dse.rows
   | Approx_optimal (r : Approx_dse.optimal) ->
-    Buffer.add_char buf '\003';
-    add_varint buf r.Approx_dse.k;
-    add_varint buf (List.length r.Approx_dse.levels);
-    List.iter
-      (fun (l : Approx_dse.level_estimate) ->
-        add_varint buf l.Approx_dse.level;
-        add_varint buf l.Approx_dse.depth;
+    Wire.put_byte buf 3;
+    Wire.put_varint buf r.Approx_dse.k;
+    Wire.put_list buf
+      (fun buf (l : Approx_dse.level_estimate) ->
+        Wire.put_varint buf l.Approx_dse.level;
+        Wire.put_varint buf l.Approx_dse.depth;
         add_cell buf l.Approx_dse.cell;
         add_bounds buf l.Approx_dse.misses)
       r.Approx_dse.levels
@@ -419,168 +356,102 @@ let encode_response buf = function
     encode_outcome buf outcome
   | Server_error e -> encode_error buf e
   | Stats_reply s ->
-    add_varint buf s.jobs_completed;
-    add_varint buf s.cache_hits;
-    add_varint buf s.cache_misses;
-    add_varint buf s.cache_entries;
-    add_varint buf s.cache_evictions;
-    add_varint buf s.coalesced_hits;
-    add_varint buf s.pending;
-    add_varint buf s.workers
+    Wire.put_varint buf s.jobs_completed;
+    Wire.put_varint buf s.cache_hits;
+    Wire.put_varint buf s.cache_misses;
+    Wire.put_varint buf s.cache_entries;
+    Wire.put_varint buf s.cache_evictions;
+    Wire.put_varint buf s.coalesced_hits;
+    Wire.put_varint buf s.pending;
+    Wire.put_varint buf s.workers
   | Pong -> ()
-  | Replicate_ack { stored } -> add_varint buf stored
+  | Replicate_ack { stored } -> Wire.put_varint buf stored
   | Cache_reply { keys; records } ->
-    add_varint buf (List.length keys);
-    List.iter (add_cache_key buf) keys;
-    add_varint buf (List.length records);
-    List.iter (add_string buf) records
+    Wire.put_list buf Result_cache.write_key keys;
+    Wire.put_list buf Wire.put_string records
   | Ring_reply { config; draining; pushed } ->
     add_ring_config buf config;
     add_bool buf draining;
-    add_varint buf pushed
+    Wire.put_varint buf pushed
   | Health_reply h ->
-    add_string buf h.node_id;
+    Wire.put_string buf h.node_id;
     add_f64 buf h.start_epoch;
     add_f64 buf h.uptime;
-    add_varint buf (List.length h.workers);
-    List.iter
-      (fun w ->
-        add_varint buf w.slot;
+    Wire.put_list buf
+      (fun buf w ->
+        Wire.put_varint buf w.slot;
         add_bool buf w.busy;
-        add_string buf w.job;
+        Wire.put_string buf w.job;
         add_f64 buf w.heartbeat_age;
-        add_varint buf w.jobs_done)
+        Wire.put_varint buf w.jobs_done)
       h.workers;
-    add_varint buf h.workers_replaced;
-    add_varint buf h.queue_depth;
-    add_varint buf h.queue_watermark;
-    add_varint buf h.max_pending;
-    add_varint buf h.shed;
-    add_varint buf h.admission_rejected;
-    add_varint buf h.jobs_completed;
-    add_varint buf h.cache_hits;
-    add_varint buf h.cache_misses;
-    add_varint buf h.cache_entries;
-    add_varint buf h.cache_evictions;
-    add_varint buf h.coalesced_hits;
+    Wire.put_varint buf h.workers_replaced;
+    Wire.put_varint buf h.queue_depth;
+    Wire.put_varint buf h.queue_watermark;
+    Wire.put_varint buf h.max_pending;
+    Wire.put_varint buf h.shed;
+    Wire.put_varint buf h.admission_rejected;
+    Wire.put_varint buf h.jobs_completed;
+    Wire.put_varint buf h.cache_hits;
+    Wire.put_varint buf h.cache_misses;
+    Wire.put_varint buf h.cache_entries;
+    Wire.put_varint buf h.cache_evictions;
+    Wire.put_varint buf h.coalesced_hits;
     add_bool buf h.wal_enabled;
-    add_varint buf h.wal_appends;
-    add_varint buf h.wal_failures;
-    add_varint buf h.peer_hits;
-    add_varint buf h.replicated_in;
-    add_varint buf h.replicated_out;
-    add_varint buf h.replication_lag;
-    add_varint buf h.replication_dropped;
-    add_varint buf h.ring_version;
+    Wire.put_varint buf h.wal_appends;
+    Wire.put_varint buf h.wal_failures;
+    Wire.put_varint buf h.peer_hits;
+    Wire.put_varint buf h.replicated_in;
+    Wire.put_varint buf h.replicated_out;
+    Wire.put_varint buf h.replication_lag;
+    Wire.put_varint buf h.replication_dropped;
+    Wire.put_varint buf h.ring_version;
     add_bool buf h.draining;
-    add_varint buf h.replica_gc_dropped
+    Wire.put_varint buf h.replica_gc_dropped
 
 (* -- payload decoding -- *)
-
-(* Byte offset within the frame payload + what was wrong. *)
-exception Malformed of int * string
 
 (* The peer closed before sending a single byte — a liveness probe or
    an abandoned connect, not damage. *)
 exception Clean_close
 
-type cursor = { data : string; mutable pos : int }
-
-let remaining c = String.length c.data - c.pos
-
-let byte c =
-  if c.pos >= String.length c.data then raise (Malformed (c.pos, "unexpected end of payload"));
-  let b = Char.code c.data.[c.pos] in
-  c.pos <- c.pos + 1;
-  b
-
-let varint c =
-  let start = c.pos in
-  let rec loop shift acc =
-    if shift > 56 then raise (Malformed (start, "varint wider than 63 bits"))
-    else
-      let b = byte c in
-      let acc = acc lor ((b land 0x7F) lsl shift) in
-      if acc < 0 then raise (Malformed (start, "varint overflows the address space"))
-      else if b land 0x80 = 0 then acc
-      else loop (shift + 7) acc
-  in
-  loop 0 0
-
-let string_field c =
-  let n = varint c in
-  if n > remaining c then raise (Malformed (c.pos, "declared string length exceeds the payload"));
-  let s = String.sub c.data c.pos n in
-  c.pos <- c.pos + n;
-  s
-
 let bool_field c =
-  match byte c with
+  match Wire.byte c with
   | 0 -> false
   | 1 -> true
-  | b -> raise (Malformed (c.pos - 1, Printf.sprintf "bad boolean byte %d" b))
+  | b -> raise (Wire.Malformed (Wire.offset c - 1, Printf.sprintf "bad boolean byte %d" b))
 
-let f64_field c =
-  let bits = ref 0L in
-  for i = 0 to 7 do
-    bits := Int64.logor !bits (Int64.shift_left (Int64.of_int (byte c)) (8 * i))
-  done;
-  Int64.float_of_bits !bits
+let f64 c = Int64.float_of_bits (Wire.i64 c)
 
-let int_list c =
-  let n = varint c in
-  (* each element is at least one byte *)
-  if n > remaining c then raise (Malformed (c.pos, "declared list length exceeds the payload"));
-  List.init n (fun _ -> varint c)
+(* each element is at least one byte *)
+let int_list c = Wire.list c "list length" Wire.varint
 
-let i64_field c =
-  let bits = ref 0L in
-  for i = 0 to 7 do
-    bits := Int64.logor !bits (Int64.shift_left (Int64.of_int (byte c)) (8 * i))
-  done;
-  !bits
+(* each key is at least eleven bytes *)
+let cache_key_list c = Wire.list c "key count" Result_cache.read_key
 
-let cache_key_field c : Result_cache.key =
-  let fingerprint = i64_field c in
-  let method_tag = varint c in
-  let domains = varint c in
-  let max_level = varint c - 1 in
-  { Result_cache.fingerprint; method_tag; domains; max_level }
-
-let cache_key_list c =
-  let n = varint c in
-  (* each key is at least eleven bytes *)
-  if n > remaining c then raise (Malformed (c.pos, "declared key count exceeds the payload"));
-  List.init n (fun _ -> cache_key_field c)
-
-let string_list c =
-  let n = varint c in
-  if n > remaining c then raise (Malformed (c.pos, "declared record count exceeds the payload"));
-  List.init n (fun _ -> string_field c)
+let string_list c = Wire.list c "record count" Wire.string
 
 let ring_config_field c =
-  let ring_version = varint c in
-  let replication = varint c in
-  let n = varint c in
+  let ring_version = Wire.varint c in
+  let replication = Wire.varint c in
   (* each node name is at least one byte of length prefix *)
-  if n > remaining c then raise (Malformed (c.pos, "declared node count exceeds the payload"));
-  let nodes = List.init n (fun _ -> string_field c) in
+  let nodes = Wire.list c "node count" Wire.string in
   { ring_version; nodes; replication }
 
 let method_field c =
-  match byte c with
+  match Wire.byte c with
   | 3 -> Exact Analytical.Arena
   | 4 -> Approx
   | 0 | 1 | 2 ->
     let message = "method retired; use arena" in
     Dse_error.fail (Dse_error.Constraint_violation { context = "submit"; message })
-  | b -> raise (Malformed (c.pos - 1, Printf.sprintf "unknown method tag %d" b))
+  | b -> raise (Wire.Malformed (Wire.offset c - 1, Printf.sprintf "unknown method tag %d" b))
 
 let query_field c =
-  match byte c with
+  match Wire.byte c with
   | 0 -> Percents (int_list c)
-  | 1 -> Budget (varint c)
-  | b -> raise (Malformed (c.pos - 1, Printf.sprintf "unknown query tag %d" b))
+  | 1 -> Budget (Wire.varint c)
+  | b -> raise (Wire.Malformed (Wire.offset c - 1, Printf.sprintf "unknown query tag %d" b))
 
 (* Admission control runs on the declared count alone — before the
    corruption check, before any allocation — so an oversized job is
@@ -607,260 +478,212 @@ let admit ?max_job_refs ?memory_budget ~method_ declared =
            budget })
   | _ -> ()
 
-let decode_record c =
-  let start = c.pos in
-  let record = varint c in
-  let kind =
-    match record land 3 with
-    | 0 -> Trace.Fetch
-    | 1 -> Trace.Read
-    | 2 -> Trace.Write
-    | _ -> raise (Malformed (start, "bad kind tag 3"))
-  in
-  (record lsr 2, kind)
-
-let trace_field ?max_job_refs ?memory_budget ~method_ c =
-  let declared = varint c in
+(* One decode for both submission forms: the daemon feeds an approx
+   job's records straight into the streaming sketch, so no Trace.t
+   exists and the peak per-job heap is the sketch state whatever the
+   declared length, matching the [`Sketch] admission price. The
+   profile's fingerprint is computed by the sketch over the same stream,
+   so an approx job lands on the same cache identity as an exact one. *)
+let trace_field ?max_job_refs ?memory_budget ~method_ ~sketch c =
+  let declared = Wire.varint c in
   admit ?max_job_refs ?memory_budget ~method_ declared;
   (* each record is at least one byte, so a declared count beyond the
      remaining payload is corruption — caught before allocation *)
-  if declared > remaining c then
-    raise (Malformed (c.pos, "declared trace length exceeds the payload"));
-  let trace = Trace.create ~capacity:(max 1 declared) () in
-  for _ = 1 to declared do
-    let addr, kind = decode_record c in
-    Trace.add trace ~addr ~kind
-  done;
-  trace
-
-(* The approx decode path: the same record stream, fed straight into
-   the streaming sketch. No Trace.t — the daemon's peak per-job heap
-   for an approx submission is the sketch state, whatever the declared
-   length, matching the [`Sketch] admission price. The profile's
-   fingerprint is computed by the sketch over the same stream, so an
-   approx job lands on the same cache identity as an exact one. *)
-let sketch_field ?max_job_refs ?memory_budget ~method_ c =
-  let declared = varint c in
-  admit ?max_job_refs ?memory_budget ~method_ declared;
-  if declared > remaining c then
-    raise (Malformed (c.pos, "declared trace length exceeds the payload"));
-  let sketch = Sketch.create () in
-  for _ = 1 to declared do
-    let addr, kind = decode_record c in
-    Sketch.add sketch ~addr ~kind
-  done;
-  Sketch.finalize sketch
+  Wire.check_count c declared "trace length";
+  if sketch then begin
+    let s = Sketch.create () in
+    Wire.records c declared (Sketch.add s);
+    Sketched (Sketch.finalize s)
+  end
+  else begin
+    let trace = Trace.create ~capacity:(max 1 declared) () in
+    Wire.records c declared (Trace.add trace);
+    Full trace
+  end
 
 let decode_submit ?max_job_refs ?memory_budget ?(sketch_approx = false) c =
-  let name = string_field c in
+  let name = Wire.string c in
   let method_ = method_field c in
-  let domains = varint c in
-  let max_level = if bool_field c then Some (varint c) else None in
-  let deadline = if bool_field c then Some (f64_field c) else None in
+  let domains = Wire.varint c in
+  let max_level = if bool_field c then Some (Wire.varint c) else None in
+  let deadline = if bool_field c then Some (f64 c) else None in
   let query = query_field c in
-  let trace =
-    match (method_, sketch_approx) with
-    | Approx, true -> Sketched (sketch_field ?max_job_refs ?memory_budget ~method_ c)
-    | _ -> Full (trace_field ?max_job_refs ?memory_budget ~method_ c)
-  in
+  let sketch = sketch_approx && method_ = Approx in
+  let trace = trace_field ?max_job_refs ?memory_budget ~method_ ~sketch c in
   Submit { name; trace; query; method_; domains; max_level; deadline }
 
 let decode_error c =
-  match byte c with
+  match Wire.byte c with
   | 0 ->
-    let file = string_field c in
-    let line = varint c in
-    let message = string_field c in
+    let file = Wire.string c in
+    let line = Wire.varint c in
+    let message = Wire.string c in
     Dse_error.Parse_error { file; line; message }
   | 1 ->
-    let file = string_field c in
-    let offset = varint c in
-    let message = string_field c in
+    let file = Wire.string c in
+    let offset = Wire.varint c in
+    let message = Wire.string c in
     Dse_error.Corrupt_binary { file; offset; message }
   | 2 ->
-    let context = string_field c in
-    let message = string_field c in
+    let context = Wire.string c in
+    let message = Wire.string c in
     Dse_error.Constraint_violation { context; message }
   | 3 ->
-    let shard = varint c in
-    let attempts = varint c in
-    let message = string_field c in
+    let shard = Wire.varint c in
+    let attempts = Wire.varint c in
+    let message = Wire.string c in
     Dse_error.Shard_failure { shard; attempts; message }
   | 4 ->
-    let file = string_field c in
-    let message = string_field c in
+    let file = Wire.string c in
+    let message = Wire.string c in
     Dse_error.Io_error { file; message }
   | 5 ->
-    let pending = varint c in
-    let max_pending = varint c in
-    let retry_after = f64_field c in
+    let pending = Wire.varint c in
+    let max_pending = Wire.varint c in
+    let retry_after = f64 c in
     Dse_error.Queue_full { pending; max_pending; retry_after }
   | 6 ->
-    let elapsed = f64_field c in
-    let limit = f64_field c in
+    let elapsed = f64 c in
+    let limit = f64 c in
     Dse_error.Deadline_exceeded { elapsed; limit }
   | 7 ->
-    let elapsed = f64_field c in
-    let job = string_field c in
+    let elapsed = f64 c in
+    let job = Wire.string c in
     Dse_error.Worker_stalled { elapsed; job }
   | 8 ->
-    let resource = string_field c in
-    let needed = varint c in
-    let budget = varint c in
+    let resource = Wire.string c in
+    let needed = Wire.varint c in
+    let budget = Wire.varint c in
     Dse_error.Resource_exhausted { resource; needed; budget }
   | 9 ->
-    let node = string_field c in
-    let attempts = varint c in
+    let node = Wire.string c in
+    let attempts = Wire.varint c in
     Dse_error.Backend_unavailable { node; attempts }
   | 10 ->
-    let seen = varint c in
-    let expected = varint c in
+    let seen = Wire.varint c in
+    let expected = Wire.varint c in
     Dse_error.Stale_ring { seen; expected }
-  | b -> raise (Malformed (c.pos - 1, Printf.sprintf "unknown error tag %d" b))
-
-let decode_stats c =
-  let n = varint c in
-  let n_unique = varint c in
-  let address_bits = varint c in
-  let max_misses = varint c in
-  { Stats.n; n_unique; address_bits; max_misses }
+  | b -> raise (Wire.Malformed (Wire.offset c - 1, Printf.sprintf "unknown error tag %d" b))
 
 let bounds_field c =
-  let est = f64_field c in
-  let lo = f64_field c in
-  let hi = f64_field c in
+  let est = f64 c in
+  let lo = f64 c in
+  let hi = f64 c in
   { Approx_dse.est; lo; hi }
 
 let cell_field c =
-  let assoc = varint c in
-  let assoc_lo = varint c in
-  let assoc_hi = varint c in
+  let assoc = Wire.varint c in
+  let assoc_lo = Wire.varint c in
+  let assoc_hi = Wire.varint c in
   { Approx_dse.assoc; assoc_lo; assoc_hi }
 
 let decode_outcome c =
-  match byte c with
+  match Wire.byte c with
   | 0 ->
-    let name = string_field c in
-    let stats = decode_stats c in
+    let name = Wire.string c in
+    let stats = Result_cache.read_stats c in
     let percents = int_list c in
     let budgets = int_list c in
-    let row_count = varint c in
-    if row_count > remaining c then
-      raise (Malformed (c.pos, "declared row count exceeds the payload"));
     let rows =
-      List.init row_count (fun _ ->
-          let depth = varint c in
+      Wire.list c "row count" (fun c ->
+          let depth = Wire.varint c in
           let assocs = int_list c in
           (depth, assocs))
     in
     Table { Analytical_dse.name; stats; percents; budgets; rows }
   | 1 ->
-    let k = varint c in
-    let level_count = varint c in
-    if level_count > remaining c then
-      raise (Malformed (c.pos, "declared level count exceeds the payload"));
+    let k = Wire.varint c in
+    let level_count = Wire.count c "level count" in
     let levels =
       Array.init level_count (fun _ ->
-          let level = varint c in
-          let depth = varint c in
-          let min_associativity = varint c in
-          let misses = varint c in
-          let zero_miss_associativity = varint c in
+          let level = Wire.varint c in
+          let depth = Wire.varint c in
+          let min_associativity = Wire.varint c in
+          let misses = Wire.varint c in
+          let zero_miss_associativity = Wire.varint c in
           { Optimizer.level; depth; min_associativity; misses; zero_miss_associativity })
     in
     Optimal { Optimizer.k; levels }
   | 2 ->
-    let name = string_field c in
-    let n = varint c in
+    let name = Wire.string c in
+    let n = Wire.varint c in
     let distinct = bounds_field c in
     let max_misses = bounds_field c in
-    let alpha = f64_field c in
-    let fit_r2 = f64_field c in
-    let address_bits = varint c in
+    let alpha = f64 c in
+    let fit_r2 = f64 c in
+    let address_bits = Wire.varint c in
     let percents = int_list c in
     let budgets = int_list c in
-    let row_count = varint c in
-    if row_count > remaining c then
-      raise (Malformed (c.pos, "declared row count exceeds the payload"));
     let rows =
-      List.init row_count (fun _ ->
-          let depth = varint c in
-          let cell_count = varint c in
-          if cell_count > remaining c then
-            raise (Malformed (c.pos, "declared cell count exceeds the payload"));
-          (depth, List.init cell_count (fun _ -> cell_field c)))
+      Wire.list c "row count" (fun c ->
+          let depth = Wire.varint c in
+          (depth, Wire.list c "cell count" cell_field))
     in
     Approx_table
       { Approx_dse.name; n; distinct; max_misses; alpha; fit_r2; address_bits; percents;
         budgets; rows }
   | 3 ->
-    let k = varint c in
-    let level_count = varint c in
-    if level_count > remaining c then
-      raise (Malformed (c.pos, "declared level count exceeds the payload"));
+    let k = Wire.varint c in
     let levels =
-      List.init level_count (fun _ ->
-          let level = varint c in
-          let depth = varint c in
+      Wire.list c "level count" (fun c ->
+          let level = Wire.varint c in
+          let depth = Wire.varint c in
           let cell = cell_field c in
           let misses = bounds_field c in
           { Approx_dse.level; depth; cell; misses })
     in
     Approx_optimal { Approx_dse.k; levels }
-  | b -> raise (Malformed (c.pos - 1, Printf.sprintf "unknown outcome tag %d" b))
+  | b -> raise (Wire.Malformed (Wire.offset c - 1, Printf.sprintf "unknown outcome tag %d" b))
 
 let decode_server_stats c =
-  let jobs_completed = varint c in
-  let cache_hits = varint c in
-  let cache_misses = varint c in
-  let cache_entries = varint c in
-  let cache_evictions = varint c in
-  let coalesced_hits = varint c in
-  let pending = varint c in
-  let workers = varint c in
+  let jobs_completed = Wire.varint c in
+  let cache_hits = Wire.varint c in
+  let cache_misses = Wire.varint c in
+  let cache_entries = Wire.varint c in
+  let cache_evictions = Wire.varint c in
+  let coalesced_hits = Wire.varint c in
+  let pending = Wire.varint c in
+  let workers = Wire.varint c in
   { jobs_completed; cache_hits; cache_misses; cache_entries; cache_evictions;
     coalesced_hits; pending; workers }
 
 let decode_health c =
-  let node_id = string_field c in
-  let start_epoch = f64_field c in
-  let uptime = f64_field c in
-  let worker_count = varint c in
+  let node_id = Wire.string c in
+  let start_epoch = f64 c in
+  let uptime = f64 c in
   (* each worker record is at least four bytes *)
-  if worker_count > remaining c then
-    raise (Malformed (c.pos, "declared worker count exceeds the payload"));
   let workers =
-    List.init worker_count (fun _ ->
-        let slot = varint c in
+    Wire.list c "worker count" (fun c ->
+        let slot = Wire.varint c in
         let busy = bool_field c in
-        let job = string_field c in
-        let heartbeat_age = f64_field c in
-        let jobs_done = varint c in
+        let job = Wire.string c in
+        let heartbeat_age = f64 c in
+        let jobs_done = Wire.varint c in
         { slot; busy; job; heartbeat_age; jobs_done })
   in
-  let workers_replaced = varint c in
-  let queue_depth = varint c in
-  let queue_watermark = varint c in
-  let max_pending = varint c in
-  let shed = varint c in
-  let admission_rejected = varint c in
-  let jobs_completed = varint c in
-  let cache_hits = varint c in
-  let cache_misses = varint c in
-  let cache_entries = varint c in
-  let cache_evictions = varint c in
-  let coalesced_hits = varint c in
+  let workers_replaced = Wire.varint c in
+  let queue_depth = Wire.varint c in
+  let queue_watermark = Wire.varint c in
+  let max_pending = Wire.varint c in
+  let shed = Wire.varint c in
+  let admission_rejected = Wire.varint c in
+  let jobs_completed = Wire.varint c in
+  let cache_hits = Wire.varint c in
+  let cache_misses = Wire.varint c in
+  let cache_entries = Wire.varint c in
+  let cache_evictions = Wire.varint c in
+  let coalesced_hits = Wire.varint c in
   let wal_enabled = bool_field c in
-  let wal_appends = varint c in
-  let wal_failures = varint c in
-  let peer_hits = varint c in
-  let replicated_in = varint c in
-  let replicated_out = varint c in
-  let replication_lag = varint c in
-  let replication_dropped = varint c in
-  let ring_version = varint c in
+  let wal_appends = Wire.varint c in
+  let wal_failures = Wire.varint c in
+  let peer_hits = Wire.varint c in
+  let replicated_in = Wire.varint c in
+  let replicated_out = Wire.varint c in
+  let replication_lag = Wire.varint c in
+  let replication_dropped = Wire.varint c in
+  let ring_version = Wire.varint c in
   let draining = bool_field c in
-  let replica_gc_dropped = varint c in
+  let replica_gc_dropped = Wire.varint c in
   {
     node_id;
     start_epoch;
@@ -927,91 +750,23 @@ let tag_cache_reply = 0x87
 
 let tag_ring_reply = 0x88
 
+(* The payload is encoded into a growable writer, then copied once into
+   the exactly-sized frame. *)
 let send_frame fd ~tag payload =
-  let buf = Buffer.create (String.length payload + 16) in
-  Buffer.add_string buf magic;
-  Buffer.add_char buf (Char.chr version);
-  Buffer.add_char buf (Char.chr tag);
-  add_varint buf (String.length payload);
-  Buffer.add_string buf payload;
-  let body = Buffer.contents buf in
-  let crc = Crc32.digest_string body in
-  let frame = Bytes.create (String.length body + 4) in
-  Bytes.blit_string body 0 frame 0 (String.length body);
-  for i = 0 to 3 do
-    Bytes.set frame (String.length body + i) (Char.chr ((crc lsr (8 * i)) land 0xFF))
-  done;
-  Transport.write_all fd frame
+  let frame = Wire.frame ~tag ~magic ~version (Wire.written payload) in
+  Wire.append frame payload;
+  Transport.write_all fd (Wire.seal frame)
 
-type wire_reader = { fd : Unix.file_descr; mutable pos : int; mutable crc : int }
-
-let reader_byte r =
-  let b = Bytes.create 1 in
-  match Transport.read_some r.fd b 0 1 with
-  | 0 -> if r.pos = 0 then raise Clean_close else raise (Malformed (r.pos, "unexpected end of stream"))
-  | _ ->
-    let v = Char.code (Bytes.get b 0) in
-    r.pos <- r.pos + 1;
-    r.crc <- Crc32.update_byte r.crc v;
-    v
-
-let reader_exact r n =
-  let b = Bytes.create n in
-  let off = ref 0 in
-  while !off < n do
-    match Transport.read_some r.fd b !off (n - !off) with
-    | 0 -> raise (Malformed (r.pos + !off, "unexpected end of stream"))
-    | k -> off := !off + k
-  done;
-  r.pos <- r.pos + n;
-  let s = Bytes.unsafe_to_string b in
-  r.crc <- Crc32.update_string r.crc s;
-  s
-
-let reader_varint r =
-  let start = r.pos in
-  let rec loop shift acc =
-    if shift > 56 then raise (Malformed (start, "varint wider than 63 bits"))
-    else
-      let b = reader_byte r in
-      let acc = acc lor ((b land 0x7F) lsl shift) in
-      if acc < 0 then raise (Malformed (start, "varint overflows the address space"))
-      else if b land 0x80 = 0 then acc
-      else loop (shift + 7) acc
-  in
-  loop 0 0
-
+(* Offsets in frame errors count from the frame start; offsets inside
+   the payload count from the payload start. *)
 let read_frame fd =
-  let r = { fd; pos = 0; crc = Crc32.init } in
-  String.iter
-    (fun expected ->
-      let b = reader_byte r in
-      if Char.chr b <> expected then raise (Malformed (r.pos - 1, "bad magic")))
-    magic;
-  let v = reader_byte r in
-  if v <> version then
-    raise (Malformed (4, Printf.sprintf "unsupported protocol version %d" v));
-  let tag = reader_byte r in
-  let len = reader_varint r in
-  if len > max_payload then
-    raise (Malformed (r.pos, Printf.sprintf "payload of %d bytes exceeds the %d limit" len max_payload));
-  let payload = reader_exact r len in
-  let computed = Crc32.finalize r.crc in
-  (* the footer is over everything before it, so it is not folded in *)
-  let footer = Bytes.create 4 in
-  let off = ref 0 in
-  while !off < 4 do
-    match Transport.read_some r.fd footer !off (4 - !off) with
-    | 0 -> raise (Malformed (r.pos + !off, "truncated CRC footer"))
-    | k -> off := !off + k
-  done;
-  let stored = ref 0 in
-  for i = 0 to 3 do
-    stored := !stored lor (Char.code (Bytes.get footer i) lsl (8 * i))
-  done;
-  if !stored <> computed then
-    raise
-      (Malformed (r.pos, Printf.sprintf "CRC mismatch (stored %08x, computed %08x)" !stored computed));
+  let r = Wire.of_input ~eof:"unexpected end of stream" (Transport.read_some fd) in
+  if Wire.at_end r then raise Clean_close;
+  Wire.magic r magic;
+  Wire.version r ~name:"protocol" version;
+  let tag = Wire.byte r in
+  let payload = Wire.sub r (Wire.length r) in
+  Wire.footer r;
   (tag, payload)
 
 (* -- public API: every wire failure is a typed [Dse_error.t] -- *)
@@ -1029,7 +784,7 @@ let timeout_message = "client timed out"
 let guard ~peer ?(timeout = "timed out") f =
   match f () with
   | v -> Ok v
-  | exception Malformed (offset, message) -> Error (corrupt ~peer offset message)
+  | exception Wire.Malformed (offset, message) -> Error (corrupt ~peer offset message)
   | exception Dse_error.Error e ->
     (* admission control rejecting a declared size mid-decode *)
     Error e
@@ -1043,7 +798,7 @@ let timed_out = function
 
 let write_request ?(peer = "<server>") fd request =
   guard ~peer (fun () ->
-      let buf = Buffer.create 1024 in
+      let buf = Wire.writer 1024 in
       encode_request buf request;
       let tag =
         match request with
@@ -1057,11 +812,11 @@ let write_request ?(peer = "<server>") fd request =
         | Ring_update _ -> tag_ring_update
         | Drain _ -> tag_drain
       in
-      send_frame fd ~tag (Buffer.contents buf))
+      send_frame fd ~tag buf)
 
 let write_response ?(peer = "<client>") fd response =
   guard ~peer ~timeout:timeout_message (fun () ->
-      let buf = Buffer.create 1024 in
+      let buf = Wire.writer 1024 in
       encode_response buf response;
       let tag =
         match response with
@@ -1074,38 +829,37 @@ let write_response ?(peer = "<client>") fd response =
         | Cache_reply _ -> tag_cache_reply
         | Ring_reply _ -> tag_ring_reply
       in
-      send_frame fd ~tag (Buffer.contents buf))
+      send_frame fd ~tag buf)
 
 let read_request ?(peer = "<client>") ?max_job_refs ?memory_budget ?sketch_approx fd =
   guard ~peer ~timeout:timeout_message (fun () ->
       match read_frame fd with
       | exception Clean_close -> None
-      | tag, payload ->
-        let c = { data = payload; pos = 0 } in
+      | tag, c ->
         let request =
           if tag = tag_submit then decode_submit ?max_job_refs ?memory_budget ?sketch_approx c
           else if tag = tag_server_stats then Server_stats
           else if tag = tag_ping then Ping
           else if tag = tag_health then Health
           else if tag = tag_replicate then begin
-            let ring_version = varint c in
+            let ring_version = Wire.varint c in
             Replicate { ring_version; records = string_list c }
           end
           else if tag = tag_cache_query then begin
-            let ring_version = varint c in
+            let ring_version = Wire.varint c in
             Cache_query { ring_version; keys = cache_key_list c }
           end
           else if tag = tag_ring_status then Ring_status
           else if tag = tag_ring_update then Ring_update { config = ring_config_field c }
           else if tag = tag_drain then Drain { config = ring_config_field c }
-          else raise (Malformed (5, Printf.sprintf "unknown request tag %d" tag))
+          else raise (Wire.Malformed (5, Printf.sprintf "unknown request tag %d" tag))
         in
-        if remaining c > 0 then raise (Malformed (c.pos, "trailing bytes after the request"));
+        Wire.finish c "request";
         Some request)
 
 let read_response ?(peer = "<server>") fd =
   guard ~peer (fun () ->
-      let tag, payload =
+      let tag, c =
         (* The server closing without answering is a transport fault on
            this side of the wire, unlike a client probe — and it is
            [Io_error], not [Corrupt_binary]: a daemon killed between
@@ -1117,7 +871,6 @@ let read_response ?(peer = "<server>") fd =
           Dse_error.fail
             (Dse_error.Io_error { file = peer; message = "connection closed without a response" })
       in
-      let c = { data = payload; pos = 0 } in
       let response =
         if tag = tag_result then begin
           let cache_hit = bool_field c in
@@ -1128,7 +881,7 @@ let read_response ?(peer = "<server>") fd =
         else if tag = tag_stats_reply then Stats_reply (decode_server_stats c)
         else if tag = tag_pong then Pong
         else if tag = tag_health_reply then Health_reply (decode_health c)
-        else if tag = tag_replicate_ack then Replicate_ack { stored = varint c }
+        else if tag = tag_replicate_ack then Replicate_ack { stored = Wire.varint c }
         else if tag = tag_cache_reply then begin
           let keys = cache_key_list c in
           let records = string_list c in
@@ -1137,12 +890,12 @@ let read_response ?(peer = "<server>") fd =
         else if tag = tag_ring_reply then begin
           let config = ring_config_field c in
           let draining = bool_field c in
-          let pushed = varint c in
+          let pushed = Wire.varint c in
           Ring_reply { config; draining; pushed }
         end
-        else raise (Malformed (5, Printf.sprintf "unknown response tag %d" tag))
+        else raise (Wire.Malformed (5, Printf.sprintf "unknown response tag %d" tag))
       in
-      if remaining c > 0 then raise (Malformed (c.pos, "trailing bytes after the response"));
+      Wire.finish c "response";
       response)
 
 (* An exact entry answers any query straight from its histograms; an

@@ -1,8 +1,8 @@
 (** The [dse serve] wire protocol.
 
-    Length-prefixed binary frames over a Unix-domain socket or TCP
-    (see {!Transport}), reusing the LEB128 + CRC-32 framing idiom of
-    the v2 binary trace format:
+    One {!Wire} frame per message over a Unix-domain socket or TCP (see
+    {!Transport}), with magic ["DSRV"] and a tag byte naming the
+    message:
 
     {v "DSRV" | version | tag | payload length (LEB128) | payload | CRC-32 (LE) v}
 
@@ -13,6 +13,12 @@
     failures as {!Dse_error.Io_error}. Nothing in this module raises
     across the API boundary, so one corrupt submission is a structured
     reply to that client, never a daemon crash.
+
+    A frame's payload is read as it arrives, into a buffer that grows
+    with the bytes received (see {!Wire.sub}): a declared payload length
+    is capped at {!max_payload} but never allocated ahead of its bytes. Counts
+    declared inside the payload are checked against the payload bytes
+    that remain before anything is allocated for them.
 
     Every frame read and write loops on short counts — a TCP segment
     boundary (or a byte-at-a-time sender) can split a frame anywhere,

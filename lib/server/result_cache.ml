@@ -108,3 +108,29 @@ let counters t =
   with_lock t (fun () ->
       { hits = t.hits; misses = t.misses; entries = Hashtbl.length t.table;
         evictions = t.evictions })
+
+let write_key w k =
+  Wire.put_i64 w k.fingerprint;
+  Wire.put_varint w k.method_tag;
+  Wire.put_varint w k.domains;
+  Wire.put_varint w (k.max_level + 1)
+
+let read_key r =
+  let fingerprint = Wire.i64 r in
+  let method_tag = Wire.varint r in
+  let domains = Wire.varint r in
+  let max_level = Wire.varint r - 1 in
+  { fingerprint; method_tag; domains; max_level }
+
+let write_stats w (s : Stats.t) =
+  Wire.put_varint w s.Stats.n;
+  Wire.put_varint w s.Stats.n_unique;
+  Wire.put_varint w s.Stats.address_bits;
+  Wire.put_varint w s.Stats.max_misses
+
+let read_stats r =
+  let n = Wire.varint r in
+  let n_unique = Wire.varint r in
+  let address_bits = Wire.varint r in
+  let max_misses = Wire.varint r in
+  { Stats.n; n_unique; address_bits; max_misses }

@@ -81,3 +81,20 @@ val snapshot : t -> (key * entry) list
 val capacity : t -> int
 
 val counters : t -> counters
+
+(** {2 Wire layouts}
+
+    Keys and stats travel in WAL records ([Wal]) and protocol frames
+    ([Protocol]); this is their one layout. *)
+
+(** A key is the fingerprint as 8 LE bytes (a full 64-bit hash, which a
+    varint would inflate), then varints of the method tag, the domains
+    and [max_level + 1] (so the unbounded [-1] stays non-negative). *)
+val write_key : Wire.writer -> key -> unit
+
+val read_key : Wire.reader -> key
+
+(** Stats are the varints [n], [n_unique], [address_bits], [max_misses]. *)
+val write_stats : Wire.writer -> Stats.t -> unit
+
+val read_stats : Wire.reader -> Stats.t

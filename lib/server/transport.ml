@@ -1,9 +1,9 @@
 (* Address abstraction shared by the daemon, the client, and the
    router: the same DSRV framing runs over a Unix-domain socket (one
    host) or TCP (a fleet). Frame I/O already loops on short reads and
-   writes (Protocol.write_all / reader_exact), so the wire format ports
-   to TCP unchanged; what lives here is the address grammar, connect
-   timeouts, and the listener socket options. *)
+   writes, so the wire format ports to TCP unchanged; what lives here
+   is the address grammar, connect timeouts, and the listener socket
+   options. *)
 
 type addr = Unix_socket of string | Tcp of { host : string; port : int }
 
@@ -53,16 +53,6 @@ let chaos op =
 let read_some fd buf off len =
   chaos "read";
   Unix.read fd buf off len
-
-let read_exact fd n =
-  let buf = Bytes.create n in
-  let off = ref 0 in
-  while !off < n do
-    match read_some fd buf !off (n - !off) with
-    | 0 -> raise End_of_file
-    | k -> off := !off + k
-  done;
-  buf
 
 let write_all fd bytes =
   chaos "write";

@@ -50,7 +50,7 @@ val bound_port : Unix.file_descr -> int option
 
 (** {2 Chaos-checked byte I/O}
 
-    All DSRV frame traffic funnels through these three primitives, which
+    All DSRV frame traffic funnels through these two primitives, which
     consult {!Fault.net_drop} / {!Fault.net_delay} before touching the
     descriptor — so [DSE_FAULT=net:drop:K] and [net:delay:K:MS] inject
     connection resets and link stalls at the exact layer a flaky network
@@ -60,10 +60,6 @@ val bound_port : Unix.file_descr -> int option
 (** [read_some fd buf off len] is [Unix.read] behind the chaos hook;
     returns the (possibly short) count, [0] at end of stream. *)
 val read_some : Unix.file_descr -> bytes -> int -> int -> int
-
-(** [read_exact fd n] reads exactly [n] bytes, looping on short reads.
-    Raises [End_of_file] if the stream ends early. *)
-val read_exact : Unix.file_descr -> int -> bytes
 
 (** [write_all fd b] writes all of [b], looping on short writes. *)
 val write_all : Unix.file_descr -> bytes -> unit

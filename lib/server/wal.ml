@@ -1,63 +1,26 @@
-(* Per-record framing (one frame per record so a torn write damages at
-   most that record):
+(* Per-record framing: the [Wire] envelope, one frame per record so a
+   torn write damages at most that record:
 
      "DSEW" | version (1 byte) | payload length (LEB128) | payload
             | CRC-32 (4 bytes LE, over every preceding record byte)
 
-   Payload layout: fingerprint (8 bytes LE) | method_tag | domains |
-   max_level + 1 | n | n_unique | address_bits | max_misses
-   | level count | per level: count | values...  (all LEB128 varints,
-   max_level shifted by one because -1 encodes "unbounded"). *)
+   Payload layout: the cache key and the stats (their [Result_cache]
+   wire layouts) | level count | per level: count | values... *)
 
 let magic = "DSEW"
 
 let version = 1
 
-(* Matches the protocol's frame cap: a record is one cached result, far
-   smaller than a submitted trace, so this is purely an allocation
-   guard against CRC-colliding garbage lengths. *)
-let max_payload = 256 * 1024 * 1024
-
 (* -- encoding -- *)
 
-(* A record is built in one exactly-sized [Bytes]: a sizing pass over
-   the payload varints, a writing pass, then the CRC footer. Records run
+(* A record is built in one exactly-sized [Bytes]: the key and stats go
+   to a small scratch writer, a sizing pass covers the histogram
+   varints, then the frame is written and sealed in place. Records run
    to several KB (one varint per histogram bucket) and compaction
    re-encodes every live entry at once, so each copy of a record is a
    major-heap allocation worth avoiding. *)
 
-let varint_size v =
-  if v < 0 then invalid_arg "Wal: negative varint";
-  let rec go v n = if v < 0x80 then n else go (v lsr 7) (n + 1) in
-  go v 1
-
-(* Writes [v] at [pos]; returns the position just past it. *)
-let rec put_varint b pos v =
-  if v < 0x80 then begin
-    Bytes.set b pos (Char.chr v);
-    pos + 1
-  end
-  else begin
-    Bytes.set b pos (Char.chr (v land 0x7F lor 0x80));
-    put_varint b (pos + 1) (v lsr 7)
-  end
-
-let put_fingerprint b pos fp =
-  for i = 0 to 7 do
-    Bytes.set b (pos + i)
-      (Char.chr (Int64.to_int (Int64.shift_right_logical fp (8 * i)) land 0xFF))
-  done;
-  pos + 8
-
-(* Every payload varint after the fingerprint, in wire order. *)
-let iter_payload_varints f (key : Result_cache.key) (stats : Stats.t) histograms =
-  f key.Result_cache.method_tag;
-  f key.Result_cache.domains;
-  f (key.Result_cache.max_level + 1);
-  f stats.Stats.n;
-  f stats.Stats.n_unique;
-  f stats.Stats.address_bits;
-  f stats.Stats.max_misses;
+let iter_histogram_varints f histograms =
   f (Array.length histograms);
   Array.iter
     (fun histogram ->
@@ -74,114 +37,53 @@ let encode_record (key : Result_cache.key) (entry : Result_cache.entry) =
   match entry with
   | Result_cache.Approx _ -> None
   | Result_cache.Exact { stats; histograms } ->
-    let payload_len = ref 8 in
-    iter_payload_varints (fun v -> payload_len := !payload_len + varint_size v) key stats histograms;
-    let payload_len = !payload_len in
-    let header_len = String.length magic + 1 + varint_size payload_len in
-    let body_len = header_len + payload_len in
-    let b = Bytes.create (body_len + 4) in
-    Bytes.blit_string magic 0 b 0 (String.length magic);
-    Bytes.set b (String.length magic) (Char.chr version);
-    let pos = ref (put_varint b (String.length magic + 1) payload_len) in
-    pos := put_fingerprint b !pos key.Result_cache.fingerprint;
-    iter_payload_varints (fun v -> pos := put_varint b !pos v) key stats histograms;
-    let crc = ref Crc32.init in
-    for i = 0 to body_len - 1 do
-      crc := Crc32.update_byte !crc (Char.code (Bytes.unsafe_get b i))
-    done;
-    let crc = Crc32.finalize !crc in
-    for i = 0 to 3 do
-      Bytes.set b (body_len + i) (Char.chr ((crc lsr (8 * i)) land 0xFF))
-    done;
-    Some (Bytes.unsafe_to_string b)
+    let head = Wire.writer 64 in
+    Result_cache.write_key head key;
+    Result_cache.write_stats head stats;
+    let size = ref (Wire.written head) in
+    iter_histogram_varints (fun v -> size := !size + Wire.varint_size v) histograms;
+    let w = Wire.frame ~magic ~version !size in
+    Wire.append w head;
+    iter_histogram_varints (Wire.put_varint w) histograms;
+    Some (Bytes.unsafe_to_string (Wire.seal w))
 
 (* -- replay -- *)
 
-(* Structural damage inside a record: skip it and resync on the next
-   magic. *)
-exception Bad
+(* The end-of-data message of a record reader. A record that runs past
+   the end of the log is either a torn tail (a crash mid-append) or
+   length-field damage, told apart by whether another magic follows;
+   every other [Wire.Malformed] is damage inside the record, skipped by
+   resyncing on the next magic. *)
+let torn = "torn record"
 
-(* The record extends past end-of-file: either a torn tail (a crash
-   mid-append) or length-field damage; disambiguated by whether another
-   magic follows. *)
-exception Short
-
-type cursor = { data : string; mutable pos : int }
-
-let cursor_byte c =
-  if c.pos >= String.length c.data then raise Short;
-  let b = Char.code c.data.[c.pos] in
-  c.pos <- c.pos + 1;
-  b
-
-let cursor_varint c =
-  let rec loop shift acc =
-    if shift > 56 then raise Bad
-    else
-      let b = cursor_byte c in
-      let acc = acc lor ((b land 0x7F) lsl shift) in
-      if acc < 0 then raise Bad
-      else if b land 0x80 = 0 then acc
-      else loop (shift + 7) acc
-  in
-  loop 0 0
-
-let cursor_fingerprint c =
-  let fp = ref 0L in
-  for i = 0 to 7 do
-    fp := Int64.logor !fp (Int64.shift_left (Int64.of_int (cursor_byte c)) (8 * i))
-  done;
-  !fp
-
-let find_magic data pos =
-  let len = String.length data in
-  let rec go i =
-    if i + String.length magic > len then None
-    else if String.sub data i (String.length magic) = magic then Some i
-    else go (i + 1)
-  in
-  go pos
+let rec find_magic data pos =
+  let n = String.length magic in
+  let rec matches k = k = n || (data.[pos + k] = magic.[k] && matches (k + 1)) in
+  if pos + n > String.length data then None
+  else if matches 0 then Some pos
+  else find_magic data (pos + 1)
 
 (* Parse the record whose magic starts at [pos]; returns the decoded
-   entry and the position just past its CRC footer. *)
+   entry and the position just past its CRC footer. The CRC is checked
+   before the payload is decoded. *)
 let parse_record data pos =
-  let c = { data; pos = pos + String.length magic } in
-  let v = cursor_byte c in
-  if v <> version then raise Bad;
-  let payload_len = cursor_varint c in
-  if payload_len > max_payload then raise Bad;
-  let payload_end = c.pos + payload_len in
-  if payload_end + 4 > String.length data then raise Short;
-  let stored_crc = ref 0 in
-  for i = 0 to 3 do
-    stored_crc := !stored_crc lor (Char.code data.[payload_end + i] lsl (8 * i))
-  done;
-  let computed = Crc32.digest_string (String.sub data pos (payload_end - pos)) in
-  if !stored_crc <> computed then raise Bad;
-  let fingerprint = cursor_fingerprint c in
-  let method_tag = cursor_varint c in
-  let domains = cursor_varint c in
-  let max_level = cursor_varint c - 1 in
-  let n = cursor_varint c in
-  let n_unique = cursor_varint c in
-  let address_bits = cursor_varint c in
-  let max_misses = cursor_varint c in
-  let level_count = cursor_varint c in
+  let r = Wire.of_string ~eof:torn ~pos data in
+  Wire.magic r magic;
+  Wire.version r ~name:"WAL" version;
+  let payload_len = Wire.length r in
+  if not (Wire.fits ~reserve:4 r payload_len) then raise (Wire.Malformed (Wire.offset r, torn));
+  let c = Wire.sub r payload_len in
+  Wire.footer r;
+  let key = Result_cache.read_key c in
+  let stats = Result_cache.read_stats c in
   (* each histogram contributes at least one byte, so a declared count
      beyond the payload is damage the CRC happened to miss *)
-  if level_count > payload_end - c.pos then raise Bad;
   let histograms =
-    Array.init level_count (fun _ ->
-        let count = cursor_varint c in
-        if count > payload_end - c.pos then raise Bad;
-        Array.init count (fun _ -> cursor_varint c))
+    Array.init (Wire.count c "level count") (fun _ ->
+        Array.init (Wire.count c "bucket count") (fun _ -> Wire.varint c))
   in
-  if c.pos <> payload_end then raise Bad;
-  let key = { Result_cache.fingerprint; method_tag; domains; max_level } in
-  let entry =
-    Result_cache.Exact { stats = { Stats.n; n_unique; address_bits; max_misses }; histograms }
-  in
-  ((key, entry), payload_end + 4)
+  Wire.finish c "record";
+  ((key, Result_cache.Exact { stats; histograms }), pos + Wire.offset r)
 
 type replay = {
   entries : (Result_cache.key * Result_cache.entry) list;
@@ -206,22 +108,21 @@ let replay_string data =
       | Some start ->
         if start > pos then incr damaged;
         (match parse_record data start with
-        | entry_and_next ->
-          let entry, next = entry_and_next in
+        | entry, next ->
           entries := entry :: !entries;
           incr intact;
           scan next
-        | exception Bad ->
-          incr damaged;
-          scan (start + String.length magic)
-        | exception Short -> (
+        | exception Wire.Malformed (_, message) when message == torn -> (
           (* torn tail only if no later magic; otherwise the length
              field was damaged mid-file *)
           match find_magic data (start + String.length magic) with
           | Some next ->
             incr damaged;
             scan next
-          | None -> truncated := true))
+          | None -> truncated := true)
+        | exception Wire.Malformed _ ->
+          incr damaged;
+          scan (start + String.length magic))
   in
   scan 0;
   { entries = List.rev !entries; intact = !intact; damaged = !damaged; truncated = !truncated }
@@ -231,13 +132,10 @@ let replay_string data =
    (damage, trailing bytes, a torn prefix) is [None], so a replication
    receiver can never be corrupted by a bad peer. *)
 let decode_record data =
-  if String.length data < String.length magic + 1 then None
-  else if String.sub data 0 (String.length magic) <> magic then None
-  else
-    match parse_record data 0 with
-    | (key, entry), next when next = String.length data -> Some (key, entry)
-    | _ -> None
-    | exception (Bad | Short) -> None
+  match parse_record data 0 with
+  | (key, entry), next when next = String.length data -> Some (key, entry)
+  | _ -> None
+  | exception Wire.Malformed _ -> None
 
 let replay path =
   match In_channel.with_open_bin path In_channel.input_all with

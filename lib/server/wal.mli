@@ -2,16 +2,15 @@
 
     A cached entry is expensive to compute (one full kernel run) and
     cheap to store, so a daemon restart must not discard it. Every
-    {!Result_cache.store} is appended here as one self-framing record —
-    the v2 binary-trace idiom, one frame per record so the log survives
-    partial writes:
+    {!Result_cache.store} is appended here as one self-framing record,
+    a {!Wire} frame with magic ["DSEW"] and version 1, so the log
+    survives partial writes:
 
     {v "DSEW" | version (1) | payload length (LEB128) | payload | CRC-32 (4, LE) v}
 
-    The payload is the cache key (fingerprint as 8 LE bytes, method tag,
-    domains, max_level+1) followed by the entry (the four {!Stats.t}
-    varints, then the per-level histograms, length-prefixed). The CRC
-    footer covers every preceding byte of the record.
+    The payload is the cache key and the stats in their
+    {!Result_cache.write_key} / {!Result_cache.write_stats} layouts,
+    then the per-level histograms, length-prefixed.
 
     {!replay} tolerates real crash damage: a torn tail (a [kill -9]
     mid-append) drops only the unfinished record, and a bit-flipped or

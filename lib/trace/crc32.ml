@@ -12,15 +12,14 @@ let table =
 
 let init = 0xFFFFFFFF
 
-let update_byte crc byte = table.((crc lxor byte) land 0xFF) lxor (crc lsr 8)
-
 let finalize crc = (crc lxor 0xFFFFFFFF) land 0xFFFFFFFF
 
-let update_string crc s =
+let update_sub crc b off len =
+  if off < 0 || len < 0 || off > Bytes.length b - len then invalid_arg "Crc32.update_sub";
   let crc = ref crc in
-  for i = 0 to String.length s - 1 do
-    crc := table.((!crc lxor Char.code (String.unsafe_get s i)) land 0xFF) lxor (!crc lsr 8)
+  for i = off to off + len - 1 do
+    crc := table.((!crc lxor Char.code (Bytes.unsafe_get b i)) land 0xFF) lxor (!crc lsr 8)
   done;
   !crc
 
-let digest_string s = finalize (update_string init s)
+let digest_string s = finalize (update_sub init (Bytes.unsafe_of_string s) 0 (String.length s))

@@ -1,23 +1,20 @@
 (** CRC-32 (IEEE 802.3, polynomial 0xEDB88320), byte-at-a-time.
 
-    Seals the v2 binary trace format: the writer folds every emitted
-    byte into a running digest and appends it as a footer, so any
-    single-byte corruption or truncation of a trace file is detected
-    deterministically on load. The running state is an [int] holding a
-    32-bit value. *)
+    Seals every framed binary format (see {!Wire}): the CRC footer of a
+    trace file, a protocol frame or a WAL record covers every preceding
+    byte, so any single-byte corruption or truncation is detected
+    deterministically. The running state is an [int] holding a 32-bit
+    value. *)
 
 (** Initial running state. *)
 val init : int
 
-(** [update_byte crc byte] folds in one byte (low 8 bits of [byte]). *)
-val update_byte : int -> int -> int
-
 (** [finalize crc] is the 32-bit digest of the bytes folded so far. *)
 val finalize : int -> int
 
-(** [update_string crc s] folds in a whole string (block form of
-    [update_byte], one table lookup per byte without a closure). *)
-val update_string : int -> string -> int
+(** [update_sub crc b off len] folds in [b.[off] .. b.[off + len - 1]]
+    in place: the range is not copied. *)
+val update_sub : int -> Bytes.t -> int -> int -> int
 
 (** [digest_string s] is the digest of a whole string. *)
 val digest_string : string -> int

@@ -148,9 +148,9 @@ let save path trace = with_out open_out path (fun oc -> write oc trace)
    v1 (legacy, still readable): "DSET", the length as LEB128, then one
    LEB128 record per access of (addr lsl 2) lor kind_tag.
 
-   v2 (what the writer emits): "DSEB", a version byte (2), the same
-   length + records, then a CRC-32 footer (4 bytes little-endian) over
-   every preceding byte. Truncation and bit-rot are detected
+   v2 (what the writer emits): the [Wire] envelope with magic "DSEB" and
+   version 2, whose length field is the record count, and a CRC-32
+   footer over every preceding byte. Truncation and bit-rot are detected
    deterministically instead of surfacing as a bogus varint. *)
 
 let magic_v1 = "DSET"
@@ -158,57 +158,6 @@ let magic_v1 = "DSET"
 let magic_v2 = "DSEB"
 
 let binary_version = 2
-
-let kind_tag = function Trace.Fetch -> 0 | Trace.Read -> 1 | Trace.Write -> 2
-
-(* Internal: byte offset where the damage was detected + what it was. *)
-exception Corrupt of int * string
-
-type reader = { ic : in_channel; mutable pos : int; mutable crc : int }
-
-let next_byte r =
-  match input_byte r.ic with
-  | b ->
-    r.pos <- r.pos + 1;
-    r.crc <- Crc32.update_byte r.crc b;
-    b
-  | exception End_of_file -> raise (Corrupt (r.pos, "unexpected end of file"))
-
-let read_magic r =
-  let b = Bytes.create 4 in
-  for i = 0 to 3 do
-    Bytes.set b i (Char.chr (next_byte r))
-  done;
-  Bytes.to_string b
-
-(* Every truncation site reports the byte offset: a varint cut mid-payload
-   is [Corrupt], never a raw [End_of_file]. Overwide varints (> 62 value
-   bits) are rejected before they can wrap into negative addresses. *)
-let read_varint r =
-  let start = r.pos in
-  let rec loop shift acc =
-    if shift > 56 then raise (Corrupt (start, "varint wider than 63 bits"))
-    else
-      let byte = next_byte r in
-      let acc = acc lor ((byte land 0x7F) lsl shift) in
-      if acc < 0 then raise (Corrupt (start, "varint overflows the address space"))
-      else if byte land 0x80 = 0 then acc
-      else loop (shift + 7) acc
-  in
-  loop 0 0
-
-let emit_varint emit value =
-  let v = ref value in
-  let continue = ref true in
-  while !continue do
-    let byte = !v land 0x7F in
-    v := !v lsr 7;
-    if !v = 0 then begin
-      emit byte;
-      continue := false
-    end
-    else emit (byte lor 0x80)
-  done
 
 (* Streaming v2 writer: the record count must be declared up front (the
    format leads with it), but the records themselves are produced by a
@@ -218,120 +167,69 @@ let emit_varint emit value =
    file would otherwise be structurally corrupt. *)
 let write_binary_stream channel ~length produce =
   if length < 0 then invalid_arg "Trace_io.write_binary_stream: negative length";
-  let crc = ref Crc32.init in
-  let out b =
-    crc := Crc32.update_byte !crc b;
-    output_byte channel b
-  in
-  String.iter (fun c -> out (Char.code c)) magic_v2;
-  out binary_version;
-  emit_varint out length;
+  (* flushed every 4 KiB; a record is at most 10 bytes *)
+  let w = Wire.writer 4106 in
+  Wire.put_header w ~magic:magic_v2 ~version:binary_version length;
   let written = ref 0 in
   let emit ~addr ~kind =
     if addr < 0 then invalid_arg "Trace_io.write_binary_stream: negative address";
     incr written;
-    emit_varint out ((addr lsl 2) lor kind_tag kind)
+    Wire.put_record w ~addr ~kind;
+    if Wire.written w >= 4096 then Wire.flush w (output channel)
   in
   produce emit;
   if !written <> length then
     invalid_arg
       (Printf.sprintf "Trace_io.write_binary_stream: declared %d records, produced %d" length
          !written);
-  let digest = Crc32.finalize !crc in
-  for i = 0 to 3 do
-    output_byte channel ((digest lsr (8 * i)) land 0xFF)
-  done
+  Wire.put_footer w;
+  Wire.flush w (output channel)
 
 let write_binary channel trace =
   write_binary_stream channel ~length:(Trace.length trace) (fun emit ->
       Trace.iter (fun (a : Trace.access) -> emit ~addr:a.Trace.addr ~kind:a.Trace.kind) trace)
 
 let scan_binary ~on_error ~file channel sink =
-  let r = { ic = channel; pos = 0; crc = Crc32.init } in
+  let size = try Some (in_channel_length channel - pos_in channel) with Sys_error _ -> None in
+  let r = Wire.of_input ?size ~eof:"unexpected end of file" (input channel) in
   let refs = ref 0 in
   let tally = { skipped = 0; noted = [] } in
   let drained () = { refs = !refs; skipped = tally.skipped; errors = List.rev tally.noted } in
   let corrupt ~offset message = Dse_error.Corrupt_binary { file; offset; message } in
-  let read_records length =
-    let rec loop k =
-      if k = 0 then Ok ()
-      else
-        let start = r.pos in
-        let record = read_varint r in
-        match record land 3 with
-        | 3 -> (
-          match tolerate on_error tally (corrupt ~offset:start "bad kind tag 3") with
-          | Ok () -> loop (k - 1)
-          | Error _ as e -> e)
-        | tag ->
-          let kind =
-            match tag with 0 -> Trace.Fetch | 1 -> Trace.Read | _ -> Trace.Write
-          in
-          incr refs;
-          sink ~addr:(record lsr 2) ~kind;
-          loop (k - 1)
-    in
-    loop length
+  (* a bad kind tag is a record-level defect that the lenient modes skip;
+     anything else is structural *)
+  let skip offset = Result.is_ok (tolerate on_error tally (corrupt ~offset "bad kind tag 3")) in
+  let sink ~addr ~kind =
+    incr refs;
+    sink ~addr ~kind
   in
   let go () =
-    let header = read_magic r in
-    let version =
-      if header = magic_v1 then 1
-      else if header = magic_v2 then begin
-        let v = next_byte r in
-        if v <> binary_version then
-          raise (Corrupt (4, Printf.sprintf "unsupported binary version %d" v));
-        v
-      end
-      else raise (Corrupt (0, "bad magic"))
-    in
-    let length_offset = r.pos in
-    let length = read_varint r in
+    let header = String.init 4 (fun _ -> Char.chr (Wire.byte r)) in
+    let v2 = header = magic_v2 in
+    if v2 then Wire.version r ~name:"binary" binary_version
+    else if header <> magic_v1 then raise (Wire.Malformed (0, "bad magic"));
+    let length_offset = Wire.offset r in
+    let length = Wire.varint r in
     (* each record is at least one byte, so a declared length beyond the
        remaining file size is corruption — caught before any attempt to
        allocate or parse that many records (pipes skip the check) *)
-    (match (in_channel_length channel, pos_in channel) with
-    | total, here ->
-      let footer = if version = 2 then 4 else 0 in
-      if length > total - here - footer then
-        raise
-          (Corrupt
-             ( length_offset,
-               Printf.sprintf "declared length %d exceeds the %d remaining bytes" length
-                 (max 0 (total - here - footer)) ))
-    | exception Sys_error _ -> ());
-    match read_records length with
-    | Error _ as e -> e
-    | Ok () ->
-      if version = 2 then begin
-        let computed = Crc32.finalize r.crc in
-        let footer_offset = r.pos in
-        let footer_byte () =
-          match input_byte channel with
-          | b ->
-            r.pos <- r.pos + 1;
-            b
-          | exception End_of_file -> raise (Corrupt (r.pos, "truncated CRC footer"))
-        in
-        let stored = ref 0 in
-        for i = 0 to 3 do
-          stored := !stored lor (footer_byte () lsl (8 * i))
-        done;
-        if !stored <> computed then
-          raise
-            (Corrupt
-               ( footer_offset,
-                 Printf.sprintf "CRC mismatch (stored %08x, computed %08x)" !stored computed
-               ));
-        match input_byte channel with
-        | _ -> raise (Corrupt (r.pos, "trailing bytes after the CRC footer"))
-        | exception End_of_file -> Ok (drained ())
-      end
-      else Ok (drained ())
+    let footer = if v2 then 4 else 0 in
+    if not (Wire.fits ~reserve:footer r length) then
+      raise
+        (Wire.Malformed
+           ( length_offset,
+             Printf.sprintf "declared length %d exceeds the %d remaining bytes" length
+               (max 0 (Wire.remaining r - footer)) ));
+    Wire.records ~skip r length sink;
+    if v2 then begin
+      Wire.footer r;
+      Wire.finish r "CRC footer"
+    end;
+    Ok (drained ())
   in
   match go () with
   | result -> result
-  | exception Corrupt (offset, message) -> (
+  | exception Wire.Malformed (offset, message) -> (
     (* structural damage: in lenient modes keep what parsed (no resync is
        possible after a broken varint), in [Fail] abort *)
     let err = corrupt ~offset message in

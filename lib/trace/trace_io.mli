@@ -51,15 +51,16 @@ val save : string -> Trace.t -> (unit, Dse_error.t) result
 
 (** {2 Binary format}
 
-    The writer emits v2: the magic ["DSEB"], a version byte, a LEB128
-    length, one LEB128 record per access (kind packed into the two low
-    bits), and a CRC-32 footer over every preceding byte — any
-    single-byte corruption or truncation is detected deterministically.
-    Legacy v1 files (magic ["DSET"], no version byte, no footer) are
-    still readable. Structural damage (bad magic, truncated or overwide
-    varint, length or CRC mismatch) aborts the read under [Fail]; under
-    the lenient modes the records parsed so far are kept, since no
-    resynchronisation is possible inside a varint stream. *)
+    The writer emits v2, a {!Wire} frame with magic ["DSEB"] and
+    version 2 whose length field is the record count and whose payload
+    is one {!Wire} trace record per access; the CRC-32 footer over every
+    preceding byte detects any single-byte corruption or truncation
+    deterministically. Legacy v1 files (magic ["DSET"], no version byte,
+    no footer) are still readable. Structural damage (bad magic,
+    truncated or overwide varint, length or CRC mismatch) aborts the
+    read under [Fail]; under the lenient modes the records parsed so far
+    are kept, since no resynchronisation is possible inside a varint
+    stream. *)
 
 val write_binary : out_channel -> Trace.t -> unit
 

@@ -1,6 +1,8 @@
-(* Hand-built Submit frames, for wire inputs the typed encoder cannot
-   produce: a retired or unknown method byte, a declared reference count
-   with no records behind it. *)
+(* Hand-built frames, for wire inputs the typed encoder cannot produce:
+   a retired or unknown method byte, a declared reference count with no
+   records behind it, an arbitrary payload under a valid envelope. Built
+   with their own varint and CRC code, independent of the codec under
+   test. *)
 
 let rec varint buf v =
   if v < 0x80 then Buffer.add_char buf (Char.chr v)
@@ -8,6 +10,20 @@ let rec varint buf v =
     Buffer.add_char buf (Char.chr (v land 0x7F lor 0x80));
     varint buf (v lsr 7)
   end
+
+(* [frame ~tag payload] seals [payload] as a v7 frame. *)
+let frame ~tag payload =
+  let frame = Buffer.create 64 in
+  Buffer.add_string frame "DSRV";
+  Buffer.add_char frame (Char.chr Protocol.version);
+  Buffer.add_char frame (Char.chr tag);
+  varint frame (String.length payload);
+  Buffer.add_string frame payload;
+  let crc = Crc32.digest_string (Buffer.contents frame) in
+  for i = 0 to 3 do
+    Buffer.add_char frame (Char.chr ((crc lsr (8 * i)) land 0xFF))
+  done;
+  Buffer.to_bytes frame
 
 (* [submit ~method_byte ~declared addrs] is a complete v7 Submit frame
    (budget query, one domain, no max_level, no deadline) declaring
@@ -24,18 +40,7 @@ let submit ?(name = "raw") ~method_byte ~declared addrs =
   varint payload 1;
   varint payload declared;
   List.iter (fun addr -> varint payload ((addr lsl 2) lor 1)) addrs;
-  let payload = Buffer.contents payload in
-  let frame = Buffer.create 64 in
-  Buffer.add_string frame "DSRV";
-  Buffer.add_char frame (Char.chr Protocol.version);
-  Buffer.add_char frame '\001' (* tag: submit *);
-  varint frame (String.length payload);
-  Buffer.add_string frame payload;
-  let crc = Crc32.digest_string (Buffer.contents frame) in
-  for i = 0 to 3 do
-    Buffer.add_char frame (Char.chr ((crc lsr (8 * i)) land 0xFF))
-  done;
-  Buffer.to_bytes frame
+  frame ~tag:1 (Buffer.contents payload)
 
 (* One raw round trip against a daemon or gateway at [addr]. *)
 let exchange addr frame =

@@ -7,6 +7,7 @@ let () =
          Test_bitset.suites;
          Test_trace.suites;
          Test_robustness.suites;
+         Test_wire.suites;
          Test_cachesim.suites;
          Test_core.suites;
          Test_arena.suites;

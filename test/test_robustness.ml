@@ -122,40 +122,6 @@ let prop_v1_still_readable =
           | Ok i -> Trace.to_list i.Trace_io.trace = Trace.to_list t
           | Error _ -> false))
 
-let prop_corruption_always_structured =
-  prop ~count:300 "any byte flip or truncation of a v2 file yields Error (exit code 4)"
-    QCheck2.Gen.(triple gen_addresses (int_bound 1_000_000) bool)
-    (fun (addrs, pick, truncate) ->
-      let t = Trace.of_addresses addrs in
-      with_temp_file ".bin" (fun path ->
-          save_v2 path t;
-          let data = read_file path in
-          let len = Bytes.length data in
-          let damaged =
-            if truncate then Bytes.sub data 0 (pick mod len)
-            else begin
-              let i = pick mod len in
-              let flip = 1 + (pick / len) mod 255 in
-              Bytes.set data i (Char.chr (Char.code (Bytes.get data i) lxor flip));
-              data
-            end
-          in
-          write_file path damaged;
-          match Trace_io.load_binary path with
-          | Ok _ -> false
-          | Error e -> Dse_error.exit_code e = 4
-          | exception _ -> false))
-
-let prop_random_bytes_never_crash =
-  prop ~count:300 "the binary loader never raises on arbitrary bytes"
-    QCheck2.Gen.(string_size (int_bound 120))
-    (fun junk ->
-      with_temp_file ".bin" (fun path ->
-          write_file path (Bytes.of_string junk);
-          match Trace_io.load_binary path with
-          | Ok _ | Error _ -> true
-          | exception _ -> false))
-
 let test_truncation_reports_offset () =
   with_temp_file ".bin" (fun path ->
       save_v2 path (Trace.of_addresses (Array.init 40 (fun i -> i * 129)));
@@ -357,8 +323,6 @@ let suites =
       [
         Alcotest.test_case "header and CRC footer" `Quick test_v2_header_and_footer;
         prop_v1_still_readable;
-        prop_corruption_always_structured;
-        prop_random_bytes_never_crash;
         Alcotest.test_case "truncation reports the offset" `Quick
           test_truncation_reports_offset;
         Alcotest.test_case "absurd declared length rejected" `Quick test_declared_length_guard;

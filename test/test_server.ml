@@ -1,7 +1,8 @@
-(* Tests for the serving layer: wire protocol roundtrips and damage
-   detection, the bounded job queue's backpressure, the content-addressed
-   result cache, loopback request/response identity against the direct
-   pipeline, queue overflow, corrupt submissions, and SIGTERM drain. *)
+(* Tests for the serving layer: wire protocol roundtrips (damage is
+   covered by test_wire.ml), the bounded job queue's backpressure, the
+   content-addressed result cache, loopback request/response identity
+   against the direct pipeline, queue overflow, corrupt submissions, and
+   SIGTERM drain. *)
 
 let check_int = Alcotest.(check int)
 
@@ -147,6 +148,7 @@ let test_response_roundtrip () =
       Dse_error.Resource_exhausted
         { resource = "trace references"; needed = 200_000; budget = 4096 };
       Dse_error.Backend_unavailable { node = "127.0.0.1:7701"; attempts = 3 };
+      Dse_error.Stale_ring { seen = 4; expected = 5 };
     ]
   in
   List.iter
@@ -171,54 +173,6 @@ let test_response_roundtrip () =
   | Protocol.Stats_reply s -> check_bool "stats" true (s = stats)
   | _ -> Alcotest.fail "expected Stats_reply");
   check_bool "pong" true (roundtrip_response Protocol.Pong = Protocol.Pong)
-
-let expect_corrupt label = function
-  | Error (Dse_error.Corrupt_binary _) -> ()
-  | Error e -> Alcotest.failf "%s: wrong error class: %s" label (Dse_error.to_string e)
-  | Ok _ -> Alcotest.failf "%s: damage not detected" label
-
-let test_protocol_damage () =
-  (* garbage bytes: bad magic *)
-  with_socketpair (fun a b ->
-      let garbage = Bytes.of_string "GARBAGEGARBAGE" in
-      ignore (Unix.write a garbage 0 (Bytes.length garbage));
-      Unix.close a;
-      expect_corrupt "garbage" (Protocol.read_request b));
-  (* a flipped payload byte: CRC mismatch *)
-  with_socketpair (fun a b ->
-      let read_end, write_end = Unix.pipe () in
-      ok_or_fail (Protocol.write_request write_end Protocol.Ping);
-      let frame = Bytes.create 64 in
-      let n = Unix.read read_end frame 0 64 in
-      Unix.close read_end;
-      Unix.close write_end;
-      (* flip a bit inside the header, after the magic *)
-      Bytes.set frame 5 (Char.chr (Char.code (Bytes.get frame 5) lxor 1));
-      ignore (Unix.write a frame 0 n);
-      Unix.close a;
-      expect_corrupt "bitflip" (Protocol.read_request b));
-  (* truncation mid-frame *)
-  with_socketpair (fun a b ->
-      let read_end, write_end = Unix.pipe () in
-      ok_or_fail
-        (Protocol.write_request write_end
-           (Protocol.Submit
-              {
-                name = "t";
-                trace = Protocol.Full (Trace.of_addresses [| 1; 2; 3; 4; 5 |]);
-                query = Protocol.Budget 1;
-                method_ = Protocol.Exact Analytical.Arena;
-                domains = 1;
-                max_level = None;
-                deadline = None;
-              }));
-      let frame = Bytes.create 256 in
-      let n = Unix.read read_end frame 0 256 in
-      Unix.close read_end;
-      Unix.close write_end;
-      ignore (Unix.write a frame 0 (n - 6));
-      Unix.close a;
-      expect_corrupt "truncation" (Protocol.read_request b))
 
 (* -- fingerprint -- *)
 
@@ -497,7 +451,6 @@ let suites =
         Alcotest.test_case "request roundtrip" `Quick test_request_roundtrip;
         prop_method_byte_decoding;
         Alcotest.test_case "response roundtrip" `Quick test_response_roundtrip;
-        Alcotest.test_case "damage detection" `Quick test_protocol_damage;
       ] );
     ( "server:components",
       [
