@@ -965,7 +965,7 @@ let list_cmd =
   let run () =
     List.iter
       (fun (b : Workload.t) -> Format.printf "%-10s %s@." b.Workload.name b.Workload.description)
-      Registry.all
+      (Registry.all ())
   in
   Cmd.v (Cmd.info "list" ~doc:"List the bundled PowerStone-style benchmarks.") Term.(const run $ const ())
 

@@ -35,12 +35,13 @@ let mem s i =
 let clear s = Array.fill s.words 0 (Array.length s.words) 0
 
 (* Popcount via a 16-bit lookup table: four table probes per 63-bit word.
-   [lsr] is a logical shift, so words with bit 62 set are handled too. *)
+   [lsr] is a logical shift, so words with bit 62 set are handled too.
+   The table is built at start-up, one entry per index from the entry
+   of [i lsr 1], already set. *)
 let popcount_table =
-  let t = Bytes.create 65536 in
-  for i = 0 to 65535 do
-    let rec count x acc = if x = 0 then acc else count (x lsr 1) (acc + (x land 1)) in
-    Bytes.unsafe_set t i (Char.chr (count i 0))
+  let t = Bytes.make 65536 '\000' in
+  for i = 1 to 65535 do
+    Bytes.unsafe_set t i (Char.unsafe_chr (Char.code (Bytes.unsafe_get t (i lsr 1)) + (i land 1)))
   done;
   t
 

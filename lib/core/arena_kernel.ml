@@ -17,6 +17,12 @@
    each [Shard_exec] closure captures the same handles, so a sharded run
    adds per-shard slot state (O(N')) and nothing proportional to N.
 
+   The conflict-count step, the kernel's whole cost on most traces, is
+   one C function ([count_conflicts], arena_kernel_stubs.c): a
+   [@@noalloc] external with untagged int arguments, so each level costs
+   one hardware popcount and a call costs no runtime transition. Slots,
+   placement, compaction, tallies, sharding and cancellation stay here.
+
    Outputs are bit-identical to the materialized oracle: identical
    first-occurrence id assignment, identical histogram growth/trim
    semantics. *)
@@ -177,7 +183,7 @@ let to_strip s =
    last access in access order, so slots are ordered by recency and the
    conflict set of a warm occurrence of [u] is exactly the ids alive in
    the slots after [u]'s. A word holds 62 slots: bit 62 is the sign bit
-   of an OCaml int, and keeping it clear keeps [lsr] and the popcount
+   of an OCaml int, and keeping it clear keeps [lsr] and the masks
    simple. Slot [s] lives in word [s lsr 6] at bit [s land 63]; bits 62
    and 63 are skipped, so finding a slot is a shift and a mask.
 
@@ -210,16 +216,6 @@ let slots_per_word = 62
 let succ_slot s =
   let s = s + 1 in
   if s land 63 = slots_per_word then s + 2 else s
-[@@inline]
-
-(* SWAR popcount of a non-negative int below 2^62. The first mask skips
-   bit 62, and the byte sum (at most 62) fits in the 7 bits the 63-bit
-   multiply leaves above bit 56. *)
-let popcount x =
-  let x = x - ((x lsr 1) land 0x1555555555555555) in
-  let x = (x land 0x3333333333333333) + ((x lsr 2) land 0x3333333333333333) in
-  let x = (x + (x lsr 4)) land 0x0F0F0F0F0F0F0F0F in
-  (x * 0x0101010101010101) lsr 56
 [@@inline]
 
 (* [log2_of_pow2.[(2^l * debruijn) lsr 57]] is [l] for [l < 62]: the
@@ -333,32 +329,20 @@ let needs_compaction st =
    [depth_count]: level [l] gets the alive slots after [p] whose
    addresses agree with [au] on bits [0 .. l-1], the conflicts that
    share [u]'s depth-[2^l] row. Each word stops at the first level with
-   no such slot, and at [planes]. Returns the deepest level counted, or
-   -1 for an empty conflict set. *)
-let count_conflicts st depth_count au p =
-  let bits = st.bits and stride = st.stride and planes = st.planes in
-  let first = p lsr 6 in
-  let top = ref (-1) in
-  for w = first to (st.next_slot - 1) lsr 6 do
-    let base = w * stride in
-    let alive = word_get bits base in
-    if alive = 0 then st.dead_scanned <- st.dead_scanned + 1
-    else begin
-      let m = ref (if w = first then alive land lnot ((2 lsl (p land 63)) - 1) else alive) in
-      let x = au lxor word_get bits (base + 1 + planes) in
-      let l = ref 0 in
-      while !m <> 0 do
-        let level = !l in
-        word_set depth_count level (word_get depth_count level + popcount !m);
-        if level = planes then m := 0
-        else
-          m := !m land lnot (word_get bits (base + 1 + level) lxor -((x lsr level) land 1));
-        l := level + 1
-      done;
-      if !l - 1 > !top then top := !l - 1
-    end
-  done;
-  !top
+   no such slot, and at [planes]. One C function (arena_kernel_stubs.c)
+   so that each level costs one hardware popcount; it returns
+   [dead * 64 + (top + 1)], with [top] the deepest level counted (-1
+   for an empty conflict set) and [dead] the all-dead words scanned. *)
+external count_conflicts :
+  Arena.word ->
+  (int[@untagged]) ->
+  (int[@untagged]) ->
+  (int[@untagged]) ->
+  (int[@untagged]) ->
+  (int[@untagged]) ->
+  Arena.word ->
+  (int[@untagged]) = "dse_count_conflicts_byte" "dse_count_conflicts"
+[@@noalloc]
 
 (* Growable per-level histograms in word arenas; growth and trim match
    [Dfs_optimizer] exactly so kernel and oracle stay bit-identical.
@@ -452,7 +436,12 @@ let window_tally ?(cancel = Cancel.none) s ~max_level ~lo ~hi =
       (* the level counts are nonincreasing in l, so every level up to
          [top] records a nonzero count: the same (level, count) pairs as
          a suffix sum over the conflicts' shared levels *)
-      let top = count_conflicts st depth_count (word_get uniques u) p in
+      let r =
+        count_conflicts st.bits st.stride st.planes (word_get uniques u) p st.next_slot
+          depth_count
+      in
+      st.dead_scanned <- st.dead_scanned + (r lsr 6);
+      let top = (r land 63) - 1 in
       for l = 0 to top do
         record t l (word_get depth_count l);
         word_set depth_count l 0

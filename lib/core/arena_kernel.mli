@@ -13,6 +13,8 @@
     with [u]'s address, so a word's contribution to every level is one
     AND per plane and one popcount per level, stopping at the first
     level with none — [|C ∩ S|] for every level of the BCAT at once.
+    That step is one C function ({!count_conflicts}), so each level
+    costs one hardware popcount.
     Output is bit-identical to the materialized oracle ({!Mrct.build}
     + {!Dfs_optimizer.histograms}, the BCAT walk of
     {!Optimizer.explore}, and the LRU simulator — property tested).
@@ -85,6 +87,28 @@ val stats : strip -> Stats.t
     DFS, BCAT walk) and the conflict-table printers. Costs O(N + N') boxed
     words; the arena path never calls it. *)
 val to_strip : strip -> Strip.t
+
+(** [count_conflicts bits stride planes au p next_slot depth_count] is
+    the kernel's conflict-count step, a [[@@noalloc]] C function,
+    exposed for its step-level property test. [bits] holds [stride] =
+    [planes] + 2 words per 62-slot word: the alive mask, [planes]
+    bit-planes, the base address. For a warm occurrence of address [au]
+    last seen in slot [p], it scans the words from [p]'s to
+    [next_slot - 1]'s and adds to [depth_count.{l}] the alive slots
+    after [p] whose address agrees with [au] on bits [0 .. l-1], per
+    word until none agree or level [planes] is counted. It returns
+    [dead * 64 + (top + 1)]: [top] is the deepest level counted (-1 if
+    none) and [dead] the number of all-dead words scanned. *)
+external count_conflicts :
+  Arena.word ->
+  (int[@untagged]) ->
+  (int[@untagged]) ->
+  (int[@untagged]) ->
+  (int[@untagged]) ->
+  (int[@untagged]) ->
+  Arena.word ->
+  (int[@untagged]) = "dse_count_conflicts_byte" "dse_count_conflicts"
+[@@noalloc]
 
 (** [min_shard_refs] is the smallest per-domain window (in trace
     references) for which sharding is attempted; below it the

@@ -1,9 +1,8 @@
 (** PowerStone [bcnt]: bit counting over a block of words using a 16-entry
     nibble lookup table. *)
 
-val benchmark : Workload.t
-
 (** [make ~scale] builds a scaled variant: input sizes (and the trace
-    length) grow roughly linearly with [scale]. [benchmark = make
-    ~scale:1]. Raises [Invalid_argument] on [scale < 1]. *)
+    length) grow roughly linearly with [scale]. [make ~scale:1] is
+    the entry {!Registry.all} lists. Raises [Invalid_argument] on
+    [scale < 1]. *)
 val make : scale:int -> Workload.t

@@ -122,5 +122,3 @@ let make ~scale =
     max_steps = 5_000_000 * scale;
     reference;
   }
-
-let benchmark = make ~scale:1

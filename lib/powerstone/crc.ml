@@ -94,5 +94,3 @@ let make ~scale =
     max_steps = 2_000_000 * scale;
     reference;
   }
-
-let benchmark = make ~scale:1

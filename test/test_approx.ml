@@ -239,7 +239,7 @@ let test_distinct_approx_on_powerstone () =
             Alcotest.failf "%s.%s: distinct_addrs_approx %.1f vs exact %d (%.2f%% error)"
               b.Workload.name label approx exact (100. *. err))
         [ ("i", itrace); ("d", dtrace) ])
-    Registry.all
+    (Registry.all ())
 
 (* -- the acceptance property: exact inside the bars, pooled >= 95% -- *)
 
@@ -280,7 +280,7 @@ let test_bars_cover_exact_powerstone () =
       let itrace, dtrace = Workload.traces b in
       tally_trace pooled (b.Workload.name ^ ".i") itrace;
       tally_trace pooled (b.Workload.name ^ ".d") dtrace)
-    Registry.all;
+    (Registry.all ());
   check_bool "grid evaluated" true (pooled.points > 500);
   let coverage = float_of_int pooled.covered /. float_of_int pooled.points in
   if coverage < 0.95 then

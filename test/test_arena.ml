@@ -301,6 +301,94 @@ let test_slots_dead_slot_adversary () =
         (agrees_with_oracle addrs ~max_level ~associativity:2 ~domains:3))
     [ 0; 8; -1; 70 ]
 
+(* -- the conflict-count step: C against the OCaml oracle step -- *)
+
+let mask62 = (1 lsl 62) - 1
+
+let gen_word62 = QCheck2.Gen.map (fun x -> x land mask62) QCheck2.Gen.int
+
+(* an address below 2^62, half the time with bit 61 set *)
+let gen_step_address =
+  QCheck2.Gen.map2 (fun x top -> if top then x lor (1 lsl 61) else x) gen_word62 QCheck2.Gen.bool
+
+type step_case = {
+  planes : int;
+  bits : int array;  (* per word: alive mask, [planes] planes, base address *)
+  au : int;
+  p : int;
+  next_slot : int;
+  depth : int array;  (* [planes + 3] cells, so a count past [planes] shows *)
+}
+
+let print_step_case c =
+  let ints a = String.concat ";" (Array.to_list (Array.map (Printf.sprintf "0x%x") a)) in
+  Printf.sprintf "planes %d au 0x%x p %d next_slot %d depth [%s] bits [%s]" c.planes c.au c.p
+    c.next_slot (ints c.depth) (ints c.bits)
+
+(* Random slot words: all-dead, all-alive and random alive masks; base
+   addresses equal to [au] or random, bit 61 often set; plane [l] agrees
+   with bit [l] of [au] xor the base on every slot, in half the words
+   but for sparse or random noise, so counts run from level 0 to
+   [planes]. [planes] runs from 0 through the eight levels the step
+   counts without a branch to the widest address; a long run of words
+   fills its queue of words still counting past those eight levels.
+   [p] sits at bit 0, bit 61 or anywhere in its word, and [next_slot] is
+   often on a word boundary. *)
+let gen_step_case =
+  QCheck2.Gen.(
+    let* planes = oneofl [ 0; 1; 2; 5; 6; 7; 8; 9; 61 ] in
+    let* words = frequency [ (4, int_range 1 5); (1, int_range 60 140) ] in
+    let* au = gen_step_address in
+    let gen_word =
+      let* alive = frequency [ (2, return 0); (1, return mask62); (4, gen_word62) ] in
+      let* base = oneof [ return au; gen_step_address ] in
+      let x = au lxor base in
+      let sparse = map3 (fun a b c -> a land b land c) gen_word62 gen_word62 gen_word62 in
+      let* noise =
+        oneofl [ return 0; frequency [ (4, return 0); (3, sparse); (1, gen_word62) ] ]
+      in
+      let* planes_l =
+        flatten_l
+          (List.init planes (fun l ->
+               let agree = if (x lsr l) land 1 = 1 then mask62 else 0 in
+               map (fun noise -> agree lxor noise) noise))
+      in
+      return ((alive :: planes_l) @ [ base ])
+    in
+    let* per_word = list_repeat words gen_word in
+    let* first = oneof [ return 0; int_bound (words - 1) ] in
+    let* p_bit = oneof [ return 0; return 61; int_bound 61 ] in
+    let* last = oneof [ return (words - 1); int_range first (words - 1) ] in
+    let* next_bit = oneof [ return 1; return 64; int_range 1 62 ] in
+    let p = (first * 64) + p_bit in
+    let* depth = array_repeat (planes + 3) (int_bound 1000) in
+    return
+      {
+        planes;
+        bits = Array.of_list (List.concat per_word);
+        au;
+        p;
+        next_slot = max (p + 1) ((last * 64) + next_bit);
+        depth;
+      })
+
+let word_arena a =
+  let w = Arena.word_create (Array.length a) in
+  Array.iteri (Arena.word_set w) a;
+  w
+
+let prop_step_equals_oracle =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:2000 ~name:"C count_conflicts = OCaml oracle step"
+       ~print:print_step_case gen_step_case (fun c ->
+         let stride = c.planes + 2 and bits = word_arena c.bits in
+         let depth_c = word_arena c.depth and depth_o = word_arena c.depth in
+         let r_c =
+           Arena_kernel.count_conflicts bits stride c.planes c.au c.p c.next_slot depth_c
+         in
+         let r_o = Oracle.count_conflicts bits stride c.planes c.au c.p c.next_slot depth_o in
+         r_c = r_o && depth_c = depth_o))
+
 (* -- the zero-copy guarantee -- *)
 
 let test_sharded_run_copies_no_strip () =
@@ -521,7 +609,8 @@ let suites =
         prop_slots_shard_after_compaction;
         Alcotest.test_case "dead-slot adversary" `Quick test_slots_dead_slot_adversary;
       ] );
-    ("arena-powerstone", List.map powerstone_identity_case Registry.all);
+    ("arena-step", [ prop_step_equals_oracle ]);
+    ("arena-powerstone", List.map powerstone_identity_case (Registry.all ()));
     ( "streaming:equivalence",
       [
         Alcotest.test_case "paper example" `Quick test_streaming_paper;
