@@ -435,6 +435,7 @@ type approx_result = {
   estimate_s : float;
   exact_s : float;
   sketch_state_bytes : int;
+  exact_arena_bytes : int;
   grid_points : int;
   grid_covered : int;
   mean_rate_err : float;
@@ -471,13 +472,16 @@ let approx_section () =
             let prepared = Approx_dse.prepare profile in
             (prepared, Approx_dse.table ~name:"powerlaw" prepared))
       in
-      let trace = Trace_io.load_binary_exn path in
-      let (max_level, hists), exact_s =
+      (* the exact side takes the path `dse explore` takes: one pass
+         over the same file, decode included *)
+      let exact, exact_s =
         Timing.time_wall (fun () ->
-            let astrip = Arena_kernel.of_trace trace in
-            let max_level = Arena_kernel.address_bits astrip in
-            (max_level, Arena_kernel.histograms astrip ~max_level))
+            match Analytical.stream_file ~format:`Binary path with
+            | Ok exact -> exact
+            | Error e -> failwith ("A17: exact pass failed: " ^ Dse_error.to_string e))
       in
+      let hists = exact.Analytical.histograms and exact_arena_bytes = exact.Analytical.arena_bytes in
+      let max_level = Array.length hists - 1 in
       let points = ref 0 and covered = ref 0 and rate_err_sum = ref 0. in
       for level = 0 to max_level do
         List.iter
@@ -503,8 +507,8 @@ let approx_section () =
       Format.printf "sketch pass:        %8.3f s  (%d-byte state, %.0f minor words)@." sketch_s
         sketch_state_bytes sketch_minor_words;
       Format.printf "estimate (table):   %8.3f s@." estimate_s;
-      Format.printf "exact arena:        %8.3f s  (%.1fx)@." exact_s
-        (exact_s /. (sketch_s +. estimate_s));
+      Format.printf "exact arena:        %8.3f s  (%.1fx; %d bytes of arenas)@." exact_s
+        (exact_s /. (sketch_s +. estimate_s)) exact_arena_bytes;
       Format.printf "bars cover exact:   %d/%d grid points (mean miss-rate error %.3f%%)@."
         !covered !points (100. *. mean_rate_err);
       (* the subsystem's contract: bars may be wide, not wrong, and
@@ -534,6 +538,7 @@ let approx_section () =
         estimate_s;
         exact_s;
         sketch_state_bytes;
+        exact_arena_bytes;
         grid_points = !points;
         grid_covered = !covered;
         mean_rate_err;
@@ -1370,13 +1375,15 @@ let emit_json ~fast ~samples ~large ~approx ~server ~selfheal ~supervision ~rout
         large.arena_peak_mb large.oracle_n large.mrct_words large.materialized_s
         large.oracle_arena_s large.oracle_heap_mb;
       Printf.fprintf oc
-        "  \"approx\": {\"n\": %d, \"span\": %d, \"distinct\": %.1f, \"alpha\": %.4f, \"fit_r2\": %.4f, \"sketch_wall_seconds\": %.6f, \"sketch_minor_words\": %.0f, \"estimate_wall_seconds\": %.6f, \"exact_wall_seconds\": %.6f, \"speedup\": %.1f, \"sketch_state_bytes\": %d, \"sketch_state_mb\": %.2f, \"grid_points\": %d, \"grid_covered\": %d, \"mean_rate_err\": %.6f},\n"
+        "  \"approx\": {\"n\": %d, \"span\": %d, \"distinct\": %.1f, \"alpha\": %.4f, \"fit_r2\": %.4f, \"sketch_wall_seconds\": %.6f, \"sketch_minor_words\": %.0f, \"estimate_wall_seconds\": %.6f, \"exact_wall_seconds\": %.6f, \"speedup\": %.1f, \"sketch_state_bytes\": %d, \"sketch_state_mb\": %.2f, \"exact_arena_bytes\": %d, \"exact_arena_mb\": %.2f, \"grid_points\": %d, \"grid_covered\": %d, \"mean_rate_err\": %.6f},\n"
         approx.approx_n approx.approx_span approx.approx_distinct approx.approx_alpha
         approx.approx_fit_r2 approx.sketch_s approx.sketch_minor_words approx.estimate_s
         approx.exact_s
         (approx.exact_s /. (approx.sketch_s +. approx.estimate_s))
         approx.sketch_state_bytes
         (float_of_int approx.sketch_state_bytes /. 1048576.)
+        approx.exact_arena_bytes
+        (float_of_int approx.exact_arena_bytes /. 1048576.)
         approx.grid_points approx.grid_covered approx.mean_rate_err;
       Printf.fprintf oc
         "  \"server\": {\"cold_submit_seconds\": %.6f, \"cached_submit_seconds\": %.6f, \"cache_speedup\": %.1f, \"clients\": %d, \"requests\": %d, \"throughput_rps\": %.1f, \"p50_latency_seconds\": %.6f, \"p99_latency_seconds\": %.6f},\n"

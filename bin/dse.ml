@@ -200,13 +200,24 @@ let explore_cmd =
         else Format.printf "%a@." Report.pp_approx_instances table
     end
     else begin
-      let trace = load_trace format on_error path in
+      (* one domain: decode, intern and count in one pass over the file;
+         sharding needs the whole trace for its window prologues *)
+      let stats, histograms =
+        if domains = 1 then begin
+          let s = or_exit (Analytical.stream_file ?max_level ~on_error ~format path) in
+          let ingest = s.Analytical.ingest in
+          report_skipped path ingest.Trace_io.skipped ingest.Trace_io.errors;
+          (s.Analytical.stats, s.Analytical.histograms)
+        end
+        else begin
+          let prepared = Analytical.prepare ?max_level (load_trace format on_error path) in
+          (Analytical.stats prepared, Analytical.histograms ~domains prepared)
+        end
+      in
       match k with
-      | Some k ->
-        let result = Analytical.explore ?max_level ~domains trace ~k in
-        Format.printf "%a@." Optimizer.pp result
+      | Some k -> Format.printf "%a@." Optimizer.pp (Optimizer.of_histograms ~k histograms)
       | None ->
-        let table = Analytical_dse.run ~percents ?max_level ~domains ~name trace in
+        let table = Analytical_dse.of_histograms ~percents ~name ~stats histograms in
         let table = if no_trim then table else Analytical_dse.trim table in
         if csv then print_string (Report.instances_to_csv table)
         else Format.printf "%a@." Report.pp_instances table
@@ -343,7 +354,8 @@ let synth_cmd =
   let run out refs span skew churn seed binary =
     if refs < 1 then usage_fail "refs must be >= 1";
     if span < 1 then usage_fail "span must be >= 1";
-    if not (skew >= 0.) then usage_fail "skew must be >= 0";
+    (* NaN fails this too *)
+    if not (skew > 0.) then usage_fail "skew must be > 0";
     if churn < 0. || churn > 1. then usage_fail "churn must be in [0, 1]";
     let generate = Synthetic.iter_power_law ~seed ~span ~skew ~churn ~length:refs in
     let write oc =
@@ -355,15 +367,21 @@ let synth_cmd =
             in
             Printf.fprintf oc "%c 0x%x\n" letter addr)
     in
+    let io_fail message = or_exit (Error (Trace_io.io_error out message)) in
+    let oc = try open_out_bin out with Sys_error message -> io_fail message in
     (match
-       try
-         let oc = open_out_bin out in
-         Fun.protect ~finally:(fun () -> close_out oc) (fun () -> write oc);
-         Ok ()
-       with Sys_error message -> Error (Dse_error.Io_error { file = out; message })
+       write oc;
+       close_out oc
      with
-    | Ok () -> ()
-    | Error e -> or_exit (Error e));
+    | () -> ()
+    | exception e ->
+      (* a partial trace must not pass for a whole one; only a regular
+         file is removed, never a device such as /dev/full *)
+      close_out_noerr oc;
+      (match Unix.stat out with
+      | { Unix.st_kind = Unix.S_REG; _ } -> Sys.remove out
+      | _ | (exception Unix.Unix_error _) -> ());
+      (match e with Sys_error message -> io_fail message | e -> raise e));
     Format.printf "wrote %d references to %s@." refs out
   in
   let term =

@@ -581,7 +581,7 @@ let finalize t =
 
 let of_trace ?top_k trace =
   let t = create ?top_k () in
-  Trace.iter (fun (a : Trace.access) -> add t ~addr:a.Trace.addr ~kind:a.Trace.kind) trace;
+  Trace.iter_records (add t) trace;
   finalize t
 
 let distinct_of_trace trace =

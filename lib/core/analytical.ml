@@ -24,6 +24,31 @@ let prepare ?max_level ?(line_words = 1) trace =
   in
   { arena; max_level; line_words }
 
+type streamed = {
+  stats : Stats.t;
+  histograms : int array array;
+  arena_bytes : int;
+  ingest : Trace_io.stream;
+}
+
+(* The one-pass path: each decoded address goes straight into the
+   kernel's interner and step, so neither a [Trace.t] nor the id arena
+   is built. *)
+let stream_file ?max_level ?on_error ?format path =
+  let max_level = Option.map (max 0) max_level in
+  let s = Arena_kernel.stream_create ?max_level () in
+  let sink ~addr ~kind:_ = Arena_kernel.stream_add s addr in
+  match Trace_io.iter ?on_error ?format path sink with
+  | Error _ as e -> e
+  | Ok ingest ->
+    Ok
+      {
+        stats = Arena_kernel.stream_stats s;
+        histograms = Arena_kernel.stream_histograms s;
+        arena_bytes = Arena_kernel.stream_bytes s;
+        ingest;
+      }
+
 let histograms ?cancel ?domains prepared =
   Arena_kernel.histograms ?cancel ?domains prepared.arena ~max_level:prepared.max_level
 

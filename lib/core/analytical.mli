@@ -1,10 +1,13 @@
 (** High-level entry points tying the prelude and postlude together
     (the paper's Figure 2 pipeline: strip -> MRCT/BCAT -> optimal set).
 
-    Every entry point runs the one production kernel, {!Arena_kernel}.
-    The paper-faithful path — {!Mrct}, {!Bcat}, {!Zero_one},
-    {!Dfs_optimizer} and {!Optimizer.explore} — is kept as the test
-    oracle; callers that want it build it from
+    Every entry point runs the one production kernel, {!Arena_kernel}:
+    {!stream_file} in one pass from a trace file in O(N') memory (the
+    one-domain [dse explore]), the rest on a {!prepared} strip of a
+    loaded {!Trace.t}, which sharded runs need. The paper-faithful
+    path — {!Mrct}, {!Bcat}, {!Zero_one}, {!Dfs_optimizer} and
+    {!Optimizer.explore} — is kept as the test oracle; callers that
+    want it build it from
     [Arena_kernel.to_strip (arena_strip prepared)]. *)
 
 (** The exact analysis method. One constructor: the fused kernel on
@@ -13,6 +16,36 @@
     domains, so peak {e heap} is O(1) in N. Kept as a type because it is
     the exact half of the served method field. *)
 type method_ = Arena
+
+(** {2 One pass over a trace file} *)
+
+(** What one pass computed: the statistics (N, N', address bits,
+    depth-1 miss ceiling), the per-level histograms, the off-heap bytes
+    the kernel held at the end (its peak), and the reader's
+    skipped-record summary. *)
+type streamed = {
+  stats : Stats.t;
+  histograms : int array array;
+  arena_bytes : int;
+  ingest : Trace_io.stream;
+}
+
+(** [stream_file ?max_level ?on_error ?format path] decodes
+    the trace file at [path] with {!Trace_io.iter} and feeds each
+    address straight into {!Arena_kernel}'s stream, in one pass and
+    O(N') memory: no {!Trace.t} and no id arena are built. [stats] and
+    [histograms] equal {!stats} and {!histograms} of
+    [prepare ?max_level] over the loaded trace, and read
+    errors are those of the materialising loaders. The run is
+    sequential; sharding needs {!prepare}'s random-access strip. *)
+val stream_file :
+  ?max_level:int ->
+  ?on_error:Trace_io.on_error ->
+  ?format:Trace_io.format ->
+  string ->
+  (streamed, Dse_error.t) result
+
+(** {2 The materialised prelude} *)
 
 (** The prelude result, reusable across budgets K: the off-heap arena
     strip plus the level range and line size it was built for. *)

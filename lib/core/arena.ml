@@ -49,10 +49,15 @@ let word_get (a : word) i = Bigarray.Array1.unsafe_get a i
 
 let word_set (a : word) i (v : int) = Bigarray.Array1.unsafe_set a i v
 
-(* [word_grow a len cap'] is a fresh zeroed arena of [cap'] entries with
-   the first [len] copied over — the doubling step of growable tables.
-   The copy is bigarray-to-bigarray: no boxed intermediate. *)
-let word_grow (a : word) ~len ~capacity =
-  let bigger = word_create capacity in
+(* [grow create a ~len ~capacity] is a fresh zeroed arena of [capacity]
+   entries from [create], with [a]'s first [len] copied over: the
+   doubling step of growable tables, for both widths. The copy is
+   bigarray-to-bigarray: no boxed intermediate. *)
+let grow create a ~len ~capacity =
+  let bigger = create capacity in
   Bigarray.Array1.blit (Bigarray.Array1.sub a 0 len) (Bigarray.Array1.sub bigger 0 len);
   bigger
+
+let word_grow (a : word) ~len ~capacity = grow word_create a ~len ~capacity
+
+let i32_grow (a : i32) ~len ~capacity = grow i32_create a ~len ~capacity

@@ -42,3 +42,7 @@ val word_set : word -> int -> int -> unit
     with [a]'s first [len] entries blitted in — the doubling step of the
     growable tally and unique tables, bigarray-to-bigarray. *)
 val word_grow : word -> len:int -> capacity:int -> word
+
+(** [i32_grow] is {!word_grow} for 4-byte entries: the growth step of
+    the kernel's slot maps. *)
+val i32_grow : i32 -> len:int -> capacity:int -> i32

@@ -3,19 +3,26 @@
    last-access slots, level by level, into per-level histograms. Every
    hot table is an [Arena] bigarray the GC neither scans nor copies:
 
-     ids          i32 arena, 4 B/ref   (vs 8 B boxed + GC scan)
-     uniques      word arena, 8 B/unique
+     interner     word arenas: id -> line address, 8 B/unique; an
+                  open-addressing table at most half full, 16-32 B/unique
+     ids          i32 arena, 4 B/ref, built only for sharded runs
      slot state   i32 slot -> id map, ~8 B/unique at ~2 N' slots;
                   i32 id -> slot map, 4 B/unique;
                   alive mask, base address and bit-planes,
                   8 B per 62 slots each
      tallies      word arenas, grown geometrically off-heap
 
-   The strip is built ONCE, directly from the trace — the boxed
-   line-address array, [Hashtbl], and [Strip.t] of the classic prelude
-   are never allocated — and shared by reference across shard domains:
-   each [Shard_exec] closure captures the same handles, so a sharded run
-   adds per-shard slot state (O(N')) and nothing proportional to N.
+   Two callers share one interner and one per-reference [step]:
+
+   - the stream ([stream_add]) interns each address as the trace file is
+     decoded and steps it at once, so a one-domain run holds O(N') state
+     and neither the trace nor the id arena ever exists. Its slot state
+     and tallies grow as it goes;
+   - the strip ([of_trace]) interns a whole trace into the id arena,
+     which shard windows read by reference: each [Shard_exec] closure
+     captures the same handles, so a sharded run adds per-shard slot
+     state (O(N')) and nothing proportional to N. A window creates its
+     slot state at its final size, so growth never fires there.
 
    The conflict-count step, the kernel's whole cost on most traces, is
    one C function ([count_conflicts], arena_kernel_stubs.c): a
@@ -26,15 +33,6 @@
    Outputs are bit-identical to the materialized oracle: identical
    first-occurrence id assignment, identical histogram growth/trim
    semantics. *)
-
-type strip = {
-  ids : Arena.i32;  (* per-reference unique ids, read-only after build *)
-  uniques : Arena.word;  (* id -> folded line address; first n' entries live *)
-  n : int;
-  n_unique : int;
-  address_bits : int;
-  max_misses : int;  (* depth-1 direct-mapped non-cold misses, free at build *)
-}
 
 (* Hot-path accessors duplicated from [Arena], local to this unit: the
    dev profile compiles interfaces opaquely, so a cross-module
@@ -50,14 +48,10 @@ let word_get (a : Arena.word) i : int = Bigarray.Array1.unsafe_get a i [@@inline
 
 let word_set (a : Arena.word) i (v : int) = Bigarray.Array1.unsafe_set a i v [@@inline]
 
-let num_refs s = s.n
-
-let num_unique s = s.n_unique
-
-let address_bits s = s.address_bits
+(* -- the interner ---------------------------------------------------- *)
 
 (* ids are narrowed to int32, and so are the kernel's slot indices,
-   which reach about 2 N' x 64/62 (see [slots_create]). Any trace
+   which reach about 2 N' x 64/62 (see [words_for]). Any trace
    with this many distinct lines is far past what the daemon admits, but
    the guard turns silent truncation into a typed refusal. *)
 let max_uniques = 1_000_000_000
@@ -66,115 +60,149 @@ let too_many_uniques () =
   Dse_error.fail
     (Dse_error.Constraint_violation
        {
-         context = "Arena_kernel.of_trace";
+         context = "Arena_kernel.intern";
          message =
            Printf.sprintf "more than %d unique line addresses overflow the int32 arena"
              max_uniques;
        })
 
-(* Open-addressing hash table over a word arena: slot holds id+1 (0 =
-   empty), keys compared through [uniques]. Fibonacci-style multiplicative
-   hash; power-of-two capacity kept at most half full. *)
+(* Address -> first-occurrence id, plus the trace statistics recorded as
+   it goes. An open-addressing table over a word arena: a cell holds
+   id+1 (0 = empty), keys compared through [uniques]. Fibonacci-style
+   multiplicative hash; power-of-two capacity kept at most half full. *)
+type interner = {
+  offset_bits : int;  (* word address -> line address shift *)
+  mutable uniques : Arena.word;  (* id -> line address; first [count] entries live *)
+  mutable table : Arena.word;
+  mutable table_bits : int;
+  mutable count : int;  (* N': ids handed out so far *)
+  mutable refs : int;  (* N: addresses interned so far *)
+  mutable max_address : int;
+  mutable direct_misses : int;  (* id changes, the depth-1 direct-mapped misses *)
+  mutable last_id : int;
+}
+
 let hash_mix a = a * 0x2545F4914F6CDD1D
 
-let of_trace ?(line_words = 1) trace =
+let home it a = (hash_mix a lsr (63 - it.table_bits)) land ((1 lsl it.table_bits) - 1)
+[@@inline]
+
+let interner_create ~context ~line_words ~capacity =
   if line_words < 1 || line_words land (line_words - 1) <> 0 then
-    invalid_arg "Arena_kernel.of_trace: line_words must be a positive power of two";
-  let offset_bits =
-    let rec log2 n acc = if n <= 1 then acc else log2 (n lsr 1) (acc + 1) in
-    log2 line_words 0
-  in
-  let n = Trace.length trace in
-  let ids = Arena.i32_create n in
-  let uniques = ref (Arena.word_create (min (max 16 n) 4096)) in
-  let table_bits = ref 13 in
-  let table = ref (Arena.word_create (1 lsl !table_bits)) in
-  let count = ref 0 in
-  let max_address = ref 0 in
-  let direct_misses = ref 0 in
-  let last_id = ref (-1) in
-  let pos = ref 0 in
-  let probe a =
-    let mask = (1 lsl !table_bits) - 1 in
-    let slot = ref (hash_mix a lsr (63 - !table_bits) land mask) in
-    let found = ref (-1) in
-    let stop = ref false in
-    while not !stop do
-      let entry = word_get !table !slot in
-      if entry = 0 then stop := true
-      else if word_get !uniques (entry - 1) = a then begin
-        found := entry - 1;
-        stop := true
-      end
-      else slot := (!slot + 1) land mask
+    invalid_arg (context ^ ": line_words must be a positive power of two");
+  let rec log2 n acc = if n <= 1 then acc else log2 (n lsr 1) (acc + 1) in
+  {
+    offset_bits = log2 line_words 0;
+    uniques = Arena.word_create capacity;
+    table = Arena.word_create (1 lsl 13);
+    table_bits = 13;
+    count = 0;
+    refs = 0;
+    max_address = 0;
+    direct_misses = 0;
+    last_id = -1;
+  }
+
+let rehash it =
+  it.table_bits <- it.table_bits + 1;
+  let table = Arena.word_create (1 lsl it.table_bits) in
+  let mask = (1 lsl it.table_bits) - 1 in
+  for id = 0 to it.count - 1 do
+    let slot = ref (home it (word_get it.uniques id)) in
+    while word_get table !slot <> 0 do
+      slot := (!slot + 1) land mask
     done;
-    (!found, !slot)
+    word_set table !slot (id + 1)
+  done;
+  it.table <- table
+
+(* The next id, for line address [a] found missing at table cell [slot]. *)
+let add_unique it a slot =
+  let id = it.count in
+  if id > max_uniques then too_many_uniques ();
+  if id = Arena.word_length it.uniques then
+    it.uniques <- Arena.word_grow it.uniques ~len:id ~capacity:(2 * id);
+  word_set it.uniques id a;
+  word_set it.table slot (id + 1);
+  it.count <- id + 1;
+  if a > it.max_address then it.max_address <- a;
+  if 2 * it.count >= 1 lsl it.table_bits then rehash it;
+  id
+
+(* [intern it raw] is the id of word address [raw]'s line, a fresh one
+   on its first occurrence. Addresses are never negative (every reader
+   rejects them), and folding by [offset_bits] preserves the sign, so no
+   per-element validity check is needed here. Allocates nothing. *)
+let intern it raw =
+  let a = raw lsr it.offset_bits in
+  let table = it.table and uniques = it.uniques in
+  let mask = (1 lsl it.table_bits) - 1 in
+  let slot = ref (home it a) in
+  let id = ref (-1) in
+  while !id < 0 do
+    let entry = word_get table !slot in
+    if entry = 0 then id := add_unique it a !slot
+    else if word_get uniques (entry - 1) = a then id := entry - 1
+    else slot := (!slot + 1) land mask
+  done;
+  let id = !id in
+  it.refs <- it.refs + 1;
+  if id <> it.last_id then it.direct_misses <- it.direct_misses + 1;
+  it.last_id <- id;
+  id
+
+(* bits needed for [v]; at least 1 *)
+let bits_of v =
+  let rec bits v acc = if v = 0 then max acc 1 else bits (v lsr 1) (acc + 1) in
+  bits v 0
+
+let interner_stats it =
+  {
+    Stats.n = it.refs;
+    n_unique = it.count;
+    address_bits = bits_of it.max_address;
+    max_misses = max 0 (it.direct_misses - it.count);
+  }
+
+(* -- the strip: a whole trace interned into the id arena -------------- *)
+
+type strip = {
+  ids : Arena.i32;  (* per-reference unique ids, read-only after build *)
+  uniques : Arena.word;  (* id -> folded line address; first n' entries live *)
+  stats : Stats.t;  (* recorded during the build *)
+}
+
+let num_refs s = s.stats.Stats.n
+
+let num_unique s = s.stats.Stats.n_unique
+
+let address_bits s = s.stats.Stats.address_bits
+
+let of_trace ?(line_words = 1) trace =
+  let n = Trace.length trace in
+  let it =
+    interner_create ~context:"Arena_kernel.of_trace" ~line_words
+      ~capacity:(min (max 16 n) 4096)
   in
-  let rehash () =
-    table_bits := !table_bits + 1;
-    table := Arena.word_create (1 lsl !table_bits);
-    for id = 0 to !count - 1 do
-      let _, slot = probe (word_get !uniques id) in
-      word_set !table slot (id + 1)
-    done
-  in
-  (* Trace.add already rejected negative addresses, and folding by
-     [offset_bits] preserves the sign, so no per-element validity check
-     is needed here. *)
+  let ids = Arena.i32_create n in
   Trace.iter_addrs
     (fun raw ->
-      let a = raw lsr offset_bits in
-      let id =
-        match probe a with
-        | id, _ when id >= 0 -> id
-        | _, slot ->
-          if !count > max_uniques then too_many_uniques ();
-          let id = !count in
-          if id = Arena.word_length !uniques then
-            uniques :=
-              Arena.word_grow !uniques ~len:id ~capacity:(2 * Arena.word_length !uniques);
-          word_set !uniques id a;
-          word_set !table slot (id + 1);
-          incr count;
-          if a > !max_address then max_address := a;
-          if 2 * !count >= 1 lsl !table_bits then rehash ();
-          id
-      in
-      i32_set ids !pos id;
-      if id <> !last_id then incr direct_misses;
-      last_id := id;
-      incr pos)
+      let id = intern it raw in
+      i32_set ids (it.refs - 1) id)
     trace;
-  let address_bits =
-    let rec bits v acc = if v = 0 then max acc 1 else bits (v lsr 1) (acc + 1) in
-    bits !max_address 0
-  in
-  {
-    ids;
-    uniques = !uniques;
-    n;
-    n_unique = !count;
-    address_bits;
-    max_misses = max 0 (!direct_misses - !count);
-  }
+  { ids; uniques = it.uniques; stats = interner_stats it }
 
 (* O(1) from fields recorded during the build: no trace re-scan, no
    boxed strip — the admission and reporting path for [--method arena]. *)
-let stats s =
-  {
-    Stats.n = s.n;
-    n_unique = s.n_unique;
-    address_bits = s.address_bits;
-    max_misses = s.max_misses;
-  }
+let stats s = s.stats
 
 (* Boxed view for the materializing oracle and the Table-4 printers.
    Identical to [Strip.strip] by construction: ids are assigned in
    first-occurrence order in both builders. *)
 let to_strip s =
   {
-    Strip.uniques = Array.init s.n_unique (Arena.word_get s.uniques);
-    ids = Array.init s.n (Arena.i32_get s.ids);
+    Strip.uniques = Array.init (num_unique s) (Arena.word_get s.uniques);
+    ids = Array.init (num_refs s) (Arena.i32_get s.ids);
   }
 
 (* -- the fused kernel -------------------------------------------------- *)
@@ -198,14 +226,18 @@ let to_strip s =
    where planes [0 .. l-1] agree with [u]'s address xor [c]: one AND per
    plane and one popcount per level.
 
-   Dead slots are not reused; [compact] squeezes them out in order. *)
+   Dead slots are not reused; [compact] squeezes them out in order. The
+   state grows in three ways, all of which a window, created at its
+   final size, never triggers: [slot_of] doubles when an id outgrows it,
+   a compaction widens the capacity to about 2 N', and [add_planes]
+   appends planes when the widest address gains a bit. *)
 type slots = {
-  id_of : Arena.i32;  (* slot -> id, meaningful for alive slots *)
-  slot_of : Arena.i32;  (* id -> last-access slot *)
-  bits : Arena.word;
-  planes : int;
-  stride : int;
-  words : int;  (* capacity, in words: about 2 N' slots, always above N' *)
+  mutable id_of : Arena.i32;  (* slot -> id, meaningful for alive slots *)
+  mutable slot_of : Arena.i32;  (* id -> last-access slot *)
+  mutable bits : Arena.word;
+  mutable planes : int;
+  mutable stride : int;
+  mutable words : int;  (* capacity, in words: about 2 N' slots, always above N' *)
   mutable next_slot : int;
   mutable first_dead : int;  (* lowest word holding a dead slot; [words] if none *)
   mutable dead_scanned : int;  (* all-dead words scanned since the last compaction *)
@@ -230,22 +262,28 @@ let log2_of_pow2 =
   done;
   Bytes.unsafe_to_string t
 
-(* Planes stop below the top address bit: two distinct addresses that
-   agree on every lower bit differ there, so that plane would only ever
-   empty the count after the deepest level with a conflict. They also
-   stop at [max_level]: that level is recorded and the count stops.
+(* One plane per address bit, up to [max_level]: level [max_level] is
+   recorded and the count stops there. The top plane never narrows a
+   count to a nonempty set (two distinct addresses that agree on every
+   lower bit differ there), so a window, which knows its widest address
+   up front, drops it. A stream keeps it: then every address seen lies
+   below 2^planes when planes are not capped, so a plane added for a
+   new top bit is zero in every live slot.
    Capacity is about 2 N' slots, so a compaction that moves every alive
    slot comes at most once per N' references, but never fewer than
    [min_words] words: a trace over a few dozen lines would otherwise
    compact every few dozen references. *)
 let min_words = 16
 
-let slots_create s ~max_level =
-  let planes = min max_level (s.address_bits - 1) in
-  let words = max min_words (((2 * s.n_unique) + slots_per_word - 1) / slots_per_word) in
+let planes_for ~max_level ~address_bits = min max_level address_bits
+
+let words_for n_unique = max min_words (((2 * n_unique) + slots_per_word - 1) / slots_per_word)
+
+let slots_create ~n_unique ~planes =
+  let words = words_for n_unique in
   {
     id_of = Arena.i32_create (words * 64);
-    slot_of = Arena.i32_create s.n_unique;
+    slot_of = Arena.i32_create n_unique;
     bits = Arena.word_create (words * (planes + 2));
     planes;
     stride = planes + 2;
@@ -254,6 +292,27 @@ let slots_create s ~max_level =
     first_dead = words;
     dead_scanned = 0;
   }
+
+(* Words in use: every word past the one holding [next_slot - 1] is
+   all zero. *)
+let words_used st = (st.next_slot + 63) lsr 6
+
+(* Re-lay [bits] with [planes] planes per word: the alive masks and the
+   existing planes move over, the new planes stay zero, and nothing is
+   recounted. *)
+let add_planes st planes =
+  let stride = planes + 2 in
+  let bits = Arena.word_create (st.words * stride) in
+  for w = 0 to words_used st - 1 do
+    let src = w * st.stride and dst = w * stride in
+    for i = 0 to st.planes do
+      word_set bits (dst + i) (word_get st.bits (src + i))
+    done;
+    word_set bits (dst + stride - 1) (word_get st.bits (src + st.stride - 1))
+  done;
+  st.bits <- bits;
+  st.planes <- planes;
+  st.stride <- stride
 
 (* Mark [slot] alive and OR the one-bits of address [a] xor the word's
    base into its planes, which are clear: a slot is written once between
@@ -289,11 +348,19 @@ let kill st slot =
 
 (* Squeeze the dead slots out, preserving order, from the first word
    that holds one, so a long-lived prefix never moves; the moved slots'
-   bits are rebuilt from their addresses. Plain loops over the arenas,
-   with no sub-array proxy and no closure, so a compaction allocates
-   nothing. *)
-let compact st uniques =
-  let from = min st.first_dead (st.next_slot lsr 6) and stop = (st.next_slot + 63) lsr 6 in
+   bits are rebuilt from their addresses. First the capacity widens to
+   about 2 [n_unique] slots if it is below that. Plain loops over the
+   arenas, with no sub-array proxy and no closure, so a compaction that
+   does not widen allocates nothing. *)
+let compact st uniques ~n_unique =
+  let target = words_for n_unique in
+  if target > st.words then begin
+    let used = words_used st in
+    st.id_of <- Arena.i32_grow st.id_of ~len:(used * 64) ~capacity:(target * 64);
+    st.bits <- Arena.word_grow st.bits ~len:(used * st.stride) ~capacity:(target * st.stride);
+    st.words <- target
+  end;
+  let from = min st.first_dead (st.next_slot lsr 6) and stop = words_used st in
   let dst = ref (from * 64) in
   for w = from to stop - 1 do
     let alive = word_get st.bits (w * st.stride) in
@@ -316,14 +383,16 @@ let compact st uniques =
   done;
   st.next_slot <- !dst;
   st.first_dead <- st.words;
-  st.dead_scanned <- 0
+  st.dead_scanned <- 0;
+  (* every arena access is unchecked, so check the capacity here, once
+     per compaction: [words_for] leaves about N' free slots *)
+  if st.next_slot >= st.words * 64 then failwith "Arena_kernel.compact: slot capacity below N'"
 
 (* Two rules keep scans short. A full slot array must compact. So must a
    run of dead words: once the all-dead words scanned since the last
    compaction outnumber the words in use, scanning them again would cost
    more than squeezing them out. *)
-let needs_compaction st =
-  st.next_slot = st.words * 64 || st.dead_scanned > (st.next_slot + 63) lsr 6
+let needs_compaction st = st.next_slot = st.words * 64 || st.dead_scanned > words_used st
 
 (* Count one warm occurrence of [u], last seen in slot [p], into
    [depth_count]: level [l] gets the alive slots after [p] whose
@@ -346,12 +415,13 @@ external count_conflicts :
 
 (* Growable per-level histograms in word arenas; growth and trim match
    [Dfs_optimizer] exactly so kernel and oracle stay bit-identical.
-   [max_c] is on-heap control state (levels+1 small ints), not data. *)
+   [max_c] is on-heap control state (levels+1 small ints), not data.
+   [add_levels] appends empty levels as a stream's planes grow. *)
 type tally = {
-  hists : Arena.word array;
-  max_c : int array;
-  depth_count : Arena.word;
-  max_level : int;
+  mutable hists : Arena.word array;
+  mutable max_c : int array;
+  mutable depth_count : Arena.word;  (* zero between steps *)
+  mutable max_level : int;
 }
 
 let tally_create max_level =
@@ -362,6 +432,14 @@ let tally_create max_level =
     depth_count = Arena.word_create (max_level + 1);
     max_level;
   }
+
+let add_levels t max_level =
+  let old = t.max_level in
+  t.hists <-
+    Array.init (max_level + 1) (fun l -> if l <= old then t.hists.(l) else Arena.word_create 1);
+  t.max_c <- Array.init (max_level + 1) (fun l -> if l <= old then t.max_c.(l) else 0);
+  t.depth_count <- Arena.word_grow t.depth_count ~len:(old + 1) ~capacity:(max_level + 1);
+  t.max_level <- max_level
 
 let record t level c =
   let h = t.hists.(level) in
@@ -402,18 +480,53 @@ let merge_tallies ~max_level parts =
         parts;
       merged)
 
+(* Record levels [0 .. top] of [depth_count] and clear them. The level
+   counts are nonincreasing in l, so every level up to [top] records a
+   nonzero count: the same (level, count) pairs as a suffix sum over the
+   conflicts' shared levels. Kept out of [step] so that its body has no
+   loop and it inlines (without flambda, a loop stops inlining). *)
+let record_levels t top =
+  let depth_count = t.depth_count in
+  for l = 0 to top do
+    record t l (word_get depth_count l);
+    word_set depth_count l 0
+  done
+
+(* The kernel's per-reference step, shared by windows and the stream:
+   one reference of id [u], where [seen] is the count of distinct ids
+   met before it. No membership set is needed: ids are assigned in
+   first-occurrence order, so the reference is warm exactly when
+   [u < seen] (and cold when [u = seen]). A warm one records its
+   conflict counts and kills its old slot; either way it takes the next
+   slot, after a compaction if one is due. *)
+let step st t uniques ~seen u =
+  if u < seen then begin
+    let p = i32_get st.slot_of u in
+    let r =
+      count_conflicts st.bits st.stride st.planes (word_get uniques u) p st.next_slot
+        t.depth_count
+    in
+    st.dead_scanned <- st.dead_scanned + (r lsr 6);
+    record_levels t ((r land 63) - 1);
+    kill st p
+  end
+  else if u = Bigarray.Array1.dim st.slot_of then
+    st.slot_of <- Arena.i32_grow st.slot_of ~len:u ~capacity:(2 * u);
+  if needs_compaction st then compact st uniques ~n_unique:(max seen (u + 1));
+  place st uniques u
+[@@inline]
+
 (* One trace window [lo, hi). The prologue builds the slot state at
    [lo] straight from last-access order in O(lo + N'): one pass records
    each id's last position in [0, lo) (in [slot_of]), a second places
-   the ids in the order of those positions. No membership set is
-   needed: [of_trace] assigns ids in first-occurrence order, so a
-   reference is cold exactly when its id equals [seen], the count of
-   distinct ids met so far, and warm exactly when [u < seen]. Warm
-   occurrences partition by position, so summing window tallies is
-   exact. *)
+   the ids in the order of those positions. Warm occurrences partition
+   by position, so summing window tallies is exact. *)
 let window_tally ?(cancel = Cancel.none) s ~max_level ~lo ~hi =
   let t = tally_create max_level in
-  let st = slots_create s ~max_level in
+  let st =
+    slots_create ~n_unique:(num_unique s)
+      ~planes:(planes_for ~max_level ~address_bits:(address_bits s - 1))
+  in
   let ids = s.ids and uniques = s.uniques and slot_of = st.slot_of in
   let seen = ref 0 in
   for j = 0 to lo - 1 do
@@ -427,30 +540,11 @@ let window_tally ?(cancel = Cancel.none) s ~max_level ~lo ~hi =
     let u = i32_get ids j in
     if i32_get slot_of u = j then place st uniques u
   done;
-  let depth_count = t.depth_count in
   for j = lo to hi - 1 do
     if j land Cancel.poll_mask = 0 then Cancel.check cancel;
     let u = i32_get ids j in
-    if u < !seen then begin
-      let p = i32_get slot_of u in
-      (* the level counts are nonincreasing in l, so every level up to
-         [top] records a nonzero count: the same (level, count) pairs as
-         a suffix sum over the conflicts' shared levels *)
-      let r =
-        count_conflicts st.bits st.stride st.planes (word_get uniques u) p st.next_slot
-          depth_count
-      in
-      st.dead_scanned <- st.dead_scanned + (r lsr 6);
-      let top = (r land 63) - 1 in
-      for l = 0 to top do
-        record t l (word_get depth_count l);
-        word_set depth_count l 0
-      done;
-      kill st p
-    end
-    else incr seen;
-    if needs_compaction st then compact st uniques;
-    place st uniques u
+    step st t uniques ~seen:!seen u;
+    if u = !seen then incr seen
   done;
   t
 
@@ -463,7 +557,7 @@ let min_shard_refs = 65536
 
 let histograms ?(cancel = Cancel.none) ?(domains = 1) ?(shard_threshold = min_shard_refs) s
     ~max_level =
-  let n = s.n in
+  let n = num_refs s in
   let domains = max 1 domains in
   if domains = 1 || n < domains * shard_threshold then
     tally_finish (window_tally ~cancel s ~max_level ~lo:0 ~hi:n)
@@ -494,3 +588,59 @@ let misses ?cancel ?domains ?shard_threshold s ~level ~associativity =
   if level < 0 then invalid_arg "Arena_kernel.misses: negative level";
   let hists = histograms ?cancel ?domains ?shard_threshold s ~max_level:level in
   Optimizer.misses_of_histogram hists.(level) ~associativity
+
+(* -- the stream: intern and step each address as it arrives ----------- *)
+
+(* The level range is [min cap bits], with [bits] the width of the
+   widest line address so far; the planes and the tally levels grow
+   with it. *)
+type stream = {
+  interner : interner;
+  slots : slots;
+  tally : tally;
+  cap : int;  (* the [max_level] cap; [max_int] when unset *)
+  mutable bits : int;
+}
+
+let stream_create ?(line_words = 1) ?max_level () =
+  let cap =
+    match max_level with
+    | None -> max_int
+    | Some m when m < 0 -> invalid_arg "Arena_kernel: negative max_level"
+    | Some m -> m
+  in
+  let levels = planes_for ~max_level:cap ~address_bits:1 in
+  {
+    interner = interner_create ~context:"Arena_kernel.stream_create" ~line_words ~capacity:4096;
+    slots = slots_create ~n_unique:0 ~planes:levels;
+    tally = tally_create levels;
+    cap;
+    bits = 1;
+  }
+
+(* A new widest address: more planes and levels, if the cap allows. *)
+let widen s a =
+  s.bits <- bits_of a;
+  let levels = planes_for ~max_level:s.cap ~address_bits:s.bits in
+  if levels > s.tally.max_level then begin
+    add_planes s.slots levels;
+    add_levels s.tally levels
+  end
+
+let stream_add s raw =
+  let it = s.interner in
+  let seen = it.count in
+  let u = intern it raw in
+  if u = seen && word_get it.uniques u lsr s.bits <> 0 then widen s (word_get it.uniques u);
+  step s.slots s.tally it.uniques ~seen u
+
+let stream_stats s = interner_stats s.interner
+
+let stream_histograms s = tally_finish s.tally
+
+let stream_bytes s =
+  let bytes = Bigarray.Array1.size_in_bytes in
+  let it = s.interner and st = s.slots and t = s.tally in
+  bytes it.uniques + bytes it.table + bytes st.id_of + bytes st.slot_of + bytes st.bits
+  + bytes t.depth_count
+  + Array.fold_left (fun acc h -> acc + bytes h) 0 t.hists

@@ -21,10 +21,11 @@
     Every hot table lives in {!Arena} bigarrays the GC neither scans,
     copies, nor counts in [top_heap_words]:
 
-    - the strip (per-reference ids + unique line addresses) is built
-      {e directly from the trace} — the boxed line-address array,
-      [Hashtbl], and [Strip.t] of the classic prelude never exist — and
-      is shared by reference across shard domains;
+    - the interner: line address -> id in first-occurrence order
+      (identical to {!Strip.strip}), in an open-addressing table, with
+      N, N', the address width and the depth-1 miss count recorded as it
+      goes. The boxed line-address array, [Hashtbl], and [Strip.t] of
+      the classic prelude never exist;
     - the slot state: a slot -> id map over about 2 N' slots, an
       id -> slot map, and the alive masks, base addresses and
       bit-planes. A warm
@@ -40,9 +41,18 @@
       arenas merged straight into the final histograms, no intermediate
       per-shard arrays.
 
-    Per-reference footprint drops from ~50 B (boxed trace + strip +
-    recency, all GC-scanned) to 4 B of ids plus O(N') side state, which
-    is what makes 10^9-reference traces representable.
+    One per-reference step (count conflicts, record, kill, compact,
+    place) serves two callers:
+
+    - the {e stream} ({!stream_create}, {!stream_add}) interns each
+      address as it arrives, for instance from {!Trace_io.iter}, and
+      steps it at once. It holds O(N') state: no trace and no id arena.
+      Its slot state grows as N' does (the capacity to about 2 N' at a
+      compaction; one zero bit-plane and one empty tally level when the
+      widest address gains a bit), and nothing is ever recounted. This
+      is the one-domain [dse explore];
+    - the {e strip} ({!of_trace}) interns a whole trace into a 4 B/ref
+      id arena that shard windows read by reference ({!histograms}).
 
     [domains > 1] shards the {e trace} into per-domain windows. Each
     shard rebuilds the slot state at the start [lo] of its window from
@@ -60,13 +70,13 @@
     domains: after {!of_trace} returns it is never written again. *)
 type strip
 
-(** [of_trace ?line_words trace] strips in one pass: folds word
-    addresses to line addresses ([line_words] default 1, must be a power
-    of two), assigns ids in first-occurrence order (identical to
-    {!Strip.strip}), and records the depth-1 direct-mapped miss count
-    and address width as it goes. Raises a typed
-    {!Dse_error.Constraint_violation} if the unique count overflows the
-    int32 id arena. *)
+(** [of_trace ?line_words trace] interns every address of [trace] into
+    the id arena: folds word addresses to line addresses ([line_words]
+    default 1, must be a power of two), assigns ids in first-occurrence
+    order (identical to {!Strip.strip}), and records the depth-1
+    direct-mapped miss count and address width as it goes. Raises a
+    typed {!Dse_error.Constraint_violation} if the unique count
+    overflows the int32 id arena. *)
 val of_trace : ?line_words:int -> Trace.t -> strip
 
 val num_refs : strip -> int
@@ -154,3 +164,35 @@ val misses :
   level:int ->
   associativity:int ->
   int
+
+(** {2 The stream} *)
+
+(** A one-pass exact analysis in progress: the interner, growable slot
+    state and tallies. O(N') memory whatever N is. *)
+type stream
+
+(** [stream_create ?line_words ?max_level ()] is an empty stream.
+    [line_words] is as for {!of_trace}. [max_level] caps the levels
+    counted; the final level range is [min max_level address_bits], as
+    {!Analytical.prepare} clamps it (default: the address bits). Raises
+    [Invalid_argument] on a negative [max_level] or a bad
+    [line_words]. *)
+val stream_create : ?line_words:int -> ?max_level:int -> unit -> stream
+
+(** [stream_add s addr] interns word address [addr] (never negative) and
+    counts it, allocating nothing unless a table grows. *)
+val stream_add : stream -> int -> unit
+
+(** [stream_stats s] is the statistics of the addresses added so far,
+    equal to {!stats} of {!of_trace} over them. *)
+val stream_stats : stream -> Stats.t
+
+(** [stream_histograms s] is the histograms of the addresses added so
+    far: [histograms (of_trace t) ~max_level:(min max_level
+    address_bits)] for the trace [t] of those addresses, bit for bit. *)
+val stream_histograms : stream -> int array array
+
+(** [stream_bytes s] is the off-heap bytes the stream's arenas hold.
+    They only grow, so after the last {!stream_add} this is their
+    peak. *)
+val stream_bytes : stream -> int

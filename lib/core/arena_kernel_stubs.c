@@ -11,7 +11,7 @@
    The result packs two counts: [dead * 64 + (top + 1)], where [top] is
    the deepest level counted (-1 when no slot is counted) and [dead] the
    number of all-dead words scanned. [top + 1] is at most [planes] + 1,
-   and [planes] stays below the 62-bit address width, so it fits in the
+   and [planes] is at most the 62-bit address width, so it fits in the
    low six bits.
 
    The step reads and writes only the two bigarrays' data, raises

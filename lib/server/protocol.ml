@@ -196,9 +196,7 @@ let encode_query buf = function
 
 let encode_trace buf trace =
   Wire.put_varint buf (Trace.length trace);
-  Trace.iter
-    (fun (a : Trace.access) -> Wire.put_record buf ~addr:a.Trace.addr ~kind:a.Trace.kind)
-    trace
+  Trace.iter_records (Wire.put_record buf) trace
 
 let encode_request buf = function
   | Submit { name; trace; query; method_; domains; max_level; deadline } ->

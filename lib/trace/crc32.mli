@@ -1,4 +1,4 @@
-(** CRC-32 (IEEE 802.3, polynomial 0xEDB88320), byte-at-a-time.
+(** CRC-32 (IEEE 802.3, polynomial 0xEDB88320), eight bytes at a time.
 
     Seals every framed binary format (see {!Wire}): the CRC footer of a
     trace file, a protocol frame or a WAL record covers every preceding

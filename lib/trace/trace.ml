@@ -68,6 +68,11 @@ let iter_addrs f t =
     f (Array.unsafe_get t.addrs i)
   done
 
+let iter_records f t =
+  for i = 0 to t.len - 1 do
+    f ~addr:(Array.unsafe_get t.addrs i) ~kind:(kind_of_char (Bytes.unsafe_get t.kinds i))
+  done
+
 let fold f init t =
   let acc = ref init in
   iter (fun a -> acc := f !acc a) t;
@@ -121,13 +126,20 @@ let fnv_prime = 0x100000001b3L
 
 let fingerprint_init = fnv_offset
 
-let fingerprint_add h v =
-  let h = ref h in
-  for shift = 0 to 7 do
-    let byte = (v lsr (8 * shift)) land 0xFF in
-    h := Int64.mul (Int64.logxor !h (Int64.of_int byte)) fnv_prime
-  done;
-  !h
+(* Straight-line and inlined, so a fold over a trace keeps the hash in
+   a register: the loop form boxed two int64s per address. *)
+let[@inline] fnv_byte h v shift =
+  Int64.mul (Int64.logxor h (Int64.of_int ((v lsr shift) land 0xFF))) fnv_prime
+
+let[@inline] fingerprint_add h v =
+  let h = fnv_byte h v 0 in
+  let h = fnv_byte h v 8 in
+  let h = fnv_byte h v 16 in
+  let h = fnv_byte h v 24 in
+  let h = fnv_byte h v 32 in
+  let h = fnv_byte h v 40 in
+  let h = fnv_byte h v 48 in
+  fnv_byte h v 56
 
 let fingerprint_finish h ~len = fingerprint_add h len
 

@@ -38,6 +38,11 @@ val iteri : (int -> access -> unit) -> t -> unit
     materialising access records or an address array — the zero-copy
     input loop of the arena strip builder. *)
 val iter_addrs : (int -> unit) -> t -> unit
+
+(** [iter_records f t] calls [f ~addr ~kind] for every access in order,
+    the shape of {!add} and of every record sink, without allocating an
+    access record per element. *)
+val iter_records : (addr:int -> kind:kind -> unit) -> t -> unit
 val fold : ('a -> access -> 'a) -> 'a -> t -> 'a
 
 (** [of_list accesses] builds a trace from a list. *)

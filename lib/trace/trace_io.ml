@@ -187,7 +187,7 @@ let write_binary_stream channel ~length produce =
 
 let write_binary channel trace =
   write_binary_stream channel ~length:(Trace.length trace) (fun emit ->
-      Trace.iter (fun (a : Trace.access) -> emit ~addr:a.Trace.addr ~kind:a.Trace.kind) trace)
+      Trace.iter_records emit trace)
 
 let scan_binary ~on_error ~file channel sink =
   let size = try Some (in_channel_length channel - pos_in channel) with Sys_error _ -> None in

@@ -5,7 +5,14 @@
     [Failure] or [End_of_file]. Readers also support a lenient
     ingestion mode ({!on_error}) that skips malformed records, counts
     them, and reports the earliest few, for salvaging real-world traces
-    with isolated damage. *)
+    with isolated damage.
+
+    Each format has one parser, which feeds a sink. The materialising
+    readers ([load], [load_binary], [load_dinero]) make the sink append
+    to a {!Trace.t}; {!iter} hands the sink to its caller, which is how
+    exact [dse explore] ([Analytical.stream_file]) and the approximate
+    plane read a file in one pass without holding the trace. Both give
+    the same records, skipped-record summaries and errors. *)
 
 (** What to do when a malformed line/record is encountered:
     - [Fail] (the default): return the first error;
@@ -95,10 +102,9 @@ val load_dinero : ?on_error:on_error -> string -> (ingest, Dse_error.t) result
 
     The memory-honest ingestion path: every well-formed access is handed
     to a sink callback in file order and nothing is retained — no boxed
-    address array, no {!Trace.t}. This is what [dse explore --approx]
-    and [dse stats --approx] feed their sketches from, which is the
-    whole reason a 10^8-reference trace fits in O(kilobytes) of analysis
-    state. Error handling (lenient modes, typed failures, CRC checking
+    address array, no {!Trace.t}. One-domain exact [dse explore] feeds
+    the arena kernel's interner and step from it, in O(N') memory;
+    [dse explore --approx] feeds its sketch, in O(kilobytes). Error handling (lenient modes, typed failures, CRC checking
     for the binary format) is byte-for-byte the same machinery as the
     materialising readers — the parsers are shared. *)
 
@@ -121,6 +127,11 @@ val iter :
   string ->
   (addr:int -> kind:Trace.kind -> unit) ->
   (stream, Dse_error.t) result
+
+(** [io_error path message] is the typed error for a [Sys_error]
+    [message] raised on [path], with the path that [Sys_error] messages
+    may lead with stripped, so it is printed once. *)
+val io_error : string -> string -> Dse_error.t
 
 (** {2 Raising conveniences}
 

@@ -24,13 +24,29 @@ let put_byte w b =
   Bytes.set_uint8 w.bytes w.pos b;
   w.pos <- w.pos + 1
 
-let rec put_varint w v =
+let rec put_varint_slow w v =
   if v < 0 then invalid_arg "Wire: negative varint"
   else if v < 0x80 then put_byte w v
   else begin
     put_byte w (v land 0x7F lor 0x80);
-    put_varint w (v lsr 7)
+    put_varint_slow w (v lsr 7)
   end
+
+(* A non-negative int is at most 9 varint bytes; with that much room the
+   bytes go straight into the buffer. Near the end (an exact-size
+   [frame]) the byte-at-a-time form keeps [ensure] from growing it. *)
+let put_varint w v =
+  if v >= 0 && w.pos + 9 <= Bytes.length w.bytes then begin
+    let b = w.bytes and pos = ref w.pos and v = ref v in
+    while !v >= 0x80 do
+      Bytes.unsafe_set b !pos (Char.unsafe_chr (!v land 0x7F lor 0x80));
+      incr pos;
+      v := !v lsr 7
+    done;
+    Bytes.unsafe_set b !pos (Char.unsafe_chr !v);
+    w.pos <- !pos + 1
+  end
+  else put_varint_slow w v
 
 let rec varint_size v =
   if v < 0 then invalid_arg "Wire: negative varint"
@@ -160,7 +176,19 @@ let rec varint_from r start shift acc =
   else if b land 0x80 = 0 then acc
   else varint_from r start (shift + 7) acc
 
-let varint r = varint_from r (offset r) 0 0
+(* [varint_from] without the refill check, for a varint whose 9
+   possible bytes are all in the window; same errors, same [pos]. *)
+let rec varint_in r start shift acc =
+  if shift > 56 then raise (Malformed (start, "varint wider than 63 bits"));
+  let b = Bytes.get_uint8 r.buf r.pos in
+  r.pos <- r.pos + 1;
+  let acc = acc lor ((b land 0x7F) lsl shift) in
+  if acc < 0 then raise (Malformed (start, "varint overflows the address space"))
+  else if b land 0x80 = 0 then acc
+  else varint_in r start (shift + 7) acc
+
+let varint r =
+  if r.len - r.pos >= 9 then varint_in r (offset r) 0 0 else varint_from r (offset r) 0 0
 
 let fits ?(reserve = 0) r n = n <= remaining r - reserve
 

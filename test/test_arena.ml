@@ -459,6 +459,206 @@ let test_arena_cancellation () =
   | exception Dse_error.Error (Dse_error.Deadline_exceeded _) -> ()
   | _ -> Alcotest.fail "already-cancelled token did not stop the kernel"
 
+(* -- the one-pass stream against the strip --
+
+   [Arena_kernel.stream_add] interns and steps each address as it
+   arrives, growing its slot state and tallies; it must give exactly the
+   statistics and histograms of [of_trace] + [histograms] at the level
+   range [min max_level address_bits]. *)
+
+(* the level cap, relative to the trace's address bits: unset, 0,
+   below them and above them *)
+type level_cap = Unset | Zero | Below | Above
+
+let cap_level cap ~bits =
+  match cap with
+  | Unset -> None
+  | Zero -> Some 0
+  | Below -> Some (bits / 2)
+  | Above -> Some (bits + 5)
+
+let streamed ?max_level ~line_words addrs =
+  let s = Arena_kernel.stream_create ~line_words ?max_level () in
+  Array.iter (Arena_kernel.stream_add s) addrs;
+  (Arena_kernel.stream_stats s, Arena_kernel.stream_histograms s)
+
+let stream_equals_strip ~line_words ~cap addrs =
+  let strip = Arena_kernel.of_trace ~line_words (Trace.of_addresses addrs) in
+  let bits = Arena_kernel.address_bits strip in
+  let max_level = cap_level cap ~bits in
+  let levels = match max_level with None -> bits | Some m -> min m bits in
+  streamed ?max_level ~line_words addrs
+  = (Arena_kernel.stats strip, Arena_kernel.histograms strip ~max_level:levels)
+
+(* N' climbing from 1 past several capacity doublings (16 words hold 992
+   slots): every third reference re-touches an older line *)
+let gen_growing_uniques =
+  QCheck2.Gen.(
+    let* n = int_range 3000 9000 in
+    let* back = int_range 2 50 in
+    return (Array.init n (fun i -> if i mod 3 = 2 then scatter (i / back) else scatter i)))
+
+(* thousands of references over narrow addresses, then wider ones that
+   arrive late: each adds planes and levels to a stream already full of
+   live slots *)
+let gen_late_wide_address =
+  QCheck2.Gen.(
+    let* prefix = int_range 1000 5000 in
+    let* lines = int_range 1 200 in
+    let* widths = list_size (int_range 1 3) (int_range 9 61) in
+    let* tail = int_range 1 2000 in
+    let wide = Array.of_list (List.map (fun w -> (1 lsl (w - 1)) + w) widths) in
+    let n_wide = Array.length wide in
+    let arrive = Array.init n_wide (fun i -> prefix + (i * tail / n_wide)) in
+    return
+      (Array.init (prefix + tail) (fun i ->
+           let latest = ref (-1) in
+           Array.iteri (fun k at -> if at <= i then latest := k) arrive;
+           if !latest >= 0 && i mod 7 = 0 then wide.(i / 7 mod (!latest + 1))
+           else i * 31 mod lines)))
+
+let gen_stream_addresses =
+  QCheck2.Gen.(
+    frequency
+      [
+        (3, gen_addresses);
+        (2, gen_strided_addresses);
+        (2, gen_growing_uniques);
+        (2, gen_late_wide_address);
+        ( 1,
+          map2
+            (fun lines picks -> Array.map (fun k -> lines.(k mod Array.length lines)) picks)
+            (array_size (int_range 1 8) (int_bound ((1 lsl 24) - 1)))
+            (array_size (int_range 1500 5000) (int_bound 1000)) );
+        ( 1,
+          let* k = int_range 100 1500 in
+          let* m = int_range 1 30 in
+          let* period = int_range 2 200 in
+          return (one_shot_then_hot_loop ~k ~hot:2 ~m ~period ~tail:3000) );
+        (1, map (fun n -> Array.init n scatter) (int_range 0 3000));
+      ])
+
+let prop_stream_equals_strip =
+  prop ~count:150 "stream = of_trace + histograms (line_words 1/2/4, level caps, growth)"
+    QCheck2.Gen.(
+      triple gen_stream_addresses (oneofl [ 1; 2; 4 ]) (oneofl [ Unset; Zero; Below; Above ]))
+    (fun (addrs, line_words, cap) -> stream_equals_strip ~line_words ~cap addrs)
+
+let test_stream_edges () =
+  List.iter
+    (fun cap ->
+      List.iter
+        (fun (what, addrs) ->
+          check_bool what true (stream_equals_strip ~line_words:1 ~cap addrs))
+        [
+          ("empty trace", [||]);
+          ("all cold", Array.init 5000 scatter);
+          ("one address", Array.make 100 7);
+          ("the widest address", [| 0; max_int; 0; max_int; 1 |]);
+        ])
+    [ Unset; Zero; Below; Above ];
+  Alcotest.check_raises "negative max_level"
+    (Invalid_argument "Arena_kernel: negative max_level") (fun () ->
+      ignore (Arena_kernel.stream_create ~max_level:(-1) ()));
+  Alcotest.check_raises "bad line_words"
+    (Invalid_argument "Arena_kernel.stream_create: line_words must be a positive power of two")
+    (fun () -> ignore (Arena_kernel.stream_create ~line_words:3 ()))
+
+(* The streaming twin of "minor words flat in N": the stream compacts
+   about once per 944 references of a loop over 48 lines, and interning
+   and stepping a reference allocate nothing. *)
+let test_stream_minor_words_flat () =
+  let minor_words refs =
+    let before = Gc.minor_words () in
+    let s = Arena_kernel.stream_create () in
+    for i = 0 to refs - 1 do
+      Arena_kernel.stream_add s (i mod 48)
+    done;
+    ignore (Sys.opaque_identity (Arena_kernel.stream_histograms s));
+    Gc.minor_words () -. before
+  in
+  let small = minor_words 100_000 and large = minor_words 1_000_000 in
+  check_bool
+    (Printf.sprintf "minor words %.0f at N = 100K and %.0f at N = 1M differ by < 1000" small
+       large)
+    true
+    (Float.abs (large -. small) < 1000.)
+
+(* The file path: [Analytical.stream_file] against the materialising
+   loader + [Analytical.prepare] on every truncation and every byte xor
+   of a small binary trace, under each error policy. Either both give
+   the same statistics, histograms and skipped-record summary, or both
+   give the same typed error. *)
+let materialised ~on_error ~format path =
+  let load =
+    match format with
+    | `Binary -> Trace_io.load_binary
+    | `Text -> Trace_io.load
+    | `Dinero -> Trace_io.load_dinero
+  in
+  match load ~on_error path with
+  | Error e -> Error e
+  | Ok i ->
+    let p = Analytical.prepare i.Trace_io.trace in
+    Ok (Analytical.stats p, Analytical.histograms p, i.Trace_io.skipped, i.Trace_io.errors)
+
+let streamed_file ~on_error ~format path =
+  match Analytical.stream_file ~on_error ~format path with
+  | Error e -> Error e
+  | Ok s ->
+    Ok
+      ( s.Analytical.stats,
+        s.Analytical.histograms,
+        s.Analytical.ingest.Trace_io.skipped,
+        s.Analytical.ingest.Trace_io.errors )
+
+let policies = [ Trace_io.Fail; Trace_io.Skip; Trace_io.Stop_after 2 ]
+
+let same_on_every_policy ~format path =
+  List.for_all
+    (fun on_error -> streamed_file ~on_error ~format path = materialised ~on_error ~format path)
+    policies
+
+let write_file path bytes =
+  let oc = open_out_bin path in
+  output_string oc bytes;
+  close_out oc
+
+let test_stream_file_damage () =
+  let addrs = Array.init 40 (fun i -> if i mod 5 = 4 then 1 lsl 20 else scatter (i mod 13)) in
+  let clean = Filename.temp_file "dse_stream" ".bin" in
+  let damaged = Filename.temp_file "dse_stream" ".bin" in
+  Fun.protect
+    ~finally:(fun () -> List.iter Sys.remove [ clean; damaged ])
+    (fun () ->
+      (match Trace_io.save_binary clean (Trace.of_addresses addrs) with
+      | Ok () -> ()
+      | Error e -> Alcotest.fail (Dse_error.to_string e));
+      let bytes = In_channel.with_open_bin clean In_channel.input_all in
+      check_bool "the clean file" true (same_on_every_policy ~format:`Binary clean);
+      let cases = ref 0 in
+      let check what bytes =
+        write_file damaged bytes;
+        incr cases;
+        if not (same_on_every_policy ~format:`Binary damaged) then Alcotest.fail what
+      in
+      for len = 0 to String.length bytes - 1 do
+        check (Printf.sprintf "truncated to %d bytes" len) (String.sub bytes 0 len)
+      done;
+      String.iteri
+        (fun i c ->
+          List.iter
+            (fun x ->
+              let b = Bytes.of_string bytes in
+              Bytes.set b i (Char.chr (Char.code c lxor x));
+              check (Printf.sprintf "byte %d xor 0x%02x" i x) (Bytes.to_string b))
+            [ 0x01; 0x80; 0xff ])
+        bytes;
+      check_int "cases" (4 * String.length bytes) !cases;
+      (* text: garbage lines among well-formed ones *)
+      write_file damaged "R 0x10\nQ 0x12\nW 0x400\nR zz\nR -5\n\nF 0x10\ngarbage\nR 0x7\n";
+      check_bool "garbage text lines" true (same_on_every_policy ~format:`Text damaged))
+
 (* -- the streaming kernel through the Analytical facade, against the
    oracle and the simulator -- *)
 
@@ -610,6 +810,13 @@ let suites =
         Alcotest.test_case "dead-slot adversary" `Quick test_slots_dead_slot_adversary;
       ] );
     ("arena-step", [ prop_step_equals_oracle ]);
+    ( "arena-stream",
+      [
+        prop_stream_equals_strip;
+        Alcotest.test_case "edges: empty, all cold, widest address" `Quick test_stream_edges;
+        Alcotest.test_case "minor words flat in N" `Quick test_stream_minor_words_flat;
+        Alcotest.test_case "file damage: stream = materialised" `Quick test_stream_file_damage;
+      ] );
     ("arena-powerstone", List.map powerstone_identity_case (Registry.all ()));
     ( "streaming:equivalence",
       [

@@ -52,6 +52,38 @@ let test_crc32_vector () =
   (* the canonical IEEE 802.3 check value *)
   check_int "crc32(123456789)" 0xCBF43926 (Crc32.digest_string "123456789")
 
+(* [Crc32.update_sub] folds 8 bytes per step and the rest one at a time:
+   it must equal the plain byte-at-a-time fold for every start
+   alignment, every length around the 8-byte steps, and any running
+   state. *)
+let test_crc32_slicing () =
+  let table =
+    Array.init 256 (fun n ->
+        let c = ref n in
+        for _ = 0 to 7 do
+          c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+        done;
+        !c)
+  in
+  let bytewise crc b off len =
+    let crc = ref crc in
+    for i = off to off + len - 1 do
+      crc := table.((!crc lxor Char.code (Bytes.get b i)) land 0xFF) lxor (!crc lsr 8)
+    done;
+    !crc
+  in
+  let b = Bytes.init 96 (fun i -> Char.chr (((i * 151) + 7) land 0xFF)) in
+  List.iter
+    (fun crc ->
+      for off = 0 to 9 do
+        for len = 0 to 80 do
+          check_int
+            (Printf.sprintf "crc %08x off %d len %d" crc off len)
+            (bytewise crc b off len) (Crc32.update_sub crc b off len)
+        done
+      done)
+    [ Crc32.init; 0; 0x12345678; 0xFFFF0000 ]
+
 let test_fault_parse () =
   check_bool "shard:2" true
     (Fault.parse "shard:2" = Some { Fault.kind = Fault.Fail; shard = 2; times = 1 });
@@ -314,6 +346,8 @@ let suites =
       [
         Alcotest.test_case "exit-code scheme" `Quick test_exit_codes;
         Alcotest.test_case "CRC-32 check value" `Quick test_crc32_vector;
+        Alcotest.test_case "CRC-32 eight bytes at a time = byte at a time" `Quick
+          test_crc32_slicing;
         Alcotest.test_case "DSE_FAULT parsing" `Quick test_fault_parse;
         Alcotest.test_case "missing file is Io_error" `Quick test_missing_file_is_io_error;
         Alcotest.test_case "strip rejects negative addresses" `Quick

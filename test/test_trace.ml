@@ -296,11 +296,29 @@ let test_dinero_malformed () =
   check_bool "bad label" true (attempt "9 1a\n");
   check_bool "bad address" true (attempt "0 zz\n")
 
+(* The fingerprint is a persisted cache key (WAL records, replicas), so
+   its values are pinned: 64-bit FNV-1a over each address's 8 LE bytes,
+   then the length. *)
+let test_fingerprint_pinned () =
+  let check label expected addrs =
+    Alcotest.(check int64) label expected (Trace.fingerprint (Trace.of_addresses addrs));
+    let streamed = Array.fold_left Trace.fingerprint_add Trace.fingerprint_init addrs in
+    Alcotest.(check int64)
+      (label ^ " (streamed)")
+      expected
+      (Trace.fingerprint_finish streamed ~len:(Array.length addrs))
+  in
+  check "empty" 0xa8c7f832281a39c5L [||];
+  check "wide addresses" 0xfcfb480b7e548fa8L [| 0; 1; 0x40; 0x1234_5678_9abc; max_int; 4096 |];
+  check "1000 scattered" 0xc32347919c2e4916L
+    (Array.init 1000 (fun i -> i * 2654435761))
+
 let suites =
   [
     ( "trace:unit",
       [
         Alcotest.test_case "build and get" `Quick test_build_and_get;
+        Alcotest.test_case "fingerprint values are pinned" `Quick test_fingerprint_pinned;
         Alcotest.test_case "growth" `Quick test_growth;
         Alcotest.test_case "negative address rejected" `Quick test_negative_address_rejected;
         Alcotest.test_case "index out of range" `Quick test_index_out_of_range;
