@@ -737,9 +737,9 @@ let selfheal_section () =
         |> List.map Domain.join)
   in
   let coalesced =
-    match Client.server_stats ~socket with
-    | Ok s -> s.Protocol.coalesced_hits
-    | Error e -> failwith ("A14 stats: " ^ Dse_error.to_string e)
+    match Client.health ~socket with
+    | Ok h -> h.Protocol.coalesced_hits
+    | Error e -> failwith ("A14 health: " ^ Dse_error.to_string e)
   in
   stop server;
   Sys.remove wal;
@@ -1003,9 +1003,9 @@ let router_section () =
   let hits, misses =
     List.fold_left
       (fun (h, m) socket ->
-        match Client.server_stats ~socket with
+        match Client.health ~socket with
         | Ok s -> (h + s.Protocol.cache_hits, m + s.Protocol.cache_misses)
-        | Error e -> failwith ("A16 stats: " ^ Dse_error.to_string e))
+        | Error e -> failwith ("A16 health: " ^ Dse_error.to_string e))
       (0, 0) names
   in
   let locality_hit_rate = float_of_int hits /. float_of_int (max 1 (hits + misses)) in
@@ -1274,7 +1274,7 @@ let membership_section () =
       traces
   in
   let digest socket =
-    match Client.request ~socket (Protocol.Cache_query { ring_version = 0; keys = [] }) with
+    match Client.exchange socket (Protocol.Cache_query { ring_version = 0; keys = [] }) with
     | Ok (Protocol.Cache_reply { keys; _ }) -> keys
     | _ -> failwith "A19: digest query failed"
   in

@@ -162,18 +162,11 @@ let method_arg =
     & info [ "method" ] ~docv:"METHOD"
         ~doc:
           "Analysis method: $(b,arena) (the default) runs the exact fused kernel in one pass \
-           over off-heap flat arenas with GC-invisible state; $(b,approx) estimates miss \
-           counts with error bars from a one-pass O(kilobytes) sketch (equivalent to \
-           $(b,--approx)).")
-
-let approx_arg =
-  let doc =
-    "Approximate analysis: profile the trace in one streaming pass (HyperLogLog + top-K + \
-     reuse probes, O(kilobytes) whatever the trace length) and estimate per-(depth, \
-     associativity) miss counts with error bars via a Che/Fagin power-law model, instead of \
-     running an exact kernel. The trace file is never loaded into memory."
-  in
-  Arg.(value & flag & info [ "approx" ] ~doc)
+           over off-heap flat arenas with GC-invisible state; $(b,approx) profiles the trace \
+           in one streaming pass (HyperLogLog + top-K + reuse probes, O(kilobytes) whatever \
+           the trace length) and estimates per-(depth, associativity) miss counts with error \
+           bars via a Che/Fagin power-law model. $(b,dse explore) never loads the trace into \
+           memory for $(b,approx).")
 
 let domains_arg =
   let doc =
@@ -183,11 +176,11 @@ let domains_arg =
   Arg.(value & opt int 1 & info [ "domains" ] ~docv:"N" ~doc)
 
 let explore_cmd =
-  let run path format on_error percents k max_depth csv no_trim method_ domains approx =
+  let run path format on_error percents k max_depth csv no_trim method_ domains =
     if domains < 1 then usage_fail "domains must be >= 1";
     let max_level = level_of_max_depth max_depth in
     let name = Filename.basename path in
-    if approx || method_ = `Approx then begin
+    if method_ = `Approx then begin
       let profile = sketch_trace_file format on_error path in
       let prepared = Approx_dse.prepare profile in
       match k with
@@ -225,7 +218,7 @@ let explore_cmd =
   in
   let term =
     Term.(const run $ trace_arg $ format_arg $ on_error_arg $ percents_arg $ absolute_k_arg
-          $ max_depth_arg $ csv_arg $ trim_arg $ method_arg $ domains_arg $ approx_arg)
+          $ max_depth_arg $ csv_arg $ trim_arg $ method_arg $ domains_arg)
   in
   Cmd.v
     (Cmd.info "explore"
@@ -391,7 +384,7 @@ let synth_cmd =
     (Cmd.info "synth"
        ~doc:
          "Stream a synthetic power-law (zipfian) trace to a file without materialising it: \
-          the scaling companion to $(b,dse explore --approx).")
+          the scaling companion to $(b,dse explore --method approx).")
     term
 
 (* -- reduce -- *)
@@ -529,7 +522,7 @@ let serve_cmd =
       & info [ "cache-entries" ] ~docv:"N"
           ~doc:
             "Bound on in-memory cached results; storing past it evicts the least-recently-used \
-             entry (evictions are visible in $(b,--server-stats)).")
+             entry (evictions are visible in $(b,dse submit --health)).")
   in
   let wal_arg =
     Arg.(
@@ -567,8 +560,8 @@ let serve_cmd =
       & info [ "memory-budget" ] ~docv:"MIB"
           ~doc:
             "Admission bound on a submission's estimated memory footprint, in MiB (judged from \
-             the declared reference count, before allocation). Exact jobs are charged 18 \
-             bytes/ref; approx jobs a fixed few MiB whatever their length.")
+             the declared reference count, before allocation). Exact jobs are charged 1 KiB \
+             plus 100 bytes/ref; approx jobs a fixed 4 MiB whatever their length.")
   in
   let supervise_arg =
     Arg.(
@@ -712,15 +705,11 @@ let serve_cmd =
 
 let submit_cmd =
   let trace_opt_arg =
-    let doc = "Trace file to submit (optional with $(b,--ping) or $(b,--server-stats))." in
+    let doc = "Trace file to submit (optional with $(b,--ping) or $(b,--health))." in
     Arg.(value & pos 0 (some string) None & info [] ~docv:"TRACE" ~doc)
   in
   let ping_arg =
     Arg.(value & flag & info [ "ping" ] ~doc:"Only check that the service is alive.")
-  in
-  let server_stats_arg =
-    Arg.(
-      value & flag & info [ "server-stats" ] ~doc:"Print the service's job and cache counters.")
   in
   let health_arg =
     Arg.(
@@ -775,7 +764,7 @@ let submit_cmd =
              listener or router, or a Unix socket path.")
   in
   let run socket addr path format on_error percents k max_depth csv no_trim method_ domains
-      approx ping server_stats health deadline retries retry_base retry_cap =
+      ping health deadline retries retry_base retry_cap =
     let socket = Option.value addr ~default:socket in
     if ping then begin
       or_exit (Client.ping ~socket);
@@ -818,20 +807,9 @@ let submit_cmd =
       Format.printf "draining %b@." h.Protocol.draining;
       Format.printf "replica_gc_dropped %d@." h.Protocol.replica_gc_dropped
     end
-    else if server_stats then begin
-      let s = or_exit (Client.server_stats ~socket) in
-      Format.printf "jobs_completed %d@." s.Protocol.jobs_completed;
-      Format.printf "cache_hits %d@." s.Protocol.cache_hits;
-      Format.printf "cache_misses %d@." s.Protocol.cache_misses;
-      Format.printf "cache_entries %d@." s.Protocol.cache_entries;
-      Format.printf "cache_evictions %d@." s.Protocol.cache_evictions;
-      Format.printf "coalesced_hits %d@." s.Protocol.coalesced_hits;
-      Format.printf "pending %d@." s.Protocol.pending;
-      Format.printf "workers %d@." s.Protocol.workers
-    end
     else begin
       match path with
-      | None -> usage_fail "TRACE is required unless --ping, --health or --server-stats is given"
+      | None -> usage_fail "TRACE is required unless --ping or --health is given"
       | Some path ->
         if domains < 1 then usage_fail "domains must be >= 1";
         (match deadline with
@@ -843,11 +821,10 @@ let submit_cmd =
         let trace = load_trace format on_error path in
         let max_level = level_of_max_depth max_depth in
         let name = Filename.basename path in
-        let approx = approx || method_ = `Approx in
         let payload =
           or_exit
-            (Client.submit ~socket ~percents ?k ?max_level ~approx ~domains ?deadline ~retries
-               ~retry_base ~retry_cap ~name trace)
+            (Client.submit ~socket ~percents ?k ?max_level ~approx:(method_ = `Approx) ~domains
+               ?deadline ~retries ~retry_base ~retry_cap ~name trace)
         in
         if payload.Protocol.cache_hit then Format.eprintf "dse: served from the result cache@.";
         (match payload.Protocol.outcome with
@@ -866,7 +843,7 @@ let submit_cmd =
   let term =
     Term.(const run $ socket_arg $ addr_arg $ trace_opt_arg $ format_arg $ on_error_arg
           $ percents_arg $ absolute_k_arg $ max_depth_arg $ csv_arg $ trim_arg $ method_arg
-          $ domains_arg $ approx_arg $ ping_arg $ server_stats_arg $ health_arg $ deadline_arg
+          $ domains_arg $ ping_arg $ health_arg $ deadline_arg
           $ retries_arg $ retry_base_arg $ retry_cap_arg)
   in
   Cmd.v
@@ -1009,7 +986,7 @@ let route_cmd =
     Arg.(
       value & opt int 8
       & info [ "forwarders" ] ~docv:"N"
-          ~doc:"Forwarder domains; the maximum number of concurrently routed requests.")
+          ~doc:"Connection handler threads; the maximum number of concurrently routed requests.")
   in
   let max_pending_arg =
     Arg.(
@@ -1759,7 +1736,7 @@ let chaos_cmd =
           in
           let digest addr =
             match
-              Client.request ~socket:addr (Protocol.Cache_query { ring_version = 0; keys = [] })
+              Client.exchange addr (Protocol.Cache_query { ring_version = 0; keys = [] })
             with
             | Ok (Protocol.Cache_reply { keys; _ }) -> Some keys
             | Ok _ | Error _ -> None
@@ -1817,8 +1794,8 @@ let chaos_cmd =
           let jobs_sum () =
             List.fold_left
               (fun acc a ->
-                match Client.server_stats ~socket:a with
-                | Ok s -> acc + s.Protocol.jobs_completed
+                match Client.health ~socket:a with
+                | Ok h -> acc + h.Protocol.jobs_completed
                 | Error _ -> acc)
               0 members
           in

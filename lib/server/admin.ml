@@ -31,21 +31,7 @@ let status_timeout = 5.0
 let drain_timeout = 120.0
 
 let exchange ?(timeout = status_timeout) target request =
-  match Transport.connect ~timeout:2.0 (Transport.parse target) with
-  | Error _ as e -> e
-  | Ok fd ->
-    Fun.protect
-      ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-      (fun () ->
-        match
-          Unix.setsockopt_float fd Unix.SO_SNDTIMEO timeout;
-          Unix.setsockopt_float fd Unix.SO_RCVTIMEO timeout;
-          Protocol.write_request ~peer:target fd request
-        with
-        | Error _ as e -> e
-        | Ok () -> Protocol.read_response ~peer:target fd
-        | exception Unix.Unix_error (err, _, _) ->
-          Error (Dse_error.Io_error { file = target; message = Unix.error_message err }))
+  Client.exchange ~connect_timeout:2.0 ~timeout target request
 
 let invalid message = Error (Dse_error.Constraint_violation { context = "admin"; message })
 

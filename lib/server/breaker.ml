@@ -11,8 +11,8 @@
    backend that stays dead is probed ever more lazily while a recovered
    one is readmitted within one cooldown.
 
-   All transitions run under the mutex: the accept loop (health polls)
-   and every forwarder domain feed the same breaker. *)
+   All transitions run under the mutex: the front's tick (health polls)
+   and every connection handler feed the same breaker. *)
 
 type state = Closed | Open | Half_open
 

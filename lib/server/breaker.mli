@@ -7,8 +7,8 @@
     backed-off cooldown a single half-open probe decides between
     readmission and another (longer) open period.
 
-    Thread-safe: the router's accept loop (health polls) and all
-    forwarder domains feed the same instance. *)
+    Thread-safe: the router's front tick (health polls) and all its
+    connection handlers feed the same instance. *)
 
 type state = Closed | Open | Half_open
 

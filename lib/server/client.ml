@@ -1,20 +1,32 @@
 let close_noerr fd = try Unix.close fd with Unix.Unix_error _ -> ()
 
-(* [socket] is an address string: a Unix-socket path, or host:port for
-   a TCP daemon / router. A 10 s connect bound keeps a partitioned TCP
-   peer from holding the client for the kernel's SYN-retry minutes. *)
-let connect socket = Transport.connect ~timeout:10. (Transport.parse socket)
+(* A bounded connect keeps a partitioned TCP peer from holding the
+   caller for the kernel's SYN-retry minutes. *)
+let send ?(connect_timeout = 10.) ?timeout peer request =
+  match Transport.connect ~timeout:connect_timeout (Transport.parse peer) with
+  | Error _ as e -> e
+  | Ok fd -> (
+    match
+      Option.iter
+        (fun seconds ->
+          Unix.setsockopt_float fd Unix.SO_SNDTIMEO seconds;
+          Unix.setsockopt_float fd Unix.SO_RCVTIMEO seconds)
+        timeout;
+      Protocol.write_request ~peer fd request
+    with
+    | Ok () -> Ok fd
+    | Error e ->
+      close_noerr fd;
+      Error e
+    | exception Unix.Unix_error (err, _, _) ->
+      close_noerr fd;
+      Error (Dse_error.Io_error { file = peer; message = Unix.error_message err }))
 
-let request ~socket req =
-  match connect socket with
+let exchange ?connect_timeout ?timeout peer request =
+  match send ?connect_timeout ?timeout peer request with
   | Error _ as e -> e
   | Ok fd ->
-    Fun.protect
-      ~finally:(fun () -> close_noerr fd)
-      (fun () ->
-        match Protocol.write_request ~peer:socket fd req with
-        | Error _ as e -> e
-        | Ok () -> Protocol.read_response ~peer:socket fd)
+    Fun.protect ~finally:(fun () -> close_noerr fd) (fun () -> Protocol.read_response ~peer fd)
 
 (* Transient failures worth a retry: the daemon shedding load
    (Queue_full), a gateway with its whole ring briefly dark
@@ -66,8 +78,19 @@ let with_retry ~retries ~retry_base ~retry_cap f =
     go 0
   end
 
-let unexpected socket =
-  Error (Dse_error.Io_error { file = socket; message = "unexpected response kind from the server" })
+(* One round trip whose reply [expect] picks out: a structured error is
+   passed through, any other kind of reply is a typed [Io_error]. *)
+let call ~socket request expect =
+  match exchange socket request with
+  | Error _ as e -> e
+  | Ok (Protocol.Server_error e) -> Error e
+  | Ok reply -> (
+    match expect reply with
+    | Some v -> Ok v
+    | None ->
+      Error
+        (Dse_error.Io_error
+           { file = socket; message = "unexpected response kind from the server" }))
 
 let submit ~socket ?(percents = [ 5; 10; 15; 20 ]) ?k ?max_level ?(approx = false) ?(domains = 1)
     ?deadline ?(retries = 0) ?(retry_base = 0.1) ?(retry_cap = 30.) ~name trace =
@@ -79,45 +102,12 @@ let submit ~socket ?(percents = [ 5; 10; 15; 20 ]) ?k ?max_level ?(approx = fals
   in
   let method_ = if approx then Protocol.Approx else Protocol.Exact Analytical.Arena in
   with_retry ~retries ~retry_base ~retry_cap (fun () ->
-      match
-        request ~socket
-          (Protocol.Submit
-             { name; trace = Protocol.Full trace; query; method_; domains; max_level; deadline })
-      with
-      | Error _ as e -> e
-      | Ok (Protocol.Result payload) -> Ok payload
-      | Ok (Protocol.Server_error e) -> Error e
-      | Ok
-          ( Protocol.Stats_reply _ | Protocol.Pong | Protocol.Health_reply _
-          | Protocol.Replicate_ack _ | Protocol.Cache_reply _ | Protocol.Ring_reply _ ) ->
-        unexpected socket)
+      call ~socket
+        (Protocol.Submit
+           { name; trace = Protocol.Full trace; query; method_; domains; max_level; deadline })
+        (function Protocol.Result payload -> Some payload | _ -> None))
 
-let ping ~socket =
-  match request ~socket Protocol.Ping with
-  | Error _ as e -> e
-  | Ok Protocol.Pong -> Ok ()
-  | Ok (Protocol.Server_error e) -> Error e
-  | Ok
-      ( Protocol.Result _ | Protocol.Stats_reply _ | Protocol.Health_reply _
-      | Protocol.Replicate_ack _ | Protocol.Cache_reply _ | Protocol.Ring_reply _ ) ->
-    unexpected socket
-
-let server_stats ~socket =
-  match request ~socket Protocol.Server_stats with
-  | Error _ as e -> e
-  | Ok (Protocol.Stats_reply s) -> Ok s
-  | Ok (Protocol.Server_error e) -> Error e
-  | Ok
-      ( Protocol.Result _ | Protocol.Pong | Protocol.Health_reply _ | Protocol.Replicate_ack _
-      | Protocol.Cache_reply _ | Protocol.Ring_reply _ ) ->
-    unexpected socket
+let ping ~socket = call ~socket Protocol.Ping (function Protocol.Pong -> Some () | _ -> None)
 
 let health ~socket =
-  match request ~socket Protocol.Health with
-  | Error _ as e -> e
-  | Ok (Protocol.Health_reply h) -> Ok h
-  | Ok (Protocol.Server_error e) -> Error e
-  | Ok
-      ( Protocol.Result _ | Protocol.Stats_reply _ | Protocol.Pong | Protocol.Replicate_ack _
-      | Protocol.Cache_reply _ | Protocol.Ring_reply _ ) ->
-    unexpected socket
+  call ~socket Protocol.Health (function Protocol.Health_reply h -> Some h | _ -> None)

@@ -10,8 +10,27 @@
     grammar: a Unix-socket path, or ["host:port"] for a TCP daemon or a
     [dse route] gateway — the wire protocol is identical. *)
 
-(** [request ~socket req] performs one request/response round trip. *)
-val request : socket:string -> Protocol.request -> (Protocol.response, Dse_error.t) result
+(** [send ?connect_timeout ?timeout peer request] connects to the
+    address [peer] (bounded by [connect_timeout], default 10 s), sets
+    [timeout] (default: none) as the socket's send and receive timeout
+    and writes [request], returning the socket to read and close. Every
+    failure, a reset before the timeouts are set included, is a typed
+    error labelled [peer]. *)
+val send :
+  ?connect_timeout:float ->
+  ?timeout:float ->
+  string ->
+  Protocol.request ->
+  (Unix.file_descr, Dse_error.t) result
+
+(** {!send}, one {!Protocol.read_response}, close: the one bounded round
+    trip behind every outbound call of the serving stack. *)
+val exchange :
+  ?connect_timeout:float ->
+  ?timeout:float ->
+  string ->
+  Protocol.request ->
+  (Protocol.response, Dse_error.t) result
 
 (** [submit ~socket ?percents ?k ?max_level ?approx ?domains ?deadline
     ?retries ?retry_base ?retry_cap ~name trace] submits one job. [k]
@@ -61,9 +80,6 @@ val submit :
 
 (** [ping ~socket] checks liveness. *)
 val ping : socket:string -> (unit, Dse_error.t) result
-
-(** [server_stats ~socket] fetches the daemon's counters. *)
-val server_stats : socket:string -> (Protocol.server_stats, Dse_error.t) result
 
 (** [health ~socket] fetches the daemon's structured readiness: per-
     worker state and heartbeat ages, queue depth against its shedding

@@ -56,7 +56,10 @@ let magic = "DSRV"
    exact path. The frame layout did not change and every v7 peer already
    decodes Constraint_violation, so a retired byte is answered with that
    typed error rather than bumping the version; WAL records keyed under
-   the old tags stay readable and simply age out of the LRU. *)
+   the old tags stay readable and simply age out of the LRU. Request tag
+   2 (Server_stats, whose every counter Health_reply also carries) and
+   its 0x83 reply were retired the same way: tag 2 is answered with a
+   typed Constraint_violation. *)
 let version = 7
 
 let max_payload = Wire.max_payload
@@ -83,7 +86,6 @@ type request =
       max_level : int option;
       deadline : float option;
     }
-  | Server_stats
   | Ping
   | Health
   | Replicate of { ring_version : int; records : string list }
@@ -91,17 +93,6 @@ type request =
   | Ring_status
   | Ring_update of { config : ring_config }
   | Drain of { config : ring_config }
-
-type server_stats = {
-  jobs_completed : int;
-  cache_hits : int;
-  cache_misses : int;
-  cache_entries : int;
-  cache_evictions : int;
-  coalesced_hits : int;
-  pending : int;
-  workers : int;
-}
 
 type worker_health = {
   slot : int;
@@ -152,7 +143,6 @@ type result_payload = { outcome : outcome; cache_hit : bool }
 type response =
   | Result of result_payload
   | Server_error of Dse_error.t
-  | Stats_reply of server_stats
   | Pong
   | Health_reply of health
   | Replicate_ack of { stored : int }
@@ -223,7 +213,7 @@ let encode_request buf = function
       add_f64 buf seconds);
     encode_query buf query;
     encode_trace buf trace
-  | Server_stats | Ping | Health | Ring_status -> ()
+  | Ping | Health | Ring_status -> ()
   | Replicate { ring_version; records } ->
     Wire.put_varint buf ring_version;
     Wire.put_list buf Wire.put_string records
@@ -353,15 +343,6 @@ let encode_response buf = function
     add_bool buf cache_hit;
     encode_outcome buf outcome
   | Server_error e -> encode_error buf e
-  | Stats_reply s ->
-    Wire.put_varint buf s.jobs_completed;
-    Wire.put_varint buf s.cache_hits;
-    Wire.put_varint buf s.cache_misses;
-    Wire.put_varint buf s.cache_entries;
-    Wire.put_varint buf s.cache_evictions;
-    Wire.put_varint buf s.coalesced_hits;
-    Wire.put_varint buf s.pending;
-    Wire.put_varint buf s.workers
   | Pong -> ()
   | Replicate_ack { stored } -> Wire.put_varint buf stored
   | Cache_reply { keys; records } ->
@@ -633,18 +614,6 @@ let decode_outcome c =
     Approx_optimal { Approx_dse.k; levels }
   | b -> raise (Wire.Malformed (Wire.offset c - 1, Printf.sprintf "unknown outcome tag %d" b))
 
-let decode_server_stats c =
-  let jobs_completed = Wire.varint c in
-  let cache_hits = Wire.varint c in
-  let cache_misses = Wire.varint c in
-  let cache_entries = Wire.varint c in
-  let cache_evictions = Wire.varint c in
-  let coalesced_hits = Wire.varint c in
-  let pending = Wire.varint c in
-  let workers = Wire.varint c in
-  { jobs_completed; cache_hits; cache_misses; cache_entries; cache_evictions;
-    coalesced_hits; pending; workers }
-
 let decode_health c =
   let node_id = Wire.string c in
   let start_epoch = f64 c in
@@ -716,7 +685,8 @@ let decode_health c =
 
 let tag_submit = 1
 
-let tag_server_stats = 2
+(* request tag 2 is the retired Server_stats *)
+let tag_retired_server_stats = 2
 
 let tag_ping = 3
 
@@ -736,8 +706,6 @@ let tag_result = 0x81
 
 let tag_error = 0x82
 
-let tag_stats_reply = 0x83
-
 let tag_pong = 0x84
 
 let tag_health_reply = 0x85
@@ -748,12 +716,18 @@ let tag_cache_reply = 0x87
 
 let tag_ring_reply = 0x88
 
-(* The payload is encoded into a growable writer, then copied once into
-   the exactly-sized frame. *)
-let send_frame fd ~tag payload =
-  let frame = Wire.frame ~tag ~magic ~version (Wire.written payload) in
-  Wire.append frame payload;
-  Transport.write_all fd (Wire.seal frame)
+(* One buffer per frame: [size] is the expected payload size, and the
+   header is written in place in front of the payload. *)
+let send_frame fd ~tag ~size encode =
+  let bytes, off, len = Wire.framed ~tag ~magic ~version size encode in
+  Transport.write_sub fd bytes off len
+
+(* The exact size of a Submit's record stream, so the frame's buffer
+   never grows; the record's kind bits do not change its varint size. *)
+let trace_size trace =
+  let size = ref (Wire.varint_size (Trace.length trace)) in
+  Trace.iter_addrs (fun addr -> size := !size + Wire.varint_size (addr lsl 2)) trace;
+  !size
 
 (* Offsets in frame errors count from the frame start; offsets inside
    the payload count from the payload start. *)
@@ -796,38 +770,34 @@ let timed_out = function
 
 let write_request ?(peer = "<server>") fd request =
   guard ~peer (fun () ->
-      let buf = Wire.writer 1024 in
-      encode_request buf request;
-      let tag =
+      let tag, size =
         match request with
-        | Submit _ -> tag_submit
-        | Server_stats -> tag_server_stats
-        | Ping -> tag_ping
-        | Health -> tag_health
-        | Replicate _ -> tag_replicate
-        | Cache_query _ -> tag_cache_query
-        | Ring_status -> tag_ring_status
-        | Ring_update _ -> tag_ring_update
-        | Drain _ -> tag_drain
+        | Submit { name; trace = Full trace; _ } ->
+          (tag_submit, 64 + String.length name + trace_size trace)
+        | Submit _ -> (tag_submit, 1024)
+        | Ping -> (tag_ping, 0)
+        | Health -> (tag_health, 0)
+        | Replicate _ -> (tag_replicate, 1024)
+        | Cache_query _ -> (tag_cache_query, 1024)
+        | Ring_status -> (tag_ring_status, 0)
+        | Ring_update _ -> (tag_ring_update, 1024)
+        | Drain _ -> (tag_drain, 1024)
       in
-      send_frame fd ~tag buf)
+      send_frame fd ~tag ~size (fun buf -> encode_request buf request))
 
 let write_response ?(peer = "<client>") fd response =
   guard ~peer ~timeout:timeout_message (fun () ->
-      let buf = Wire.writer 1024 in
-      encode_response buf response;
       let tag =
         match response with
         | Result _ -> tag_result
         | Server_error _ -> tag_error
-        | Stats_reply _ -> tag_stats_reply
         | Pong -> tag_pong
         | Health_reply _ -> tag_health_reply
         | Replicate_ack _ -> tag_replicate_ack
         | Cache_reply _ -> tag_cache_reply
         | Ring_reply _ -> tag_ring_reply
       in
-      send_frame fd ~tag buf)
+      send_frame fd ~tag ~size:1024 (fun buf -> encode_response buf response))
 
 let read_request ?(peer = "<client>") ?max_job_refs ?memory_budget ?sketch_approx fd =
   guard ~peer ~timeout:timeout_message (fun () ->
@@ -836,7 +806,10 @@ let read_request ?(peer = "<client>") ?max_job_refs ?memory_budget ?sketch_appro
       | tag, c ->
         let request =
           if tag = tag_submit then decode_submit ?max_job_refs ?memory_budget ?sketch_approx c
-          else if tag = tag_server_stats then Server_stats
+          else if tag = tag_retired_server_stats then
+            Dse_error.fail
+              (Dse_error.Constraint_violation
+                 { context = "request"; message = "server-stats retired; use health" })
           else if tag = tag_ping then Ping
           else if tag = tag_health then Health
           else if tag = tag_replicate then begin
@@ -876,7 +849,6 @@ let read_response ?(peer = "<server>") fd =
           Result { outcome; cache_hit }
         end
         else if tag = tag_error then Server_error (decode_error c)
-        else if tag = tag_stats_reply then Stats_reply (decode_server_stats c)
         else if tag = tag_pong then Pong
         else if tag = tag_health_reply then Health_reply (decode_health c)
         else if tag = tag_replicate_ack then Replicate_ack { stored = Wire.varint c }

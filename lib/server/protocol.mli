@@ -14,9 +14,12 @@
     across the API boundary, so one corrupt submission is a structured
     reply to that client, never a daemon crash.
 
-    A frame's payload is read as it arrives, into a buffer that grows
-    with the bytes received (see {!Wire.sub}): a declared payload length
-    is capped at {!max_payload} but never allocated ahead of its bytes. Counts
+    A frame is written from one buffer, the header in place in front of
+    the payload ({!Wire.framed}); a Submit's buffer is sized from its
+    trace. A frame's payload is read into a buffer sized from the
+    declared length but never more than 32 times the bytes received
+    (see {!Wire.sub}): a declared payload length is capped at
+    {!max_payload} but never allocated far ahead of its bytes. Counts
     declared inside the payload are checked against the payload bytes
     that remain before anything is allocated for them.
 
@@ -67,7 +70,6 @@ type request =
           (** seconds the job may spend, queue wait included; expiry is
               a {!Dse_error.Deadline_exceeded} reply *)
     }
-  | Server_stats  (** query the daemon's counters (cache hits, pending) *)
   | Ping
   | Health  (** query the readiness plane (see {!health}) *)
   | Replicate of { ring_version : int; records : string list }
@@ -106,17 +108,6 @@ type request =
           ([pushed] = records accepted by the new owners) — so a planned
           decommission costs zero kernel re-runs. *)
 
-type server_stats = {
-  jobs_completed : int;
-  cache_hits : int;
-  cache_misses : int;
-  cache_entries : int;
-  cache_evictions : int;  (** LRU entries dropped by the bounded cache *)
-  coalesced_hits : int;  (** submissions answered by attaching to another's flight *)
-  pending : int;
-  workers : int;
-}
-
 (** One worker slot's state as sampled at the health request. *)
 type worker_health = {
   slot : int;
@@ -153,8 +144,8 @@ type health = {
   cache_hits : int;
   cache_misses : int;
   cache_entries : int;
-  cache_evictions : int;
-  coalesced_hits : int;
+  cache_evictions : int;  (** LRU entries dropped by the bounded cache *)
+  coalesced_hits : int;  (** submissions answered by attaching to another's flight *)
   wal_enabled : bool;
   wal_appends : int;
   wal_failures : int;
@@ -188,7 +179,6 @@ type result_payload = { outcome : outcome; cache_hit : bool }
 type response =
   | Result of result_payload
   | Server_error of Dse_error.t
-  | Stats_reply of server_stats
   | Pong
   | Health_reply of health
   | Replicate_ack of { stored : int }
@@ -243,7 +233,9 @@ val write_request : ?peer:string -> Unix.file_descr -> request -> (unit, Dse_err
     precedes the trace on the wire): exact jobs use the [`Arena] model
     and approx jobs the [`Sketch] model, whose price is a fixed few MiB
     independent of the declared length. A retired method byte (0-2) is
-    rejected with [Error (Constraint_violation _)] before admission.
+    rejected with [Error (Constraint_violation _)] before admission, and
+    so is the retired request tag 2 (server-stats; {!Health} carries
+    every counter it did).
 
     [sketch_approx] (default false) selects the daemon's decode for
     [Approx] submissions: when set, the record stream is fed straight

@@ -7,9 +7,11 @@
    cache instead of N overlapping cold ones. The robustness plane is
    the point of the module:
 
-   - The accept loop's 0.1 s select tick polls one backend's health
-     plane per slice of [health_interval], keeping node identity (id +
-     start epoch) fresh and feeding the per-backend circuit breaker.
+   - Connections are accepted and read by the shared Front (one accept
+     loop, [forwarders] handler threads); its 0.1 s select tick polls
+     one backend's health plane per slice of [health_interval], keeping
+     node identity (id + start epoch) fresh and feeding the per-backend
+     circuit breaker.
    - A Breaker per backend trips open on consecutive connect/timeout
      failures (forwarding or health), reroutes that node's hash range
      to the next live ring candidate, and readmits via a single
@@ -80,7 +82,6 @@ let window_size = 256
 
 type backend = {
   name : string;  (* the address string: also the ring key *)
-  addr : Transport.addr;
   breaker : Breaker.t;
   mu : Mutex.t;
   mutable node_id : string;
@@ -135,7 +136,6 @@ type t = {
   mutable ring : Ring.t;
   mutable ring_version : int;
   mutable replication : int;
-  queue : Unix.file_descr Job_queue.t;
   stopping : bool Atomic.t;
   forwarded : int Atomic.t;
   failovers : int Atomic.t;
@@ -147,7 +147,6 @@ type t = {
   spilled : int Atomic.t;
   mutable next_poll : int;
   mutable last_poll : float;
-  mutable pool : Unix.file_descr Worker_pool.t option;
   log : string -> unit;
 }
 
@@ -156,7 +155,6 @@ let close_noerr fd = try Unix.close fd with Unix.Unix_error _ -> ()
 let make_backend (config : config) name =
   {
     name;
-    addr = Transport.parse name;
     breaker = Breaker.create ~config:config.breaker ();
     mu = Mutex.create ();
     node_id = "";
@@ -212,7 +210,6 @@ let create ?(log = fun msg -> Format.eprintf "dse-route: %s@." msg) (config : co
             ring = Ring.create ~replicas:config.replicas config.backends;
             ring_version = 1;
             replication = 1;
-            queue = Job_queue.create ~max_pending:config.max_pending;
             stopping = Atomic.make false;
             forwarded = Atomic.make 0;
             failovers = Atomic.make 0;
@@ -224,7 +221,6 @@ let create ?(log = fun msg -> Format.eprintf "dse-route: %s@." msg) (config : co
             spilled = Atomic.make 0;
             next_poll = 0;
             last_poll = 0.;
-            pool = None;
             log;
           })
 
@@ -384,24 +380,16 @@ let adopt_if_newer t (config : Protocol.ring_config) =
 
 (* A peer answered Stale_ring: it knows a newer fleet view than ours.
    Pull its config and adopt — the one recovery the fence prescribes. *)
+(* A cheap exchange with one backend (health, ring status, a one-key
+   peek): it rides the health timeout, not the request timeout. *)
+let control_exchange t b request =
+  Client.exchange ~connect_timeout:t.config.connect_timeout ~timeout:t.config.health_timeout
+    b.name request
+
 let refetch_config t b =
-  match Transport.connect ~timeout:t.config.connect_timeout b.addr with
-  | Error _ -> ()
-  | Ok fd ->
-    Fun.protect
-      ~finally:(fun () -> close_noerr fd)
-      (fun () ->
-        match
-          Unix.setsockopt_float fd Unix.SO_SNDTIMEO t.config.health_timeout;
-          Unix.setsockopt_float fd Unix.SO_RCVTIMEO t.config.health_timeout;
-          Protocol.write_request ~peer:b.name fd Protocol.Ring_status
-        with
-        | Error _ -> ()
-        | Ok () -> (
-          match Protocol.read_response ~peer:b.name fd with
-          | Ok (Protocol.Ring_reply { config; _ }) -> ignore (adopt_if_newer t config)
-          | Ok _ | Error _ -> ())
-        | exception Unix.Unix_error _ -> ())
+  match control_exchange t b Protocol.Ring_status with
+  | Ok (Protocol.Ring_reply { config; _ }) -> ignore (adopt_if_newer t config)
+  | Ok _ | Error _ -> ()
 
 (* -- forwarding -- *)
 
@@ -425,25 +413,13 @@ type peek = {
    timeout, not the request timeout. *)
 let peer_lookup t b p =
   let exchange () =
-    match Transport.connect ~timeout:t.config.connect_timeout b.addr with
-    | Error _ -> `Miss
-    | Ok fd ->
-      Fun.protect
-        ~finally:(fun () -> close_noerr fd)
-        (fun () ->
-          match
-            Unix.setsockopt_float fd Unix.SO_SNDTIMEO t.config.health_timeout;
-            Unix.setsockopt_float fd Unix.SO_RCVTIMEO t.config.health_timeout;
-            Protocol.write_request ~peer:b.name fd
-              (Protocol.Cache_query { ring_version = ring_version t; keys = [ p.peek_key ] })
-          with
-          | Error _ -> `Miss
-          | Ok () -> (
-            match Protocol.read_response ~peer:b.name fd with
-            | Ok (Protocol.Cache_reply { records = [ record ]; _ }) -> `Hit record
-            | Ok (Protocol.Server_error (Dse_error.Stale_ring _)) -> `Stale
-            | Ok _ | Error _ -> `Miss)
-          | exception Unix.Unix_error _ -> `Miss)
+    match
+      control_exchange t b
+        (Protocol.Cache_query { ring_version = ring_version t; keys = [ p.peek_key ] })
+    with
+    | Ok (Protocol.Cache_reply { records = [ record ]; _ }) -> `Hit record
+    | Ok (Protocol.Server_error (Dse_error.Stale_ring _)) -> `Stale
+    | Ok _ | Error _ -> `Miss
   in
   let fetched =
     match exchange () with
@@ -471,24 +447,12 @@ let peer_lookup t b p =
       | exception _ -> None)
     | Some _ | None -> None)
 
-(* Connect (bounded) and write the frame; the request timeout rides the
-   socket as SO_RCVTIMEO so even a mid-frame stall is bounded. *)
+(* Only the write half of the exchange: hedging waits on the reply
+   itself. The request timeout rides the socket, so even a mid-frame
+   stall is bounded. *)
 let send_to t b request =
-  match Transport.connect ~timeout:t.config.connect_timeout b.addr with
-  | Error _ as e -> e
-  | Ok fd -> (
-    match
-      Unix.setsockopt_float fd Unix.SO_SNDTIMEO t.config.request_timeout;
-      Unix.setsockopt_float fd Unix.SO_RCVTIMEO t.config.request_timeout;
-      Protocol.write_request ~peer:b.name fd request
-    with
-    | Ok () -> Ok fd
-    | Error e ->
-      close_noerr fd;
-      Error e
-    | exception Unix.Unix_error (err, _, _) ->
-      close_noerr fd;
-      Error (Dse_error.Io_error { file = b.name; message = Unix.error_message err }))
+  Client.send ~connect_timeout:t.config.connect_timeout ~timeout:t.config.request_timeout b.name
+    request
 
 (* Read and classify one backend reply.
 
@@ -713,7 +677,8 @@ let respond_and_close t fd response =
   | Error e -> t.log (Printf.sprintf "reply failed: %s" (Dse_error.to_string e)));
   close_noerr fd
 
-(* Runs in a forwarder domain: one client connection end to end. The
+(* Runs on one of the front's handler threads: one client connection
+   end to end. The
    router imposes no admission budgets of its own — the owning backend
    prices the job against its memory; what the router enforces is its
    bounded connection queue. *)
@@ -727,10 +692,11 @@ let handle_client t fd =
   | Ok (Some Protocol.Ping) ->
     (* answered locally: a ping asks "is the gateway up" *)
     respond_and_close t fd Protocol.Pong
-  | Ok (Some ((Protocol.Server_stats | Protocol.Health) as request)) ->
+  | Ok (Some Protocol.Health) ->
     (* forwarded to the first live backend in configuration order — a
        single node's view, for fleet-wide numbers ask each backend *)
-    respond_and_close t fd (forward t ~hedging:false ~candidates:(all_backends t) request)
+    respond_and_close t fd
+      (forward t ~hedging:false ~candidates:(all_backends t) Protocol.Health)
   | Ok (Some Protocol.Ring_status) ->
     (* the gateway's own fleet view — the admin plane reads it to pick
        the freshest config, and pushes updates here last so a draining
@@ -770,55 +736,41 @@ let handle_client t fd =
     in
     respond_and_close t fd (forward ?peek t ~hedging:true ~candidates request)
 
-(* -- health polling, from the accept loop's select tick -- *)
+(* -- health polling, from the front's select tick -- *)
 
 let probe_backend t b =
-  let finish fd outcome =
-    close_noerr fd;
-    match outcome with
-    | `Up (h : Protocol.health) ->
-      let now = Unix.gettimeofday () in
-      Mutex.lock b.mu;
-      let respawned =
-        b.start_epoch > 0.
-        && (h.Protocol.start_epoch -. b.start_epoch > 1e-6 || h.Protocol.node_id <> b.node_id)
-      in
-      b.node_id <- h.Protocol.node_id;
-      b.start_epoch <- h.Protocol.start_epoch;
-      b.last_seen <- now;
-      b.queue_depth <- h.Protocol.queue_depth;
-      b.worker_count <- List.length h.Protocol.workers;
-      (* a respawn is a different process: its predecessor's latency
-         samples would mis-size the adaptive hedge threshold until the
-         whole window refilled, so drop them with the breaker state *)
-      if respawned then b.lat_count <- 0;
-      Mutex.unlock b.mu;
-      if respawned then begin
-        t.log
-          (Printf.sprintf
-             "%s respawned (node %s, new epoch): breaker reset, hedge window cleared, cache \
-              presumed cold"
-             b.name h.Protocol.node_id);
-        Breaker.reset b.breaker
-      end;
-      Breaker.record_success b.breaker;
-      note_state t b
-    | `Down -> fail_breaker t b
-  in
-  match Transport.connect ~timeout:t.config.health_timeout b.addr with
-  | Error _ -> fail_breaker t b
-  | Ok fd -> (
-    match
-      Unix.setsockopt_float fd Unix.SO_SNDTIMEO t.config.health_timeout;
-      Unix.setsockopt_float fd Unix.SO_RCVTIMEO t.config.health_timeout;
-      Protocol.write_request ~peer:b.name fd Protocol.Health
-    with
-    | Error _ -> finish fd `Down
-    | Ok () -> (
-      match Protocol.read_response ~peer:b.name fd with
-      | Ok (Protocol.Health_reply h) -> finish fd (`Up h)
-      | Ok _ | Error _ -> finish fd `Down)
-    | exception Unix.Unix_error _ -> finish fd `Down)
+  match
+    Client.exchange ~connect_timeout:t.config.health_timeout ~timeout:t.config.health_timeout
+      b.name Protocol.Health
+  with
+  | Ok (Protocol.Health_reply h) ->
+    let now = Unix.gettimeofday () in
+    Mutex.lock b.mu;
+    let respawned =
+      b.start_epoch > 0.
+      && (h.Protocol.start_epoch -. b.start_epoch > 1e-6 || h.Protocol.node_id <> b.node_id)
+    in
+    b.node_id <- h.Protocol.node_id;
+    b.start_epoch <- h.Protocol.start_epoch;
+    b.last_seen <- now;
+    b.queue_depth <- h.Protocol.queue_depth;
+    b.worker_count <- List.length h.Protocol.workers;
+    (* a respawn is a different process: its predecessor's latency
+       samples would mis-size the adaptive hedge threshold until the
+       whole window refilled, so drop them with the breaker state *)
+    if respawned then b.lat_count <- 0;
+    Mutex.unlock b.mu;
+    if respawned then begin
+      t.log
+        (Printf.sprintf
+           "%s respawned (node %s, new epoch): breaker reset, hedge window cleared, cache \
+            presumed cold"
+           b.name h.Protocol.node_id);
+      Breaker.reset b.breaker
+    end;
+    Breaker.record_success b.breaker;
+    note_state t b
+  | Ok _ | Error _ -> fail_breaker t b
 
 (* One backend per slice so a poll's worst case (health_timeout on a
    dead node) stalls the accept loop briefly and rarely, instead of
@@ -842,55 +794,14 @@ let poll_health t =
   match due with Some b -> probe_backend t b | None -> ()
 
 let run t =
-  let pool =
-    Worker_pool.start ~workers:t.config.forwarders
-      ~run:(fun ~heartbeat:_ fd -> handle_client t fd)
-      t.queue
-  in
-  t.pool <- Some pool;
-  let accept_client () =
-    match Unix.accept t.listen_fd with
-    | fd, _ -> (
-      Transport.tune fd;
-      (* a stalled or hostile client cannot wedge a forwarder forever *)
-      (try
-         Unix.setsockopt_float fd Unix.SO_RCVTIMEO 30.0;
-         Unix.setsockopt_float fd Unix.SO_SNDTIMEO 30.0
-       with Unix.Unix_error _ -> ());
-      match Job_queue.push t.queue fd with
-      | `Ok -> ()
-      | `Full pending ->
-        (* explicit backpressure, mirroring the daemon's shedding *)
-        Atomic.incr t.rejected;
-        respond_and_close t fd
-          (Protocol.Server_error
-             (Dse_error.Queue_full
-                { pending; max_pending = t.config.max_pending; retry_after = 0.5 }))
-      | `Closed -> close_noerr fd)
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-  in
-  let rec accept_loop () =
-    if not (Atomic.get t.stopping) then begin
-      (match Unix.select [ t.listen_fd ] [] [] 0.1 with
-      | [], _, _ -> ()
-      | _ :: _, _, _ -> (
-        try accept_client ()
-        with e -> t.log (Printf.sprintf "accept: %s" (Printexc.to_string e)))
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
-      (* the health poll rides the select tick, like the daemon's
-         watchdog *)
-      poll_health t;
-      accept_loop ()
-    end
-  in
-  accept_loop ();
-  (* drain: queued client connections are still answered (forwarded or
-     refused) before the gateway exits *)
-  let pending = Job_queue.length t.queue in
-  if pending > 0 then t.log (Printf.sprintf "draining %d pending connection(s)" pending);
-  Job_queue.close t.queue;
-  Worker_pool.join pool;
-  close_noerr t.listen_fd;
+  (* the health poll rides the front's select tick, like the daemon's
+     watchdog; the connection queue's refusal mirrors the daemon's
+     shedding *)
+  Front.run ~listeners:[ t.listen_fd ] ~handlers:t.config.forwarders
+    ~max_pending:t.config.max_pending ~stopping:t.stopping
+    ~tick:(fun () -> poll_health t)
+    ~refused:(fun () -> Atomic.incr t.rejected)
+    ~log:t.log (handle_client t);
   Transport.unlink t.listen_addr;
   t.log
     (Printf.sprintf

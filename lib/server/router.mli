@@ -9,8 +9,9 @@
 
     The robustness plane:
 
-    - {b Health polling.} The accept loop's 0.1 s select tick polls one
-      backend per slice of [health_interval], refreshing node identity
+    - {b Health polling.} The front's 0.1 s select tick (the accept
+      loop {!Front} shares with the daemon) polls one backend per slice
+      of [health_interval], refreshing node identity
       and feeding the breakers — so liveness is known before a client
       pays for the discovery.
     - {b Circuit breakers.} One {!Breaker} per backend: consecutive
@@ -48,8 +49,8 @@
     Structured job errors (corrupt trace, deadline expiry, admission
     rejection, a stalled worker) are relayed verbatim: they are
     properties of the job and would reproduce on any node. [Ping] is
-    answered locally; [Server_stats]/[Health] are forwarded to the
-    first live backend in configuration order. *)
+    answered locally; [Health] is forwarded to the first live backend in
+    configuration order. *)
 
 type hedge = Fixed of float  (** hedge after this many seconds *) | Adaptive
 
@@ -57,7 +58,7 @@ type config = {
   listen : string;  (** router address, {!Transport.parse} grammar *)
   backends : string list;  (** backend addresses; also their ring names *)
   replicas : int;  (** ring virtual nodes per backend *)
-  forwarders : int;  (** forwarder domains = max concurrent requests *)
+  forwarders : int;  (** connection handler threads = max concurrent requests *)
   max_pending : int;  (** accepted-connection queue bound *)
   connect_timeout : float;
   request_timeout : float;  (** per-attempt silence bound, seconds *)

@@ -23,7 +23,7 @@ type work =
   | Approx_work of Sketch.profile
 
 (* The node's current fleet view — one value, swapped whole under
-   [ring_mu] so readers (workers replicating, the accept loop fencing,
+   [ring_mu] so readers (workers replicating, handlers fencing,
    the repl domain pushing) always see a consistent (version, nodes,
    replication, ring) quadruple. [version] 0 is the unfenced standalone
    state; a published config is >= 1 and only ever replaced by a
@@ -77,7 +77,7 @@ type t = {
   (* outbound (target node, encoded record) pushes; bounded, so a slow
      peer costs at most [replication_queue] buffered records and then
      durability (drops are counted), never serving *)
-  repl_queue : (string * string) Job_queue.t option;
+  repl_queue : (string * string) Job_queue.t;
   stopping : bool Atomic.t;
   jobs_completed : int Atomic.t;
   shed : int Atomic.t;
@@ -130,153 +130,129 @@ let restore_from_wal ~log ~cache path =
     Ok ()
 
 let create ?(on_job_start = fun () -> ()) ?(log = fun msg -> Format.eprintf "dse-serve: %s@." msg)
-    config =
+    (config : config) =
+  let ( let* ) = Result.bind in
   let invalid message =
     Error (Dse_error.Constraint_violation { context = "serve"; message })
   in
-  if config.workers < 1 then invalid "workers must be >= 1"
-  else if config.max_pending < 1 then invalid "max-pending must be >= 1"
-  else if config.cache_entries < 1 then invalid "cache-entries must be >= 1"
-  else if not (config.hang_timeout > 0. && config.hang_timeout < infinity) then
-    invalid "hang-timeout must be a positive finite number of seconds"
-  else if (match config.max_job_refs with Some n -> n < 1 | None -> false) then
-    invalid "max-job-refs must be >= 1"
-  else if (match config.memory_budget with Some n -> n < 1 | None -> false) then
-    invalid "memory-budget must be >= 1"
-  else if config.replication < 1 then invalid "replication must be >= 1"
-  else if config.replication_queue < 1 then invalid "replication-queue must be >= 1"
-  else if
-    List.length (List.sort_uniq String.compare config.peers) <> List.length config.peers
-  then invalid "duplicate peer address"
-  else
-    (* The TCP address is validated before any socket is bound: "--tcp"
-       must actually be host:port, not a path that fell through parse. *)
-    let tcp_addr =
-      match config.tcp with
-      | None -> Ok None
-      | Some s -> (
-        match Transport.parse s with
-        | Transport.Tcp _ as addr -> Ok (Some addr)
-        | Transport.Unix_socket _ ->
-          invalid (Printf.sprintf "--tcp expects host:port, got %S" s))
-    in
-    match tcp_addr with
-    | Error _ as e -> e
-    | Ok tcp_addr -> (
-      match Transport.listen (Transport.Unix_socket config.socket_path) with
-      | Error _ as e -> e
-      | Ok listen_fd -> (
-        let tcp_fd =
-          match tcp_addr with
-          | None -> Ok None
-          | Some addr -> (
-            match Transport.listen addr with
-            | Ok fd -> Ok (Some fd)
-            | Error _ as e ->
-              close_noerr listen_fd;
-              Transport.unlink (Transport.Unix_socket config.socket_path);
-              e)
-        in
-        match tcp_fd with
-        | Error e -> Error e
-        | Ok tcp_fd -> (
-          let release_listeners () =
-            close_noerr listen_fd;
-            (match tcp_fd with Some fd -> close_noerr fd | None -> ());
-            Transport.unlink (Transport.Unix_socket config.socket_path)
-          in
-          let cache = Result_cache.create ~capacity:config.cache_entries () in
-          let wal_result =
-            match config.wal_path with
-            | None -> Ok None
-            | Some path -> (
-              match restore_from_wal ~log ~cache path with
-              | Error _ as e -> e
-              | Ok () -> (
-                match
-                  Wal.open_ ~capacity:config.cache_entries
-                    ~snapshot:(fun () -> Result_cache.snapshot cache)
-                    path
-                with
-                | Error _ as e -> e
-                | Ok wal -> Ok (Some wal)))
-          in
-          match wal_result with
-          | Error e ->
-            release_listeners ();
-            Error e
-          | Ok wal ->
-            (* a client vanishing mid-reply must be an EPIPE result, not
-               a process-killing signal *)
-            (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
-            (* The id must survive a respawn (that is its point: the
-               router pairs a stable id with a changing start epoch), so
-               it defaults to the daemon's address — TCP when serving a
-               fleet, else the socket path. *)
-            let node_id =
-              match config.node_id with
-              | Some id -> id
-              | None -> (
-                match config.tcp with Some addr -> addr | None -> config.socket_path)
-            in
-            if List.mem node_id config.peers then begin
-              release_listeners ();
-              (match wal with Some w -> Wal.close w | None -> ());
-              invalid (Printf.sprintf "peer list includes this node's own id %S" node_id)
-            end
-            else
-              (* Replica placement needs a fleet view: the ring over
-                 self + peers. The peer strings must be dialable
-                 addresses AND spelled exactly as the router spells its
-                 --backend list, or the two rings disagree on
-                 successors — which is why node_id defaults to the
-                 daemon's address. *)
-              let membership =
-                match config.peers with
-                | [] ->
-                  (* standalone: version 0 = unfenced, until a
-                     Ring_update joins this node to a fleet *)
-                  { version = 0; nodes = [ node_id ]; replication = config.replication;
-                    ring = None }
-                | peers ->
-                  { version = 1; nodes = node_id :: peers; replication = config.replication;
-                    ring = Some (Ring.create (node_id :: peers)) }
-              in
-              (* always created — a standalone daemon joined at runtime
-                 starts replicating without a restart; an idle queue
-                 costs one blocked domain *)
-              let repl_queue = Some (Job_queue.create ~max_pending:config.replication_queue) in
-              Ok
-                {
-                  config;
-                  listen_fd;
-                  tcp_fd;
-                  node_id;
-                  queue = Job_queue.create ~max_pending:config.max_pending;
-                  cache;
-                  inflight = Inflight.create ();
-                  wal;
-                  ring_mu = Mutex.create ();
-                  membership;
-                  gc_pending = [];
-                  draining = Atomic.make false;
-                  repl_queue;
-                  stopping = Atomic.make false;
-                  jobs_completed = Atomic.make 0;
-                  shed = Atomic.make 0;
-                  admission_rejected = Atomic.make 0;
-                  wal_appends = Atomic.make 0;
-                  wal_failures = Atomic.make 0;
-                  peer_hits = Atomic.make 0;
-                  replicated_in = Atomic.make 0;
-                  replicated_out = Atomic.make 0;
-                  replication_dropped = Atomic.make 0;
-                  replica_gc_dropped = Atomic.make 0;
-                  started = Unix.gettimeofday ();
-                  pool = None;
-                  on_job_start;
-                  log;
-                })))
+  (* The id must survive a respawn (that is its point: the router pairs
+     a stable id with a changing start epoch), so it defaults to the
+     daemon's address — TCP when serving a fleet, else the socket path. *)
+  let node_id =
+    match config.node_id with
+    | Some id -> id
+    | None -> Option.value config.tcp ~default:config.socket_path
+  in
+  let* () =
+    if config.workers < 1 then invalid "workers must be >= 1"
+    else if config.max_pending < 1 then invalid "max-pending must be >= 1"
+    else if config.cache_entries < 1 then invalid "cache-entries must be >= 1"
+    else if not (config.hang_timeout > 0. && config.hang_timeout < infinity) then
+      invalid "hang-timeout must be a positive finite number of seconds"
+    else if (match config.max_job_refs with Some n -> n < 1 | None -> false) then
+      invalid "max-job-refs must be >= 1"
+    else if (match config.memory_budget with Some n -> n < 1 | None -> false) then
+      invalid "memory-budget must be >= 1"
+    else if config.replication < 1 then invalid "replication must be >= 1"
+    else if config.replication_queue < 1 then invalid "replication-queue must be >= 1"
+    else if
+      List.length (List.sort_uniq String.compare config.peers) <> List.length config.peers
+    then invalid "duplicate peer address"
+    else if List.mem node_id config.peers then
+      invalid (Printf.sprintf "peer list includes this node's own id %S" node_id)
+    else Ok ()
+  in
+  (* The TCP address is validated before any socket is bound: "--tcp"
+     must actually be host:port, not a path that fell through parse. *)
+  let* tcp_addr =
+    match Option.map Transport.parse config.tcp with
+    | None -> Ok None
+    | Some (Transport.Tcp _ as addr) -> Ok (Some addr)
+    | Some (Transport.Unix_socket s) ->
+      invalid (Printf.sprintf "--tcp expects host:port, got %S" s)
+  in
+  let* listen_fd = Transport.listen (Transport.Unix_socket config.socket_path) in
+  let release_listeners tcp_fd =
+    close_noerr listen_fd;
+    Option.iter close_noerr tcp_fd;
+    Transport.unlink (Transport.Unix_socket config.socket_path)
+  in
+  let* tcp_fd =
+    match Option.map Transport.listen tcp_addr with
+    | None -> Ok None
+    | Some (Ok fd) -> Ok (Some fd)
+    | Some (Error _ as e) ->
+      release_listeners None;
+      e
+  in
+  let cache = Result_cache.create ~capacity:config.cache_entries () in
+  let* wal =
+    match config.wal_path with
+    | None -> Ok None
+    | Some path -> (
+      match
+        let* () = restore_from_wal ~log ~cache path in
+        Wal.open_ ~capacity:config.cache_entries
+          ~snapshot:(fun () -> Result_cache.snapshot cache)
+          path
+      with
+      | Ok wal -> Ok (Some wal)
+      | Error _ as e ->
+        release_listeners tcp_fd;
+        e)
+  in
+  (* a client vanishing mid-reply must be an EPIPE result, not a
+     process-killing signal *)
+  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
+  (* Replica placement needs a fleet view: the ring over self + peers.
+     The peer strings must be dialable addresses AND spelled exactly as
+     the router spells its --backend list, or the two rings disagree on
+     successors — which is why node_id defaults to the daemon's
+     address. *)
+  let membership =
+    match config.peers with
+    | [] ->
+      (* standalone: version 0 = unfenced, until a Ring_update joins
+         this node to a fleet *)
+      { version = 0; nodes = [ node_id ]; replication = config.replication; ring = None }
+    | peers ->
+      { version = 1; nodes = node_id :: peers; replication = config.replication;
+        ring = Some (Ring.create (node_id :: peers)) }
+  in
+  Ok
+    {
+      config;
+      listen_fd;
+      tcp_fd;
+      node_id;
+      queue = Job_queue.create ~max_pending:config.max_pending;
+      cache;
+      inflight = Inflight.create ();
+      wal;
+      ring_mu = Mutex.create ();
+      membership;
+      gc_pending = [];
+      draining = Atomic.make false;
+      (* always created — a standalone daemon joined at runtime starts
+         replicating without a restart; an idle queue costs one blocked
+         domain *)
+      repl_queue = Job_queue.create ~max_pending:config.replication_queue;
+      stopping = Atomic.make false;
+      jobs_completed = Atomic.make 0;
+      shed = Atomic.make 0;
+      admission_rejected = Atomic.make 0;
+      wal_appends = Atomic.make 0;
+      wal_failures = Atomic.make 0;
+      peer_hits = Atomic.make 0;
+      replicated_in = Atomic.make 0;
+      replicated_out = Atomic.make 0;
+      replication_dropped = Atomic.make 0;
+      replica_gc_dropped = Atomic.make 0;
+      started = Unix.gettimeofday ();
+      pool = None;
+      on_job_start;
+      log;
+    }
 
 let stop t = Atomic.set t.stopping true
 
@@ -358,44 +334,42 @@ let store_replica t key entry =
       Atomic.incr t.wal_failures;
       t.log (Printf.sprintf "wal append failed: %s" (Dse_error.to_string e)))
 
+(* Where a key's copies go under the current membership: its first R−1
+   ring successors other than this node. *)
+let push_targets t (key : Result_cache.key) =
+  let m = membership t in
+  match m.ring with
+  | Some ring when m.replication > 1 ->
+    Ring.successors ring key.Result_cache.fingerprint
+    |> List.filter (fun node -> node <> t.node_id)
+    |> List.filteri (fun i _ -> i < m.replication - 1)
+  | _ -> []
+
 (* Fire-and-forget: a finished entry is queued for this node's R−1
    distinct ring successors *for the key* — so a spilled or failed-over
    job's result still lands on the nodes any router will walk for that
    fingerprint, the owner included. A full queue drops the push and
    counts it: a slow peer degrades durability, never serving. *)
 let replicate t key entry =
-  let m = membership t in
-  match (m.ring, t.repl_queue) with
-  | Some ring, Some queue when m.replication > 1 -> (
+  match push_targets t key with
+  | [] -> ()
+  | targets -> (
     match Wal.encode_record key entry with
     | None -> () (* approx entries are not replicated, mirroring the WAL *)
     | Some record ->
-      Ring.successors ring key.Result_cache.fingerprint
-      |> List.filter (fun node -> node <> t.node_id)
-      |> List.filteri (fun i _ -> i < m.replication - 1)
-      |> List.iter (fun target ->
-             match Job_queue.push queue (target, record) with
-             | `Ok -> ()
-             | `Full _ -> Atomic.incr t.replication_dropped
-             | `Closed -> ()))
-  | _ -> ()
+      List.iter
+        (fun target ->
+          match Job_queue.push t.repl_queue (target, record) with
+          | `Ok -> ()
+          | `Full _ -> Atomic.incr t.replication_dropped
+          | `Closed -> ())
+        targets)
 
-(* One request/response exchange with a peer daemon, from the
-   replication domain. Bounded everywhere (connect, send, receive): a
-   wedged peer must not wedge the pusher. *)
+(* One request/response exchange with a peer daemon. Bounded
+   everywhere (connect, send, receive): a wedged peer must not wedge the
+   pusher. *)
 let peer_exchange ?(timeout = 10.0) target request =
-  let addr = Transport.parse target in
-  match Transport.connect ~timeout:2.0 addr with
-  | Error e -> Error e
-  | Ok fd ->
-    Fun.protect
-      ~finally:(fun () -> close_noerr fd)
-      (fun () ->
-        Unix.setsockopt_float fd Unix.SO_SNDTIMEO timeout;
-        Unix.setsockopt_float fd Unix.SO_RCVTIMEO timeout;
-        match Protocol.write_request ~peer:target fd request with
-        | Error _ as e -> e
-        | Ok () -> Protocol.read_response ~peer:target fd)
+  Client.exchange ~connect_timeout:2.0 ~timeout target request
 
 (* Wake the repl domain for a fresh digest exchange. The sentinel rides
    the push queue (the empty target is not a dialable address, so it
@@ -404,10 +378,7 @@ let peer_exchange ?(timeout = 10.0) target request =
    convergence end. *)
 let trigger_anti_entropy t =
   if t.config.anti_entropy then
-    match t.repl_queue with
-    | Some queue -> (
-      match Job_queue.push queue ("", "") with `Ok | `Full _ | `Closed -> ())
-    | None -> ()
+    match Job_queue.push t.repl_queue ("", "") with `Ok | `Full _ | `Closed -> ()
 
 (* Swap in a strictly newer fleet view (caller holds [ring_mu] via
    adopt_if_newer). Every exact key this node stops participating in is
@@ -462,19 +433,8 @@ let refetch_config t peer =
   | Ok (Protocol.Ring_reply { config; _ }) -> adopt_if_newer t config
   | Ok _ | Error _ -> false
 
-(* Where [record]'s key belongs under the *current* membership: its
-   first R−1 ring successors other than this node. *)
 let current_targets t record =
-  match Wal.decode_record record with
-  | None -> []
-  | Some (key, _) -> (
-    let m = membership t in
-    match m.ring with
-    | Some ring when m.replication > 1 ->
-      Ring.successors ring key.Result_cache.fingerprint
-      |> List.filter (fun node -> node <> t.node_id)
-      |> List.filteri (fun i _ -> i < m.replication - 1)
-    | _ -> [])
+  match Wal.decode_record record with None -> [] | Some (key, _) -> push_targets t key
 
 let rec push_record ?(refetched = false) t target record =
   if not (List.mem target (current_targets t record)) then
@@ -509,25 +469,40 @@ let rec push_record ?(refetched = false) t target record =
     | Error e ->
       t.log (Printf.sprintf "replication: push to %s failed: %s" target (Dse_error.to_string e))
 
-(* The digest exchange is bounded per peer — a short timeout and
-   exactly one retry — so a hung or half-dead ring neighbour can never
-   stall the replication domain at startup (it used to wait the full
-   transport timeout with no second chance). A Stale_ring fence from
-   the peer triggers the config refetch, then the one retry runs under
-   the adopted version. *)
+(* The digest exchange is bounded per peer (a short timeout, one retry
+   after a transport failure), so a hung ring neighbour never stalls the
+   replication domain for long. A Stale_ring fence from a peer that is
+   ahead triggers the config refetch and one retry. A peer that is
+   behind is still being sent the config this node adopted (a join
+   updates the newcomer first): poll it for up to [ae_timeout] rather
+   than skip it, since nothing would re-run the pull. *)
 let ae_timeout = 3.0
 
+let ae_behind_poll = 0.05
+
 let ae_exchange t peer keys =
+  let deadline = Unix.gettimeofday () +. ae_timeout in
   let attempt () =
     peer_exchange ~timeout:ae_timeout peer
       (Protocol.Cache_query { ring_version = ring_version t; keys })
   in
-  match attempt () with
-  | Ok (Protocol.Server_error (Dse_error.Stale_ring _)) when refetch_config t peer -> attempt ()
-  | Error _ ->
-    t.log (Printf.sprintf "anti-entropy: %s did not answer, retrying once" peer);
-    attempt ()
-  | reply -> reply
+  let rec go ~retried ~waited =
+    match attempt () with
+    | Ok (Protocol.Server_error (Dse_error.Stale_ring { seen; expected }))
+      when expected < seen && Unix.gettimeofday () < deadline ->
+      if not waited then
+        t.log
+          (Printf.sprintf "anti-entropy: %s is behind (v%d < v%d); waiting for it to adopt" peer
+             expected seen);
+      Unix.sleepf ae_behind_poll;
+      go ~retried ~waited:true
+    | Ok (Protocol.Server_error (Dse_error.Stale_ring _)) when refetch_config t peer -> attempt ()
+    | Error _ when not retried ->
+      t.log (Printf.sprintf "anti-entropy: %s did not answer, retrying once" peer);
+      go ~retried:true ~waited
+    | reply -> reply
+  in
+  go ~retried:false ~waited:false
 
 (* Anti-entropy on (re)join and on every membership change: ask each
    ring neighbour for its cache-key digest, keep the keys this node
@@ -578,7 +553,7 @@ let anti_entropy t =
       (Ring.neighbors ring t.node_id)
   | _ -> ()
 
-(* Fire due replica-GC batches (called from the accept loop's select
+(* Fire due replica-GC batches (called from the front's select
    tick). Placement is re-checked under the *current* membership — a
    later config that restored a key rescues it — and survivors of the
    check are dropped from the cache, counted, and flushed from the WAL
@@ -628,20 +603,6 @@ let run_replica_gc t =
     end
   end
 
-let stats_reply t =
-  let c = Result_cache.counters t.cache in
-  Protocol.Stats_reply
-    {
-      Protocol.jobs_completed = Atomic.get t.jobs_completed;
-      cache_hits = c.Result_cache.hits;
-      cache_misses = c.Result_cache.misses;
-      cache_entries = c.Result_cache.entries;
-      cache_evictions = c.Result_cache.evictions;
-      coalesced_hits = Inflight.coalesced t.inflight;
-      pending = Job_queue.length t.queue;
-      workers = t.config.workers;
-    }
-
 let health_reply t =
   let c = Result_cache.counters t.cache in
   let now = Unix.gettimeofday () in
@@ -651,23 +612,17 @@ let health_reply t =
     | Some pool ->
       ( List.map
           (fun (v : job Worker_pool.view) ->
-            match v.Worker_pool.running with
-            | Some r ->
-              {
-                Protocol.slot = v.Worker_pool.slot;
-                busy = true;
-                job = r.Worker_pool.job.name;
-                heartbeat_age = Heartbeat.age ~now r.Worker_pool.heartbeat;
-                jobs_done = v.Worker_pool.jobs_done;
-              }
-            | None ->
-              {
-                Protocol.slot = v.Worker_pool.slot;
-                busy = false;
-                job = "";
-                heartbeat_age = 0.;
-                jobs_done = v.Worker_pool.jobs_done;
-              })
+            let running = v.Worker_pool.running in
+            {
+              Protocol.slot = v.Worker_pool.slot;
+              busy = running <> None;
+              job = (match running with Some r -> r.Worker_pool.job.name | None -> "");
+              heartbeat_age =
+                (match running with
+                | Some r -> Heartbeat.age ~now r.Worker_pool.heartbeat
+                | None -> 0.);
+              jobs_done = v.Worker_pool.jobs_done;
+            })
           (Worker_pool.snapshot pool),
         Worker_pool.replaced pool )
   in
@@ -695,7 +650,7 @@ let health_reply t =
       peer_hits = Atomic.get t.peer_hits;
       replicated_in = Atomic.get t.replicated_in;
       replicated_out = Atomic.get t.replicated_out;
-      replication_lag = (match t.repl_queue with Some q -> Job_queue.length q | None -> 0);
+      replication_lag = Job_queue.length t.repl_queue;
       replication_dropped = Atomic.get t.replication_dropped;
       ring_version = ring_version t;
       draining = Atomic.get t.draining;
@@ -756,7 +711,7 @@ let run_job t ~heartbeat job =
       | Approx_work profile ->
         (* the estimator is exercised once here, so a degenerate profile
            becomes a typed reply from the worker instead of an exception
-           in the accept loop's answer path *)
+           in a connection handler's answer path *)
         ignore (Approx_dse.prepare profile);
         Result_cache.Approx profile)
     with
@@ -793,7 +748,7 @@ let run_job t ~heartbeat job =
 
 (* The watchdog found a worker silent past the hang timeout and already
    replaced it ([Watchdog.scan] is atomic per worker). Settle the flight
-   from the accept loop: cancel the job's token (an abandoned worker
+   from the front's tick: cancel the job's token (an abandoned worker
    that was merely slow aborts at its next poll instead of burning a
    core to the end) and answer everyone with the typed stall. *)
 let settle_stalled t (s : job Watchdog.stalled) =
@@ -804,12 +759,8 @@ let settle_stalled t (s : job Watchdog.stalled) =
       (Printf.sprintf
          "watchdog: worker %d silent for %.2f s running %s; domain abandoned, replacement spawned"
          s.Watchdog.slot s.Watchdog.silent_for job.name);
-    let e = Dse_error.Worker_stalled { elapsed = s.Watchdog.elapsed; job = job.name } in
-    let waiters = Inflight.complete t.inflight job.key in
-    respond_and_close t job.fd (Protocol.Server_error e);
-    List.iter
-      (fun (w : Inflight.waiter) -> respond_and_close t w.Inflight.fd (Protocol.Server_error e))
-      waiters
+    respond_flight t job
+      (Error (Dse_error.Worker_stalled { elapsed = s.Watchdog.elapsed; job = job.name }))
   end
 
 (* How long a drain waits for queued and in-flight jobs to finish
@@ -817,15 +768,15 @@ let settle_stalled t (s : job Watchdog.stalled) =
    so this only covers the backlog at the moment the drain arrived. *)
 let drain_settle_timeout = 30.0
 
-(* Planned decommission. Runs inline in the accept loop — the daemon
-   stops accepting while it hands off, which is fine for a node that is
-   leaving — and the whole sequence is bounded: settle wait, then one
-   bounded exchange per surviving target. Order matters: the control
-   plane updates the survivors to the post-drain config *first*, so the
-   handoff pushes (fenced at the new version) are accepted; the router
-   is updated last, so this node keeps answering cache hits until the
-   very moment routing moves — zero kernel re-runs on the drained
-   range. *)
+(* Planned decommission. Runs on the connection handler that read the
+   Drain — the other handlers keep answering meanwhile, so cache hits
+   are served until routing moves — and the whole sequence is bounded:
+   settle wait, then one bounded exchange per surviving target. Order
+   matters: the control plane updates the survivors to the post-drain
+   config *first*, so the handoff pushes (fenced at the new version)
+   are accepted; the router is updated last, so this node keeps
+   answering cache hits until the very moment routing moves — zero
+   kernel re-runs on the drained range. *)
 let handle_drain t fd (config : Protocol.ring_config) =
   let invalid message =
     respond_and_close t fd
@@ -837,11 +788,18 @@ let handle_drain t fd (config : Protocol.ring_config) =
     if List.mem t.node_id config.Protocol.nodes then
       invalid "post-drain config still contains this node"
     else begin
-      let mine = ring_version t in
-      if config.Protocol.ring_version <= mine then
+      let mine = current_config t in
+      (* The post-drain config itself is no news: a push of this node's
+         that a survivor fenced moments earlier refetched and adopted it.
+         The handoff is still owed. *)
+      if
+        config.Protocol.ring_version < mine.Protocol.ring_version
+        || (config.Protocol.ring_version = mine.Protocol.ring_version && config <> mine)
+      then
         respond_and_close t fd
           (Protocol.Server_error
-             (Dse_error.Stale_ring { seen = config.Protocol.ring_version; expected = mine }))
+             (Dse_error.Stale_ring
+                { seen = config.Protocol.ring_version; expected = mine.Protocol.ring_version }))
       else begin
         Atomic.set t.draining true;
         (* let the backlog finish: every entry to hand off must be in
@@ -936,8 +894,9 @@ let handle_submission t fd ~name ~trace ~query ~method_ ~domains ~max_level ~dea
     in
     match Result_cache.find t.cache key with
     | Some entry ->
-      (* hot path: answered in the accept loop, no queueing, no kernel —
-         cache hits stay answerable even when the queue is shedding *)
+      (* hot path: answered by the connection handler, no queueing, no
+         kernel — cache hits stay answerable even when the queue is
+         shedding *)
       respond_and_close t fd
         (Protocol.Result
            { Protocol.outcome = answer ~name ~query ~max_level entry; cache_hit = true })
@@ -957,14 +916,7 @@ let handle_submission t fd ~name ~trace ~query ~method_ ~domains ~max_level ~dea
           { fd; name; work; query; domains; max_level; key; cancel;
             settled = Atomic.make false }
         in
-        let fail_flight e =
-          let waiters = Inflight.complete t.inflight key in
-          respond_and_close t fd (Protocol.Server_error e);
-          List.iter
-            (fun (w : Inflight.waiter) ->
-              respond_and_close t w.Inflight.fd (Protocol.Server_error e))
-            waiters
-        in
+        let fail_flight e = respond_flight t job (Error e) in
         (* Approx jobs are never shed: their kernel is O(ms) over O(kB)
            of state whatever the stream length, so they ride the light
            tier with pings and cache probes. *)
@@ -1001,10 +953,10 @@ let handle_submission t fd ~name ~trace ~query ~method_ ~domains ~max_level ~dea
               (Dse_error.Io_error { file = t.config.socket_path; message = "server shutting down" })))
   end
 
+(* Runs on one of the front's handler threads: read, decode and admit
+   one request, answer it (cache hits included) or hand a kernel job to
+   the worker queue. *)
 let handle_connection t fd =
-  (* a stalled or hostile client cannot wedge the accept loop forever *)
-  Unix.setsockopt_float fd Unix.SO_RCVTIMEO 30.0;
-  Unix.setsockopt_float fd Unix.SO_SNDTIMEO 30.0;
   match
     Protocol.read_request ?max_job_refs:t.config.max_job_refs
       ?memory_budget:t.config.memory_budget ~sketch_approx:true fd
@@ -1013,8 +965,8 @@ let handle_connection t fd =
     (* liveness probe (socket claim, monitoring): close silently *)
     close_noerr fd
   | Error e when Protocol.timed_out e ->
-    (* replying to a peer that stalled mid-frame would block the accept
-       loop for the send timeout on top of the receive one *)
+    (* replying to a peer that stalled mid-frame would hold this handler
+       for the send timeout on top of the receive one *)
     t.log "dropped a connection that timed out mid-request";
     close_noerr fd
   | Error (Dse_error.Resource_exhausted _ as e) ->
@@ -1024,7 +976,6 @@ let handle_connection t fd =
     respond_and_close t fd (Protocol.Server_error e)
   | Error e -> respond_and_close t fd (Protocol.Server_error e)
   | Ok (Some Protocol.Ping) -> respond_and_close t fd Protocol.Pong
-  | Ok (Some Protocol.Server_stats) -> respond_and_close t fd (stats_reply t)
   | Ok (Some Protocol.Health) -> respond_and_close t fd (health_reply t)
   | Ok (Some (Protocol.Replicate { ring_version = seen; records })) -> (
     (* epoch fence first: a peer with a stale fleet view must refetch
@@ -1094,6 +1045,14 @@ let handle_connection t fd =
   | Ok (Some (Protocol.Submit { name; trace; query; method_; domains; max_level; deadline })) ->
     handle_submission t fd ~name ~trace ~query ~method_ ~domains ~max_level ~deadline
 
+(* Connection handlers: enough that a few stalled peers cannot starve
+   the rest, and each one mostly waits on its socket. *)
+let connection_handlers = 4
+
+(* Accepted connections waiting for a handler; the job queue behind
+   the handlers keeps its own [max_pending] bound. *)
+let connection_backlog = 64
+
 let run t =
   let pool =
     Worker_pool.start ~workers:t.config.workers
@@ -1106,82 +1065,52 @@ let run t =
      answers), then the push-queue drain loop. Single-threaded pushes
      keep per-peer ordering and bound the node's outbound fan-out. *)
   let repl_domain =
-    match t.repl_queue with
-    | Some queue ->
-      Some
-        (Domain.spawn (fun () ->
-             let sync () =
-               if t.config.anti_entropy then begin
-                 match anti_entropy t with
-                 | () -> ()
-                 | exception e ->
-                   t.log (Printf.sprintf "anti-entropy failed: %s" (Printexc.to_string e))
-               end
-             in
-             sync ();
-             let rec drain () =
-               match Job_queue.pop queue with
-               | None -> ()
-               | Some ("", _) ->
-                 (* membership-change sentinel: re-run the digest
-                    exchange under the just-adopted ring *)
-                 sync ();
-                 drain ()
-               | Some (target, record) ->
-                 (match push_record t target record with
-                 | () -> ()
-                 | exception e ->
-                   t.log (Printf.sprintf "replication push: %s" (Printexc.to_string e)));
-                 drain ()
-             in
-             drain ()))
-    | None -> None
+    Domain.spawn (fun () ->
+        let sync () =
+          if t.config.anti_entropy then
+            try anti_entropy t
+            with e -> t.log (Printf.sprintf "anti-entropy failed: %s" (Printexc.to_string e))
+        in
+        sync ();
+        let rec drain () =
+          match Job_queue.pop t.repl_queue with
+          | None -> ()
+          | Some ("", _) ->
+            (* membership-change sentinel: re-run the digest exchange
+               under the just-adopted ring *)
+            sync ();
+            drain ()
+          | Some (target, record) ->
+            (try push_record t target record
+             with e -> t.log (Printf.sprintf "replication push: %s" (Printexc.to_string e)));
+            drain ()
+        in
+        drain ())
   in
-  let listeners =
-    t.listen_fd :: (match t.tcp_fd with Some fd -> [ fd ] | None -> [])
-  in
-  let accept_from listen_fd =
-    match Unix.accept listen_fd with
-    | fd, _ -> (
-      (* an accepted TCP connection wants Nagle off just like an
-         outbound one; no-op on the Unix socket *)
-      Transport.tune fd;
-      (* the serve loop must outlive any one connection: log and
-         continue, never leak an exception to the top level *)
-      try handle_connection t fd
-      with e ->
-        t.log (Printf.sprintf "connection handler: %s" (Printexc.to_string e));
-        close_noerr fd)
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-  in
-  let rec accept_loop () =
-    if not (Atomic.get t.stopping) then begin
-      (match Unix.select listeners [] [] 0.1 with
-      | ready, _, _ -> List.iter accept_from ready
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
+  Front.run
+    ~listeners:(t.listen_fd :: Option.to_list t.tcp_fd)
+    ~handlers:connection_handlers ~max_pending:connection_backlog ~stopping:t.stopping
+    ~tick:(fun () ->
       (* the watchdog rides the select tick: detection latency is
          bounded by hang_timeout plus one 0.1 s tick *)
       List.iter (settle_stalled t) (Watchdog.scan pool ~hang_timeout:t.config.hang_timeout);
       (* replica GC rides it too: due batches fire within a tick of
          their grace expiry *)
-      run_replica_gc t;
-      accept_loop ()
-    end
-  in
-  accept_loop ();
-  (* drain: no new connections, but every queued and in-flight job is
-     finished and answered (waiters included) before the daemon exits.
-     Abandoned worker domains are deliberately not waited for. *)
+      run_replica_gc t)
+    ~log:t.log (handle_connection t);
+  (* drain: the front has closed the listeners and handled every
+     connection it had accepted, so each of their jobs is queued; every
+     queued and in-flight job is finished and answered (waiters
+     included) before the daemon exits. Abandoned worker domains are
+     deliberately not waited for. *)
   let pending = Job_queue.length t.queue in
   if pending > 0 then t.log (Printf.sprintf "draining %d pending job(s)" pending);
   Job_queue.close t.queue;
   Worker_pool.join pool;
   (* workers are done, so no new pushes can be queued: close the
      replication queue and let the domain drain what remains *)
-  (match t.repl_queue with Some queue -> Job_queue.close queue | None -> ());
-  (match repl_domain with Some d -> Domain.join d | None -> ());
-  close_noerr t.listen_fd;
-  (match t.tcp_fd with Some fd -> close_noerr fd | None -> ());
+  Job_queue.close t.repl_queue;
+  Domain.join repl_domain;
   (match t.wal with Some wal -> Wal.close wal | None -> ());
   (try Unix.unlink t.config.socket_path with Unix.Unix_error (_, _, _) | Sys_error _ -> ());
   t.log

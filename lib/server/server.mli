@@ -2,10 +2,13 @@
 
     A long-running batch DSE service on a Unix-domain socket — and,
     with [tcp] set, a TCP listener beside it carrying the identical
-    DSRV framing for multi-host fleets fronted by [dse route]: the
-    accept loop reads one {!Protocol.request} per connection, answers cache
-    hits and malformed submissions inline, and hands cache misses to a
-    pool of worker domains through a bounded {!Job_queue}. Submissions
+    DSRV framing for multi-host fleets fronted by [dse route]. The
+    shared {!Front} accepts connections and hands each to one of a few
+    handler threads, which reads one {!Protocol.request}, answers cache
+    hits, probes and malformed submissions itself, and hands cache
+    misses to a pool of worker domains through a bounded {!Job_queue}:
+    a client that trickles its frame holds one handler, never the
+    daemon. Submissions
     beyond [max_pending] are rejected with a typed
     {!Dse_error.Queue_full} — explicit backpressure, never unbounded
     buffering. Each job runs the standard [Analytical] pipeline
@@ -34,7 +37,7 @@
     Supervision behaviours (the watchdog plane):
 
     - {b Worker watchdog.} Every job runs under a {!Heartbeat.t} beaten
-      at the kernel's cancellation poll points. The accept loop's 0.1 s
+      at the kernel's cancellation poll points. The front's 0.1 s
       select tick scans the pool; a worker silent past [hang_timeout]
       is declared wedged: its domain is abandoned (OCaml domains cannot
       be killed), a replacement is spawned on the same slot, the flight
@@ -53,8 +56,8 @@
       load-proportional [retry_after] hint that client backoff honors;
       light jobs, pings, health probes and cache hits keep being
       answered.
-    - {b Health plane.} A {!Protocol.Health} request is answered inline
-      from the accept loop with per-worker heartbeat ages, queue depth
+    - {b Health plane.} A {!Protocol.Health} request is answered by
+      its connection handler with per-worker heartbeat ages, queue depth
       and watermark, shed/admission counters, cache and WAL health, and
       uptime.
 
@@ -76,7 +79,8 @@
       WAL-restored one pulls nothing.
 
     Shutdown ({!stop}, or SIGTERM/SIGINT via
-    {!install_signal_handlers}) drains: the listener closes, queued and
+    {!install_signal_handlers}) drains: the listeners close, every
+    connection already accepted is handled (its job queued), queued and
     in-flight jobs finish and are answered, the workers join, queued
     replication pushes drain, and the socket file is unlinked. *)
 
@@ -132,12 +136,13 @@ val create :
   ?on_job_start:(unit -> unit) -> ?log:(string -> unit) -> config -> (t, Dse_error.t) result
 
 (** [run t] starts the workers and serves until {!stop}, then drains and
-    cleans up. Runs in the calling domain; spawn a domain (or a process)
-    around it to serve in the background. *)
+    cleans up. Runs in the calling domain (the connection handlers are
+    threads on it); spawn a domain (or a process) around it to serve in
+    the background. *)
 val run : t -> unit
 
 (** [stop t] requests shutdown-with-drain. Async-signal-safe (an atomic
-    store); the accept loop notices within its 100 ms select tick. *)
+    store); the front notices within its 100 ms select tick. *)
 val stop : t -> unit
 
 (** [install_signal_handlers t] routes SIGTERM and SIGINT to {!stop}. *)

@@ -54,13 +54,15 @@ let read_some fd buf off len =
   chaos "read";
   Unix.read fd buf off len
 
-let write_all fd bytes =
+let write_sub fd bytes off len =
   chaos "write";
-  let len = Bytes.length bytes in
-  let off = ref 0 in
-  while !off < len do
-    off := !off + Unix.write fd bytes !off (len - !off)
+  let stop = off + len in
+  let off = ref off in
+  while !off < stop do
+    off := !off + Unix.write fd bytes !off (stop - !off)
   done
+
+let write_all fd bytes = write_sub fd bytes 0 (Bytes.length bytes)
 
 let resolve_host host =
   if host = "" then Unix.inet_addr_loopback

@@ -50,7 +50,7 @@ val bound_port : Unix.file_descr -> int option
 
 (** {2 Chaos-checked byte I/O}
 
-    All DSRV frame traffic funnels through these two primitives, which
+    All DSRV frame traffic funnels through these primitives, which
     consult {!Fault.net_drop} / {!Fault.net_delay} before touching the
     descriptor — so [DSE_FAULT=net:drop:K] and [net:delay:K:MS] inject
     connection resets and link stalls at the exact layer a flaky network
@@ -61,5 +61,9 @@ val bound_port : Unix.file_descr -> int option
     returns the (possibly short) count, [0] at end of stream. *)
 val read_some : Unix.file_descr -> bytes -> int -> int -> int
 
-(** [write_all fd b] writes all of [b], looping on short writes. *)
+(** [write_sub fd b off len] writes [b.[off .. off + len - 1]],
+    looping on short writes. *)
+val write_sub : Unix.file_descr -> bytes -> int -> int -> unit
+
+(** [write_all fd b] is [write_sub fd b 0 (Bytes.length b)]. *)
 val write_all : Unix.file_descr -> bytes -> unit

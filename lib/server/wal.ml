@@ -37,15 +37,16 @@ let encode_record (key : Result_cache.key) (entry : Result_cache.entry) =
   match entry with
   | Result_cache.Approx _ -> None
   | Result_cache.Exact { stats; histograms } ->
-    let head = Wire.writer 64 in
-    Result_cache.write_key head key;
-    Result_cache.write_stats head stats;
-    let size = ref (Wire.written head) in
+    (* the key and stats take well under 64 bytes *)
+    let size = ref 64 in
     iter_histogram_varints (fun v -> size := !size + Wire.varint_size v) histograms;
-    let w = Wire.frame ~magic ~version !size in
-    Wire.append w head;
-    iter_histogram_varints (Wire.put_varint w) histograms;
-    Some (Bytes.unsafe_to_string (Wire.seal w))
+    let bytes, off, len =
+      Wire.framed ~magic ~version !size (fun w ->
+          Result_cache.write_key w key;
+          Result_cache.write_stats w stats;
+          iter_histogram_varints (Wire.put_varint w) histograms)
+    in
+    Some (Bytes.sub_string bytes off len)
 
 (* -- replay -- *)
 

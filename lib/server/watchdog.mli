@@ -11,7 +11,7 @@
     worker that was merely slow aborts at its next poll instead of
     burning a core).
 
-    The server runs {!scan} from the accept loop's 0.1 s select tick, so
+    The server runs {!scan} from the front's 0.1 s select tick, so
     detection latency is bounded by [hang_timeout] + one tick. *)
 
 type 'job stalled = {

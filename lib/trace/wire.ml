@@ -33,8 +33,9 @@ let rec put_varint_slow w v =
   end
 
 (* A non-negative int is at most 9 varint bytes; with that much room the
-   bytes go straight into the buffer. Near the end (an exact-size
-   [frame]) the byte-at-a-time form keeps [ensure] from growing it. *)
+   bytes go straight into the buffer. Near the end (an exactly sized
+   [framed] buffer) the byte-at-a-time form keeps [ensure] from growing
+   it. *)
 let put_varint w v =
   if v >= 0 && w.pos + 9 <= Bytes.length w.bytes then begin
     let b = w.bytes and pos = ref w.pos and v = ref v in
@@ -57,8 +58,6 @@ let put_sub w b off len =
   ensure w len;
   Bytes.blit b off w.bytes w.pos len;
   w.pos <- w.pos + len
-
-let append w p = put_sub w p.bytes 0 p.pos
 
 let put_string w s =
   put_varint w (String.length s);
@@ -94,16 +93,27 @@ let put_footer w =
     put_byte w ((crc lsr (8 * i)) land 0xFF)
   done
 
-let frame ?tag ~magic ~version n =
-  let tag_size = if tag = None then 0 else 1 in
-  let w = writer (String.length magic + 1 + tag_size + varint_size n + n + 4) in
+(* The payload goes in after room for the widest header (a 9-byte
+   length), then the header is written in place just in front of it: a
+   frame of unknown payload size is built in one buffer and never
+   copied. *)
+let framed ?tag ~magic ~version size encode =
+  let head n = String.length magic + 1 + (if tag = None then 0 else 1) + varint_size n in
+  let room = head max_int in
+  let w = writer (room + size + 4) in
+  w.pos <- room;
+  encode w;
+  let stop = w.pos in
+  let n = stop - room in
+  let start = room - head n in
+  w.pos <- start;
   put_header w ?tag ~magic ~version n;
-  w
-
-let seal w =
-  put_footer w;
-  if w.pos <> Bytes.length w.bytes then invalid_arg "Wire.seal: frame size mismatch";
-  w.bytes
+  w.pos <- stop;
+  let crc = Crc32.finalize (Crc32.update_sub Crc32.init w.bytes start (stop - start)) in
+  for i = 0 to 3 do
+    put_byte w ((crc lsr (8 * i)) land 0xFF)
+  done;
+  (w.bytes, start, w.pos - start)
 
 (* -- reading --
 
@@ -210,9 +220,10 @@ let sub r n =
     { r with len = r.pos; pos = r.pos - n; base = n - r.pos; limit = n; eof; crc = Crc32.init;
       mark = r.pos - n }
   | Some fill ->
-    (* read straight into a buffer that grows with the bytes that
-       actually arrived: one allocation for a payload up to 56 KiB, and
-       a frame that declares 256 MiB and then stops costs 56 KiB *)
+    (* read straight into a buffer sized from the declared length, but
+       never more than 32 times the bytes that actually arrived: one
+       allocation for a payload up to 56 KiB, two up to 1.75 MiB, and a
+       frame that declares 256 MiB and then stops costs 56 KiB *)
     fold_crc r;
     let buffered = min n (r.len - r.pos) in
     let out = ref (Bytes.create (min n (56 * 1024))) in
@@ -222,7 +233,7 @@ let sub r n =
     let got = ref buffered in
     while !got < n do
       if !got = Bytes.length !out then begin
-        let bigger = Bytes.create (min n (2 * !got)) in
+        let bigger = Bytes.create (min n (32 * !got)) in
         Bytes.blit !out 0 bigger 0 !got;
         out := bigger
       end;

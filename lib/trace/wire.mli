@@ -49,9 +49,6 @@ val put_i64 : writer -> int64 -> unit
 
 val put_record : writer -> addr:int -> kind:Trace.kind -> unit
 
-(** [append w p] writes the bytes written to [p]. *)
-val append : writer -> writer -> unit
-
 (** [put_header w ?tag ~magic ~version n]: the envelope up to and
     including the length field [n]. *)
 val put_header : writer -> ?tag:int -> magic:string -> version:int -> int -> unit
@@ -64,14 +61,13 @@ val flush : writer -> (Bytes.t -> int -> int -> unit) -> unit
 (** The CRC footer over every byte written, flushed or not. *)
 val put_footer : writer -> unit
 
-(** [frame ?tag ~magic ~version n] is a writer of the exact size of a
-    frame with an [n]-byte payload, header written: write the payload,
-    then {!seal} it. *)
-val frame : ?tag:int -> magic:string -> version:int -> int -> writer
-
-(** Writes the footer and returns the frame; [Invalid_argument] unless
-    that fills the writer exactly. *)
-val seal : writer -> Bytes.t
+(** [framed ?tag ~magic ~version size encode] builds the frame of the
+    payload [encode] writes in one buffer with room for a [size]-byte
+    payload (it grows if [encode] writes more), the header written in
+    place in front of the payload: the buffer, and the frame's offset
+    and length in it. *)
+val framed :
+  ?tag:int -> magic:string -> version:int -> int -> (writer -> unit) -> Bytes.t * int * int
 
 (** {2 Reading} *)
 
@@ -120,7 +116,8 @@ val string : reader -> string
 (** [sub r n] consumes the next [n] bytes as a reader of their own
     (offsets from 0, running out is ["unexpected end of payload"]). It
     copies nothing from a string. From a stream it reads into a buffer
-    that starts at 56 KiB and doubles as bytes arrive, never past [n]. *)
+    that starts at 56 KiB and, each time it fills, grows to [n] or to
+    32 times the bytes received, whichever is smaller. *)
 val sub : reader -> int -> reader
 
 (** Expects the bytes of the magic; a mismatch is ["bad magic"]. *)

@@ -2,9 +2,11 @@
    cluster verbs (a property test — every cross-version Replicate /
    Cache_query is rejected with Stale_ring and never silently applied),
    ring-config adoption (strictly-newer wins, idempotent otherwise),
-   replica GC on a replication shrink, and graceful drain under
+   replica GC on a replication shrink, graceful drain under
    concurrent submissions — no warm entry lost, zero kernel re-runs on
-   the drained range. *)
+   the drained range — a join whose newcomer adopts the ring before its
+   neighbour does, and a drain whose leaver already adopted the
+   post-drain ring. *)
 
 let check_int = Alcotest.(check int)
 
@@ -39,9 +41,9 @@ let server_config ?(workers = 2) ?wal_path ?(peers = []) ?(replication = 2)
     max_job_refs = None; memory_budget = None;
     peers; replication; replication_queue = 256; anti_entropy }
 
-let start_server ?on_job_start config =
+let start_server ?on_job_start ?(log = fun _ -> ()) config =
   let server =
-    match Server.create ?on_job_start ~log:(fun _ -> ()) config with
+    match Server.create ?on_job_start ~log config with
     | Ok s -> s
     | Error e -> Alcotest.failf "server create: %s" (Dse_error.to_string e)
   in
@@ -54,7 +56,7 @@ let stop_server (server, runner) =
 
 let trace_of_seed seed = Synthetic.zipfian ~seed:(seed + 71) ~span:4096 ~skew:1.1 ~length:1200
 
-let request socket r = ok_or_fail (Client.request ~socket r)
+let request socket r = ok_or_fail (Client.exchange socket r)
 
 let digest_keys socket =
   match request socket (Protocol.Cache_query { ring_version = 0; keys = [] }) with
@@ -155,7 +157,7 @@ let test_adoption_strictly_newer () =
       | _ -> Alcotest.fail "expected Ring_reply");
       (* a malformed config is refused, not adopted *)
       (match
-         Client.request ~socket:a
+         Client.exchange a
            (Protocol.Ring_update
               { config = { Protocol.ring_version = 9; nodes = [ a; a ]; replication = 1 } })
        with
@@ -260,7 +262,7 @@ let test_drain_under_load () =
         ha.Protocol.ring_version;
       (* no warm entry was lost: every pre-drain answer repeats warm
          from the survivor, bit-identical, with zero kernel re-runs *)
-      let jobs () = (ok_or_fail (Client.server_stats ~socket:b)).Protocol.jobs_completed in
+      let jobs () = (ok_or_fail (Client.health ~socket:b)).Protocol.jobs_completed in
       let before = jobs () in
       List.iter
         (fun (name, trace) ->
@@ -274,6 +276,85 @@ let test_drain_under_load () =
       eventually ~tries:600 "the drained node to GC its cache" (fun () ->
           (ok_or_fail (Client.health ~socket:a)).Protocol.cache_entries = 0))
 
+(* -- a join whose newcomer adopts the ring first -- *)
+
+let mentions msg fragment =
+  let n = String.length fragment in
+  let rec at i = i + n <= String.length msg && (String.sub msg i n = fragment || at (i + 1)) in
+  at 0
+
+(* [Admin.join] pushes the new ring to the newcomer first, so the
+   newcomer's anti-entropy can query a neighbour that is still at the
+   old version, whose fence answers Stale_ring. Held deterministically
+   here: the incumbent stays at v1 until the newcomer's digest query has
+   been fenced (its log says so), and only then adopts v2. The newcomer
+   must still pull its whole range. *)
+let test_join_before_neighbour_adopts () =
+  let p = temp_socket_path () and n = temp_socket_path () in
+  let fenced = Atomic.make false in
+  let log msg =
+    if mentions msg "is behind" || mentions msg "unexpected digest reply" then
+      Atomic.set fenced true
+  in
+  let incumbent = start_server (server_config p) in
+  let newcomer = start_server ~log (server_config ~anti_entropy:true n) in
+  Fun.protect
+    ~finally:(fun () ->
+      stop_server incumbent;
+      stop_server newcomer;
+      List.iter (fun s -> if Sys.file_exists s then Sys.remove s) [ p; n ])
+    (fun () ->
+      let ring nodes version =
+        Protocol.Ring_update { config = { Protocol.ring_version = version; nodes; replication = 2 } }
+      in
+      ignore (request p (ring [ p ] 1));
+      List.iter
+        (fun seed ->
+          ignore
+            (ok_or_fail
+               (Client.submit ~socket:p ~name:(Printf.sprintf "j%d" seed) (trace_of_seed seed))))
+        [ 1; 2; 3; 4 ];
+      let held = digest_keys p in
+      check_int "the incumbent holds the warm range" 4 (List.length held);
+      (* v2 reaches the newcomer only; with two nodes and replication 2
+         it participates in every key *)
+      ignore (request n (ring [ p; n ] 2));
+      eventually "the newcomer's digest query to be fenced" (fun () -> Atomic.get fenced);
+      ignore (request p (ring [ p; n ] 2));
+      eventually "the newcomer to pull its range" (fun () ->
+          let have = digest_keys n in
+          List.for_all (fun key -> List.mem key have) held))
+
+(* A drain whose post-drain ring the leaver already holds: one of its
+   replication pushes was fenced by a survivor that had adopted the new
+   ring, and the refetch adopted it on the leaver too, before the Drain
+   arrived. The handoff is still owed, not refused as stale. *)
+let test_drain_after_leaver_adopted () =
+  let a = temp_socket_path () and b = temp_socket_path () in
+  let leaver = start_server (server_config ~peers:[ b ] a) in
+  let survivor = start_server (server_config ~peers:[ a ] b) in
+  Fun.protect
+    ~finally:(fun () ->
+      stop_server leaver;
+      stop_server survivor;
+      List.iter (fun s -> if Sys.file_exists s then Sys.remove s) [ a; b ])
+    (fun () ->
+      List.iter
+        (fun seed ->
+          ignore
+            (ok_or_fail
+               (Client.submit ~socket:a ~name:(Printf.sprintf "d%d" seed) (trace_of_seed seed))))
+        [ 11; 12; 13 ];
+      let post = { Protocol.ring_version = 2; nodes = [ b ]; replication = 2 } in
+      List.iter (fun s -> ignore (request s (Protocol.Ring_update { config = post }))) [ b; a ];
+      match request a (Protocol.Drain { config = post }) with
+      | Protocol.Ring_reply { draining; pushed; config } ->
+        check_bool "the leaver drained" true draining;
+        check_int "every warm entry handed off" 3 pushed;
+        check_int "at the post-drain version" 2 config.Protocol.ring_version
+      | Protocol.Server_error e -> Alcotest.failf "drain refused: %s" (Dse_error.to_string e)
+      | _ -> Alcotest.fail "expected Ring_reply")
+
 let suites =
   [
     ( "membership",
@@ -282,5 +363,8 @@ let suites =
         Alcotest.test_case "adoption strictly newer" `Quick test_adoption_strictly_newer;
         Alcotest.test_case "replica GC on shrink" `Slow test_replica_gc_on_shrink;
         Alcotest.test_case "drain under load" `Slow test_drain_under_load;
+        Alcotest.test_case "join before the neighbour adopts" `Quick
+          test_join_before_neighbour_adopts;
+        Alcotest.test_case "drain after the leaver adopted" `Quick test_drain_after_leaver_adopted;
       ] );
   ]

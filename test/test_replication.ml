@@ -282,7 +282,7 @@ let test_router_peer_lookup_on_failover () =
           let survivors = List.filter (fun s -> s <> owner) sockets in
           let jobs_before =
             List.map
-              (fun s -> (ok_or_fail (Client.server_stats ~socket:s)).Protocol.jobs_completed)
+              (fun s -> (ok_or_fail (Client.health ~socket:s)).Protocol.jobs_completed)
               survivors
           in
           (* kill the owner; its warm range lives on in the replicas *)
@@ -297,7 +297,7 @@ let test_router_peer_lookup_on_failover () =
           List.iter2
             (fun s before ->
               check_int "survivor ran no kernel" before
-                (ok_or_fail (Client.server_stats ~socket:s)).Protocol.jobs_completed)
+                (ok_or_fail (Client.health ~socket:s)).Protocol.jobs_completed)
             survivors jobs_before))
 
 (* -- anti-entropy on (re)join -- *)
@@ -436,7 +436,7 @@ let test_spill_least_loaded () =
           check_bool "spill counted" true ((Router.stats router).Router.spilled >= 1);
           let other = List.nth sockets 1 in
           check_int "the idle node ran the job" 1
-            (ok_or_fail (Client.server_stats ~socket:other)).Protocol.jobs_completed;
+            (ok_or_fail (Client.health ~socket:other)).Protocol.jobs_completed;
           (* release the gate and let the background jobs drain *)
           Atomic.set gate false;
           List.iter (fun d -> ignore (Domain.join d)) background))

@@ -497,7 +497,7 @@ let test_router_identity_and_locality () =
           (* fingerprint routing spread the jobs over several backends *)
           let loads =
             List.map
-              (fun socket -> (ok_or_fail (Client.server_stats ~socket)).Protocol.jobs_completed)
+              (fun socket -> (ok_or_fail (Client.health ~socket)).Protocol.jobs_completed)
               backends
           in
           check_int "all jobs accounted for" (List.length traces)
@@ -523,7 +523,7 @@ let test_router_rejects_retired_methods () =
       with_router (router_config backends) (fun addr router ->
           Frames.expect_retired_methods_rejected addr;
           check_int "no backend saw them" 0
-            (ok_or_fail (Client.server_stats ~socket:(List.hd backends))).Protocol.jobs_completed;
+            (ok_or_fail (Client.health ~socket:(List.hd backends))).Protocol.jobs_completed;
           check_bool "no failovers" true ((Router.stats router).Router.failovers = 0);
           let trace = trace_of_seed 0 in
           let payload = ok_or_fail (Client.submit ~socket:addr ~name:"after" trace) in

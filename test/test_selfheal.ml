@@ -395,7 +395,7 @@ let test_single_flight_coalesces () =
          wait until the daemon has seen them all *)
       let rec wait_coalesced tries =
         if tries = 0 then Alcotest.fail "duplicates never coalesced";
-        let s = ok_or_fail (Client.server_stats ~socket) in
+        let s = ok_or_fail (Client.health ~socket) in
         if s.Protocol.coalesced_hits < 7 then begin
           Unix.sleepf 0.02;
           wait_coalesced (tries - 1)
@@ -411,7 +411,7 @@ let test_single_flight_coalesces () =
           check_bool "every client answered identically" true
             (p.Protocol.outcome = Protocol.Table reference))
         payloads;
-      let s = ok_or_fail (Client.server_stats ~socket) in
+      let s = ok_or_fail (Client.health ~socket) in
       check_int "coalesced counted" 7 s.Protocol.coalesced_hits;
       check_int "one job completed" 1 s.Protocol.jobs_completed)
 
@@ -496,8 +496,8 @@ let test_retry_recovers_from_queue_full () =
       let client_b = Domain.spawn (fun () -> Client.submit ~socket ~name:"b" trace_b) in
       let rec wait_pending tries =
         if tries = 0 then Alcotest.fail "job B never queued";
-        let s = ok_or_fail (Client.server_stats ~socket) in
-        if s.Protocol.pending < 1 then begin
+        let s = ok_or_fail (Client.health ~socket) in
+        if s.Protocol.queue_depth < 1 then begin
           Unix.sleepf 0.02;
           wait_pending (tries - 1)
         end

@@ -89,7 +89,7 @@ let test_request_roundtrip () =
     check_bool "no deadline" true (s.deadline = None)
   | _ -> Alcotest.fail "expected Submit");
   check_bool "ping" true (roundtrip_request Protocol.Ping = Protocol.Ping);
-  check_bool "stats" true (roundtrip_request Protocol.Server_stats = Protocol.Server_stats)
+  check_bool "health" true (roundtrip_request Protocol.Health = Protocol.Health)
 
 (* Every method byte decodes without raising: 3 (arena) and 4 (approx)
    are accepted, the retired 0-2 are a typed constraint violation, and
@@ -157,21 +157,6 @@ let test_response_roundtrip () =
       | Protocol.Server_error e' -> check_bool "error" true (e = e')
       | _ -> Alcotest.fail "expected Server_error")
     errors;
-  let stats =
-    {
-      Protocol.jobs_completed = 5;
-      cache_hits = 2;
-      cache_misses = 3;
-      cache_entries = 3;
-      cache_evictions = 1;
-      coalesced_hits = 2;
-      pending = 1;
-      workers = 4;
-    }
-  in
-  (match roundtrip_response (Protocol.Stats_reply stats) with
-  | Protocol.Stats_reply s -> check_bool "stats" true (s = stats)
-  | _ -> Alcotest.fail "expected Stats_reply");
   check_bool "pong" true (roundtrip_response Protocol.Pong = Protocol.Pong)
 
 (* -- fingerprint -- *)
@@ -238,12 +223,12 @@ let temp_socket_path () =
   path
 
 let with_server ?(workers = 2) ?(max_pending = 16) ?(cache_entries = Result_cache.default_capacity)
-    ?wal_path ?on_job_start ?(hang_timeout = 30.) ?max_job_refs ?memory_budget f =
+    ?wal_path ?on_job_start ?(hang_timeout = 30.) ?max_job_refs ?memory_budget ?tcp f =
   let path = temp_socket_path () in
   let server =
     match
       Server.create ?on_job_start ~log:(fun _ -> ())
-        { Server.socket_path = path; tcp = None; node_id = None; workers; max_pending;
+        { Server.socket_path = path; tcp; node_id = None; workers; max_pending;
           cache_entries; wal_path; hang_timeout; max_job_refs; memory_budget;
           peers = []; replication = 2; replication_queue = 256; anti_entropy = false }
     with
@@ -286,7 +271,7 @@ let test_cache_hit_identity () =
       (match k_payload.Protocol.outcome with
       | Protocol.Optimal r -> check_bool "k identity" true (r = Analytical.explore trace ~k)
       | _ -> Alcotest.fail "expected an optimizer result");
-      let stats = ok_or_fail (Client.server_stats ~socket) in
+      let stats = ok_or_fail (Client.health ~socket) in
       check_int "one kernel job" 1 stats.Protocol.jobs_completed;
       check_bool "hits counted" true (stats.Protocol.cache_hits >= 2);
       check_int "one entry" 1 stats.Protocol.cache_entries)
@@ -328,8 +313,8 @@ let test_queue_overflow () =
       let client_b = Domain.spawn (fun () -> Client.submit ~socket ~name:"b" trace_b) in
       let rec wait_pending tries =
         if tries = 0 then Alcotest.fail "job B never queued";
-        let s = ok_or_fail (Client.server_stats ~socket) in
-        if s.Protocol.pending < 1 then begin
+        let s = ok_or_fail (Client.health ~socket) in
+        if s.Protocol.queue_depth < 1 then begin
           Unix.sleepf 0.02;
           wait_pending (tries - 1)
         end
@@ -444,6 +429,124 @@ let test_job_shard_recovery () =
               check_bool "recovered identically" true
                 (clean.Protocol.outcome = faulted.Protocol.outcome))))
 
+(* -- the connection front: one slow peer stalls nobody else -- *)
+
+(* One probe round trip, bounded at 2 s so a stalled daemon fails the
+   test instead of hanging it: the reply and its latency. *)
+let timed_probe socket request =
+  let started = Unix.gettimeofday () in
+  let reply = Client.exchange ~timeout:2.0 socket request in
+  (reply, Unix.gettimeofday () -. started)
+
+(* Well under a second: one 0.1 s select tick plus scheduling slack on
+   a shared machine. *)
+let probe_bound = 0.5
+
+let check_fast what latency =
+  check_bool (Printf.sprintf "%s answered in %.3f s (< %.1f s)" what latency probe_bound) true
+    (latency < probe_bound)
+
+let submit_frame () =
+  let trace = Trace.of_addresses (Array.init 256 (fun i -> i * 5)) in
+  let r, w = Unix.pipe ~cloexec:true () in
+  Fun.protect
+    ~finally:(fun () -> Unix.close r)
+    (fun () ->
+      ok_or_fail
+        (Protocol.write_request w
+           (Protocol.Submit
+              { name = "drip"; trace = Protocol.Full trace; query = Protocol.Percents [ 5 ];
+                method_ = Protocol.Exact Analytical.Arena; domains = 1; max_level = None;
+                deadline = None }));
+      Unix.close w;
+      let buf = Buffer.create 1024 and chunk = Bytes.create 4096 in
+      let rec drain () =
+        match Unix.read r chunk 0 4096 with
+        | 0 -> Buffer.contents buf
+        | n ->
+          Buffer.add_subbytes buf chunk 0 n;
+          drain ()
+      in
+      drain ())
+
+(* A client drip-feeds a Submit frame at 1 byte per second. Pings and
+   health probes sent meanwhile are answered at once: the trickle holds
+   one connection handler, not the daemon. *)
+let test_trickled_frame_stalls_no_probe () =
+  with_server (fun socket _server ->
+      let frame = submit_frame () in
+      let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      Unix.connect fd (Unix.ADDR_UNIX socket);
+      let stop = Atomic.make false in
+      let dripper =
+        Domain.spawn (fun () ->
+            let rec drip i =
+              if i < String.length frame && not (Atomic.get stop) then begin
+                ignore (Unix.write_substring fd frame i 1);
+                Unix.sleepf 1.0;
+                drip (i + 1)
+              end
+            in
+            drip 0)
+      in
+      Fun.protect
+        ~finally:(fun () ->
+          Atomic.set stop true;
+          Domain.join dripper;
+          Unix.close fd)
+        (fun () ->
+          (* the first byte is on the wire: a handler now waits for the
+             second *)
+          Unix.sleepf 0.2;
+          for _ = 1 to 3 do
+            (match timed_probe socket Protocol.Ping with
+            | Ok Protocol.Pong, latency -> check_fast "ping" latency
+            | Ok _, _ -> Alcotest.fail "ping: unexpected reply"
+            | Error e, _ -> Alcotest.failf "ping: %s" (Dse_error.to_string e));
+            match timed_probe socket Protocol.Health with
+            | Ok (Protocol.Health_reply _), latency -> check_fast "health" latency
+            | Ok _, _ -> Alcotest.fail "health: unexpected reply"
+            | Error e, _ -> Alcotest.failf "health: %s" (Dse_error.to_string e)
+          done))
+
+let free_port () =
+  let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () -> Unix.close fd)
+    (fun () ->
+      Unix.setsockopt fd Unix.SO_REUSEADDR true;
+      Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+      match Unix.getsockname fd with
+      | Unix.ADDR_INET (_, port) -> port
+      | Unix.ADDR_UNIX _ -> Alcotest.fail "unexpected sockname")
+
+(* A TCP peer that connected, sent the start of a frame and went silent
+   without closing (its host vanished). A ring update sent meanwhile is
+   adopted and answered at once. *)
+let test_half_open_peer_never_delays_ring_update () =
+  let tcp = Printf.sprintf "127.0.0.1:%d" (free_port ()) in
+  with_server ~tcp (fun socket _server ->
+      let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
+      Fun.protect
+        ~finally:(fun () -> Unix.close fd)
+        (fun () ->
+          (match Transport.parse tcp with
+          | Transport.Tcp { port; _ } ->
+            Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port))
+          | Transport.Unix_socket _ -> Alcotest.fail "expected a TCP address");
+          ignore (Unix.write_substring fd "DSRV" 0 4);
+          Unix.sleepf 0.2;
+          let config = { Protocol.ring_version = 1; nodes = [ tcp ]; replication = 1 } in
+          List.iter
+            (fun via ->
+              match timed_probe via (Protocol.Ring_update { config }) with
+              | Ok (Protocol.Ring_reply { config = adopted; _ }), latency ->
+                check_fast ("ring update via " ^ via) latency;
+                check_int "adopted" 1 adopted.Protocol.ring_version
+              | Ok _, _ -> Alcotest.fail "ring update: unexpected reply"
+              | Error e, _ -> Alcotest.failf "ring update: %s" (Dse_error.to_string e))
+            [ tcp; socket ]))
+
 let suites =
   [
     ( "server:protocol",
@@ -468,5 +571,12 @@ let suites =
         Alcotest.test_case "corrupt submission" `Quick test_corrupt_submission;
         Alcotest.test_case "sigterm drains" `Quick test_sigterm_drains;
         Alcotest.test_case "shard recovery per job" `Quick test_job_shard_recovery;
+      ] );
+    ( "server:front",
+      [
+        Alcotest.test_case "a trickled frame stalls no probe" `Quick
+          test_trickled_frame_stalls_no_probe;
+        Alcotest.test_case "a half-open peer never delays a ring update" `Quick
+          test_half_open_peer_never_delays_ring_update;
       ] );
   ]

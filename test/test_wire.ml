@@ -162,7 +162,6 @@ let requests =
           deadline = None;
         },
       "4453525607010d000401000001c0843d031d211d516980f1" );
-    ("server-stats", Protocol.Server_stats, "445352560702009f4cfe3c");
     ("ping", Protocol.Ping, "44535256070300de7de525");
     ("health", Protocol.Health, "4453525607040019eba46a");
     ( "replicate",
@@ -319,19 +318,6 @@ let responses =
               };
         },
       "4453525607812101030c010308020103000000000000264000000000000016400000000000802b40669c34e4" );
-    ( "stats reply",
-      Protocol.Stats_reply
-        {
-          Protocol.jobs_completed = 5;
-          cache_hits = 2;
-          cache_misses = 3;
-          cache_entries = 3;
-          cache_evictions = 1;
-          coalesced_hits = 2;
-          pending = 1;
-          workers = 4;
-        },
-      "44535256078308050203030102010490da7a52" );
     ("pong", Protocol.Pong, "4453525607840052732751");
     ( "health reply",
       Protocol.Health_reply health,
@@ -375,7 +361,14 @@ let test_request_fixtures () =
           (hex (capture (fun fd -> Protocol.write_request fd decoded)))
       | Ok None -> Alcotest.failf "%s: read as a clean close" name
       | Error e -> Alcotest.failf "%s: %s" name (Dse_error.to_string e))
-    requests
+    requests;
+  (* the retired server-stats request (tag 2), as its encoder wrote it:
+     an intact frame, answered with a typed refusal *)
+  match feed (unhex "445352560702009f4cfe3c") (fun fd -> Protocol.read_request fd) with
+  | Error (Dse_error.Constraint_violation { message; _ }) ->
+    check_string "server-stats is retired" "server-stats retired; use health" message
+  | Error e -> Alcotest.failf "server-stats: wrong error %s" (Dse_error.to_string e)
+  | Ok _ -> Alcotest.fail "server-stats: a retired request decoded"
 
 let test_response_fixtures () =
   List.iter
@@ -388,7 +381,15 @@ let test_response_fixtures () =
         check_string (name ^ ": re-encodes to the fixture") fixture
           (hex (capture (fun fd -> Protocol.write_response fd decoded)))
       | Error e -> Alcotest.failf "%s: %s" name (Dse_error.to_string e))
-    responses
+    responses;
+  (* the retired stats reply (tag 0x83) is no response any more *)
+  match
+    feed (unhex "44535256078308050203030102010490da7a52") (fun fd -> Protocol.read_response fd)
+  with
+  | Error (Dse_error.Corrupt_binary { message; _ }) ->
+    check_string "stats reply is retired" "unknown response tag 131" message
+  | Error e -> Alcotest.failf "stats reply: wrong error %s" (Dse_error.to_string e)
+  | Ok _ -> Alcotest.fail "stats reply: a retired response decoded"
 
 (* -- frame payloads are read as they arrive -- *)
 
@@ -459,12 +460,12 @@ let gen_junk = QCheck2.Gen.(string_size (int_bound 120))
 (* Wire: a frame holding a list of trace records, read from a string or
    from a stream that hands out at most [chunk] bytes per read. *)
 let wire_frame records =
-  let p = Wire.writer 16 in
-  Wire.put_varint p (List.length records);
-  List.iter (fun (addr, kind) -> Wire.put_record p ~addr ~kind) records;
-  let f = Wire.frame ~tag:9 ~magic:"TEST" ~version:1 (Wire.written p) in
-  Wire.append f p;
-  Bytes.to_string (Wire.seal f)
+  let bytes, off, len =
+    Wire.framed ~tag:9 ~magic:"TEST" ~version:1 16 (fun p ->
+        Wire.put_varint p (List.length records);
+        List.iter (fun (addr, kind) -> Wire.put_record p ~addr ~kind) records)
+  in
+  Bytes.sub_string bytes off len
 
 let wire_stream ~chunk s =
   let pos = ref 0 in
