@@ -119,13 +119,24 @@ let stats_cmd =
              maximum misses) instead of the aligned table.")
   in
   let run path format on_error json =
-    let trace = load_trace format on_error path in
-    let stats = Stats.compute trace in
+    (* one pass over the file, O(N') memory: the interner's statistics,
+       the streaming fingerprint and the sketch's cardinality estimate
+       (the always-on cross-check of the approximate plane) all take
+       each address as it is decoded *)
+    let counter = Arena_kernel.counter_create () in
+    let fingerprint = Trace.fingerprinter () in
+    let distinct = Sketch.distinct_create () in
+    let sink ~addr ~kind:_ =
+      Arena_kernel.counter_add counter addr;
+      Trace.fingerprinter_add fingerprint addr;
+      Sketch.distinct_add distinct addr
+    in
+    let ingest = or_exit (Trace_io.iter ~on_error ~format path sink) in
+    report_skipped path ingest.Trace_io.skipped ingest.Trace_io.errors;
+    let stats = Arena_kernel.counter_stats counter in
     let name = Filename.basename path in
-    let fingerprint = Trace.fingerprint trace in
-    (* the sketch's cardinality estimate beside the exact N': the
-       always-on cross-check of the approximate plane *)
-    let distinct_addrs_approx = Sketch.distinct_of_trace trace in
+    let fingerprint = Trace.fingerprinter_finish fingerprint ~len:stats.Stats.n in
+    let distinct_addrs_approx = Sketch.distinct_estimate distinct in
     if json then
       print_endline (Report.stats_to_json ~name ~fingerprint ~distinct_addrs_approx stats)
     else begin

@@ -14,14 +14,17 @@
 
 (* -- 64-bit mixing (splitmix64 finalizer) -- *)
 
-let mix64 x =
+(* [@inline], like [hash_addr] and [Hll.add_hash]: an [int64] passed
+   between functions is boxed, so each addition to a sketch would
+   otherwise allocate. *)
+let[@inline] mix64 x =
   let open Int64 in
   let z = add x 0x9E3779B97F4A7C15L in
   let z = mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL in
   logxor z (shift_right_logical z 31)
 
-let hash_addr ~salt addr = mix64 (Int64.logxor (Int64.of_int addr) salt)
+let[@inline] hash_addr ~salt addr = mix64 (Int64.logxor (Int64.of_int addr) salt)
 
 (* -- fixed-capacity open-addressing int -> int index -- *)
 
@@ -108,7 +111,7 @@ module Hll = struct
 
   (* rank = trailing-zero count of the non-index hash bits, + 1; the
      geometric tail means the loop runs ~2 iterations on average *)
-  let add_hash t h =
+  let[@inline] add_hash t h =
     let idx = Int64.to_int (Int64.logand h (Int64.of_int ((1 lsl t.bits) - 1))) in
     let w = Int64.shift_right_logical h t.bits in
     let limit = 64 - t.bits + 1 in
@@ -482,7 +485,7 @@ type t = {
   mutable max_addr : int;
   mutable transitions : int;
   mutable prev_addr : int;
-  mutable fp : int64;
+  fp : Trace.fingerprinter;
   distinct : Distinct.t;
   topk : Topk.t;
   fine : Probe.t;
@@ -497,7 +500,7 @@ let create ?(top_k = 1024) () =
     max_addr = 0;
     transitions = 0;
     prev_addr = -1;
-    fp = Trace.fingerprint_init;
+    fp = Trace.fingerprinter ();
     distinct = Distinct.create ~bits:14 ();
     topk = Topk.create ~capacity:top_k;
     fine = Probe.create ~shift:0 ~salt:0x243F6A8885A308D3L;
@@ -512,7 +515,7 @@ let add t ~addr ~kind:_ =
     t.transitions <- t.transitions + 1;
     t.prev_addr <- addr
   end;
-  t.fp <- Trace.fingerprint_add t.fp addr;
+  Trace.fingerprinter_add t.fp addr;
   Distinct.add t.distinct addr;
   Topk.add t.topk addr;
   Probe.access t.fine addr;
@@ -576,7 +579,7 @@ let finalize t =
       Array.map (fun (addr, count, overcount) -> { addr; count; overcount })
         (Topk.ranked t.topk);
     probes = Array.of_list (dedupe merged);
-    fingerprint = Trace.fingerprint_finish t.fp ~len:t.n;
+    fingerprint = Trace.fingerprinter_finish t.fp ~len:t.n;
   }
 
 let of_trace ?top_k trace =
@@ -584,10 +587,20 @@ let of_trace ?top_k trace =
   Trace.iter_records (add t) trace;
   finalize t
 
+type distinct = { counter : Distinct.t; mutable added : int }
+
+let distinct_create () = { counter = Distinct.create ~bits:14 (); added = 0 }
+
+let distinct_add d addr =
+  Distinct.add d.counter addr;
+  d.added <- d.added + 1
+
+let distinct_estimate d = if d.added = 0 then 0. else Float.max 1. (Distinct.estimate d.counter)
+
 let distinct_of_trace trace =
-  let d = Distinct.create ~bits:14 () in
-  Trace.iter_addrs (fun addr -> Distinct.add d addr) trace;
-  if Trace.length trace = 0 then 0. else Float.max 1. (Distinct.estimate d)
+  let d = distinct_create () in
+  Trace.iter_addrs (distinct_add d) trace;
+  distinct_estimate d
 
 (* rough but honest: every O(kilobytes) claim in the docs is this number *)
 let state_bytes t =

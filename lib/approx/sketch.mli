@@ -113,6 +113,17 @@ val of_trace : ?top_k:int -> Trace.t -> profile
     the [dse stats] [distinct_addrs_approx] field. *)
 val distinct_of_trace : Trace.t -> float
 
+(** The same estimate fed one address at a time: [distinct_estimate]
+    after [distinct_add] of every address of [trace] is
+    [distinct_of_trace trace]. *)
+type distinct
+
+val distinct_create : unit -> distinct
+
+val distinct_add : distinct -> int -> unit
+
+val distinct_estimate : distinct -> float
+
 (** Approximate resident size of the sketch state in bytes — the number
     behind the [`Sketch] admission model and the O(kilobytes) claims. *)
 val state_bytes : t -> int

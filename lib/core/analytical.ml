@@ -49,6 +49,35 @@ let stream_file ?max_level ?on_error ?format path =
         ingest;
       }
 
+(* The calling domain's retained stream, reset for each job rather than
+   recreated, so a worker domain allocates its arenas once. *)
+let domain_stream : Arena_kernel.stream option Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> None)
+
+let retain_bytes = 4 * 1024 * 1024
+
+let stream_records ?(cancel = Cancel.none) ?max_level records =
+  let max_level = Option.map (max 0) max_level in
+  let s =
+    match Domain.DLS.get domain_stream with
+    | Some s ->
+      Arena_kernel.stream_reset ?max_level s;
+      s
+    | None -> Arena_kernel.stream_create ?max_level ()
+  in
+  (* a job that raises (a deadline, a cancel) leaves nothing retained *)
+  Domain.DLS.set domain_stream None;
+  let i = ref 0 in
+  Trace_records.iter_addrs
+    (fun addr ->
+      if !i land Cancel.poll_mask = 0 then Cancel.check cancel;
+      incr i;
+      Arena_kernel.stream_add s addr)
+    records;
+  let result = (Arena_kernel.stream_stats s, Arena_kernel.stream_histograms s) in
+  if Arena_kernel.stream_bytes s <= retain_bytes then Domain.DLS.set domain_stream (Some s);
+  result
+
 let histograms ?cancel ?domains prepared =
   Arena_kernel.histograms ?cancel ?domains prepared.arena ~max_level:prepared.max_level
 

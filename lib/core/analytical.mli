@@ -45,6 +45,27 @@ val stream_file :
   string ->
   (streamed, Dse_error.t) result
 
+(** {2 One pass over record bytes, on a reused stream} *)
+
+(** [stream_records ?cancel ?max_level records] is the
+    statistics and histograms of the trace [records] holds, equal to
+    {!stats} and {!histograms} of [prepare ?max_level] over
+    [Trace_records.to_trace records]. The records are decoded straight
+    into an {!Arena_kernel} stream, so no {!Trace.t}, id arena or
+    per-trace table is built.
+
+    The stream belongs to the calling domain: created on its first
+    call, {!Arena_kernel.stream_reset} on each later one, so a domain
+    that runs job after job (a [dse serve] worker) allocates its arenas
+    once. A call whose stream ends holding more than {!retain_bytes}
+    off-heap, or that raises, releases it. [cancel] is polled every
+    {!Cancel.poll_mask}+1 references. *)
+val stream_records :
+  ?cancel:Cancel.t -> ?max_level:int -> Trace_records.t -> Stats.t * int array array
+
+(** 4 MiB: a stream that held more after its job is not kept. *)
+val retain_bytes : int
+
 (** {2 The materialised prelude} *)
 
 (** The prelude result, reusable across budgets K: the off-heap arena

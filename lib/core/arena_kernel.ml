@@ -433,12 +433,18 @@ let tally_create max_level =
     max_level;
   }
 
+(* A reset stream keeps the levels of its earlier jobs, cleared, so
+   [hists] may already hold the arenas for the new levels. *)
 let add_levels t max_level =
   let old = t.max_level in
-  t.hists <-
-    Array.init (max_level + 1) (fun l -> if l <= old then t.hists.(l) else Arena.word_create 1);
-  t.max_c <- Array.init (max_level + 1) (fun l -> if l <= old then t.max_c.(l) else 0);
-  t.depth_count <- Arena.word_grow t.depth_count ~len:(old + 1) ~capacity:(max_level + 1);
+  let have = Array.length t.hists in
+  if max_level >= have then begin
+    t.hists <-
+      Array.init (max_level + 1) (fun l -> if l < have then t.hists.(l) else Arena.word_create 1);
+    t.max_c <- Array.init (max_level + 1) (fun l -> if l < have then t.max_c.(l) else 0)
+  end;
+  if max_level >= Arena.word_length t.depth_count then
+    t.depth_count <- Arena.word_grow t.depth_count ~len:(old + 1) ~capacity:(max_level + 1);
   t.max_level <- max_level
 
 let record t level c =
@@ -598,17 +604,17 @@ type stream = {
   interner : interner;
   slots : slots;
   tally : tally;
-  cap : int;  (* the [max_level] cap; [max_int] when unset *)
+  mutable cap : int;  (* the [max_level] cap; [max_int] when unset *)
   mutable bits : int;
 }
 
+let cap_of = function
+  | None -> max_int
+  | Some m when m < 0 -> invalid_arg "Arena_kernel: negative max_level"
+  | Some m -> m
+
 let stream_create ?(line_words = 1) ?max_level () =
-  let cap =
-    match max_level with
-    | None -> max_int
-    | Some m when m < 0 -> invalid_arg "Arena_kernel: negative max_level"
-    | Some m -> m
-  in
+  let cap = cap_of max_level in
   let levels = planes_for ~max_level:cap ~address_bits:1 in
   {
     interner = interner_create ~context:"Arena_kernel.stream_create" ~line_words ~capacity:4096;
@@ -636,7 +642,55 @@ let stream_add s raw =
 
 let stream_stats s = interner_stats s.interner
 
-let stream_histograms s = tally_finish s.tally
+(* The levels of the addresses added so far. A reset stream may carry
+   more planes and tally levels than that from an earlier job; those
+   levels count nothing (no two live slots agree on every address bit),
+   so they are left off. *)
+let stream_histograms s =
+  let t = s.tally in
+  Array.init
+    (planes_for ~max_level:s.cap ~address_bits:s.bits + 1)
+    (fun l -> Array.init (t.max_c.(l) + 1) (Arena.word_get t.hists.(l)))
+
+(* Empty every table in place for the next trace. The arenas keep their
+   sizes, and so do the planes and tally levels (up to the new cap): a
+   later trace that needs no larger table than an earlier one grows
+   nothing. *)
+let stream_reset ?max_level s =
+  let cap = cap_of max_level in
+  let it = s.interner and st = s.slots and t = s.tally in
+  Bigarray.Array1.fill it.table 0;
+  it.count <- 0;
+  it.refs <- 0;
+  it.max_address <- 0;
+  it.direct_misses <- 0;
+  it.last_id <- -1;
+  (* as many planes as a fresh stream starts with, at least *)
+  let planes = max (planes_for ~max_level:cap ~address_bits:1) (min st.planes cap) in
+  st.planes <- planes;
+  st.stride <- planes + 2;
+  st.words <- min (Arena.i32_length st.id_of / 64) (Arena.word_length st.bits / st.stride);
+  Bigarray.Array1.fill st.bits 0;
+  st.next_slot <- 0;
+  st.first_dead <- st.words;
+  st.dead_scanned <- 0;
+  Array.iter (fun h -> Bigarray.Array1.fill h 0) t.hists;
+  Array.fill t.max_c 0 (Array.length t.max_c) 0;
+  Bigarray.Array1.fill t.depth_count 0;
+  if planes > t.max_level then add_levels t planes else t.max_level <- planes;
+  s.cap <- cap;
+  s.bits <- 1
+
+(* -- statistics alone: the interner without the kernel ---------------- *)
+
+type counter = interner
+
+let counter_create () =
+  interner_create ~context:"Arena_kernel.counter_create" ~line_words:1 ~capacity:4096
+
+let counter_add it raw = ignore (intern it raw)
+
+let counter_stats = interner_stats
 
 let stream_bytes s =
   let bytes = Bigarray.Array1.size_in_bytes in

@@ -192,7 +192,28 @@ val stream_stats : stream -> Stats.t
     address_bits)] for the trace [t] of those addresses, bit for bit. *)
 val stream_histograms : stream -> int array array
 
+(** [stream_reset ?max_level s] empties [s] for a new trace, as if it
+    were [stream_create ?max_level ()] with [s]'s [line_words], but
+    keeps its arenas at their sizes. Tables grow only past what an
+    earlier trace needed: a trace no larger than one [s] has already
+    counted (the same trace, or a prefix of it) creates no arena. *)
+val stream_reset : ?max_level:int -> stream -> unit
+
 (** [stream_bytes s] is the off-heap bytes the stream's arenas hold.
     They only grow, so after the last {!stream_add} this is their
     peak. *)
 val stream_bytes : stream -> int
+
+(** {2 Statistics alone} *)
+
+(** The stream's interner without the kernel: the {!Stats.t} of an
+    address sequence in one pass and O(N') memory. *)
+type counter
+
+val counter_create : unit -> counter
+
+(** [counter_add c addr] counts word address [addr] (never negative). *)
+val counter_add : counter -> int -> unit
+
+(** [counter_stats c] equals [Stats.compute] of the addresses added. *)
+val counter_stats : counter -> Stats.t

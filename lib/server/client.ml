@@ -2,7 +2,7 @@ let close_noerr fd = try Unix.close fd with Unix.Unix_error _ -> ()
 
 (* A bounded connect keeps a partitioned TCP peer from holding the
    caller for the kernel's SYN-retry minutes. *)
-let send ?(connect_timeout = 10.) ?timeout peer request =
+let send_frame ?(connect_timeout = 10.) ?timeout peer frame =
   match Transport.connect ~timeout:connect_timeout (Transport.parse peer) with
   | Error _ as e -> e
   | Ok fd -> (
@@ -12,7 +12,7 @@ let send ?(connect_timeout = 10.) ?timeout peer request =
           Unix.setsockopt_float fd Unix.SO_SNDTIMEO seconds;
           Unix.setsockopt_float fd Unix.SO_RCVTIMEO seconds)
         timeout;
-      Protocol.write_request ~peer fd request
+      Protocol.write_frame ~peer fd frame
     with
     | Ok () -> Ok fd
     | Error e ->
@@ -21,6 +21,9 @@ let send ?(connect_timeout = 10.) ?timeout peer request =
     | exception Unix.Unix_error (err, _, _) ->
       close_noerr fd;
       Error (Dse_error.Io_error { file = peer; message = Unix.error_message err }))
+
+let send ?connect_timeout ?timeout peer request =
+  send_frame ?connect_timeout ?timeout peer (Protocol.frame request)
 
 let exchange ?connect_timeout ?timeout peer request =
   match send ?connect_timeout ?timeout peer request with

@@ -23,6 +23,15 @@ val send :
   Protocol.request ->
   (Unix.file_descr, Dse_error.t) result
 
+(** [send_frame] is {!send} of a request encoded once
+    ({!Protocol.frame}), for a caller that sends it to several peers. *)
+val send_frame :
+  ?connect_timeout:float ->
+  ?timeout:float ->
+  string ->
+  Protocol.frame ->
+  (Unix.file_descr, Dse_error.t) result
+
 (** {!send}, one {!Protocol.read_response}, close: the one bounded round
     trip behind every outbound call of the serving stack. *)
 val exchange :

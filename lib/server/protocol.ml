@@ -68,7 +68,7 @@ type query = Percents of int list | Budget of int
 
 type method_spec = Exact of Analytical.method_ | Approx
 
-type submission = Full of Trace.t | Sketched of Sketch.profile
+type submission = Full of Trace.t | Sketched of Sketch.profile | Records of Trace_records.t
 
 (* The fleet view as one versioned value. Version 0 is reserved for the
    unfenced state (a standalone daemon with no peers); every published
@@ -156,10 +156,12 @@ let method_spec_tag = function Exact m -> method_tag m | Approx -> 4
 let submission_fingerprint = function
   | Full trace -> Trace.fingerprint trace
   | Sketched profile -> profile.Sketch.fingerprint
+  | Records records -> Trace_records.fingerprint records
 
 let submission_refs = function
   | Full trace -> Trace.length trace
   | Sketched profile -> profile.Sketch.n
+  | Records records -> Trace_records.length records
 
 (* -- payload encoding -- *)
 
@@ -193,9 +195,10 @@ let encode_request buf = function
     (* the record stream on the wire is the same whatever the method;
        only a decoder (the daemon) turns it into a sketch, so a profile
        is a decode-only representation with no encoding *)
-    let trace =
+    let put_trace =
       match trace with
-      | Full trace -> trace
+      | Full trace -> fun buf -> encode_trace buf trace
+      | Records records -> fun buf -> Trace_records.write buf records
       | Sketched _ -> invalid_arg "Protocol: a sketched submission cannot be re-encoded"
     in
     Wire.put_string buf name;
@@ -212,7 +215,7 @@ let encode_request buf = function
       add_bool buf true;
       add_f64 buf seconds);
     encode_query buf query;
-    encode_trace buf trace
+    put_trace buf
   | Ping | Health | Ring_status -> ()
   | Replicate { ring_version; records } ->
     Wire.put_varint buf ring_version;
@@ -457,38 +460,45 @@ let admit ?max_job_refs ?memory_budget ~method_ declared =
            budget })
   | _ -> ()
 
-(* One decode for both submission forms: the daemon feeds an approx
+(* One decode for every submission form. The daemon feeds an approx
    job's records straight into the streaming sketch, so no Trace.t
    exists and the peak per-job heap is the sketch state whatever the
-   declared length, matching the [`Sketch] admission price. The
+   declared length, matching the [`Sketch] admission price; the
    profile's fingerprint is computed by the sketch over the same stream,
-   so an approx job lands on the same cache identity as an exact one. *)
-let trace_field ?max_job_refs ?memory_budget ~method_ ~sketch c =
+   so an approx job lands on the same cache identity as an exact one.
+   The daemon keeps an exact job's records, and the router every job's,
+   as the bytes of the frame they arrived in: one pass checks them and
+   computes the fingerprint, and nothing is copied. *)
+let trace_field ?max_job_refs ?memory_budget ~method_ ~form c =
   let declared = Wire.varint c in
   admit ?max_job_refs ?memory_budget ~method_ declared;
   (* each record is at least one byte, so a declared count beyond the
      remaining payload is corruption — caught before allocation *)
   Wire.check_count c declared "trace length";
-  if sketch then begin
+  match form with
+  | `Sketch ->
     let s = Sketch.create () in
     Wire.records c declared (Sketch.add s);
     Sketched (Sketch.finalize s)
-  end
-  else begin
+  | `Records -> Records (Trace_records.read c declared)
+  | `Full ->
     let trace = Trace.create ~capacity:(max 1 declared) () in
     Wire.records c declared (Trace.add trace);
     Full trace
-  end
 
-let decode_submit ?max_job_refs ?memory_budget ?(sketch_approx = false) c =
+let decode_submit ?max_job_refs ?memory_budget ~sketch_approx ~records c =
   let name = Wire.string c in
   let method_ = method_field c in
   let domains = Wire.varint c in
   let max_level = if bool_field c then Some (Wire.varint c) else None in
   let deadline = if bool_field c then Some (f64 c) else None in
   let query = query_field c in
-  let sketch = sketch_approx && method_ = Approx in
-  let trace = trace_field ?max_job_refs ?memory_budget ~method_ ~sketch c in
+  let form =
+    if sketch_approx && method_ = Approx then `Sketch
+    else if sketch_approx || records then `Records
+    else `Full
+  in
+  let trace = trace_field ?max_job_refs ?memory_budget ~method_ ~form c in
   Submit { name; trace; query; method_; domains; max_level; deadline }
 
 let decode_error c =
@@ -724,10 +734,13 @@ let send_frame fd ~tag ~size encode =
 
 (* The exact size of a Submit's record stream, so the frame's buffer
    never grows; the record's kind bits do not change its varint size. *)
-let trace_size trace =
-  let size = ref (Wire.varint_size (Trace.length trace)) in
-  Trace.iter_addrs (fun addr -> size := !size + Wire.varint_size (addr lsl 2)) trace;
-  !size
+let trace_size = function
+  | Full trace ->
+    let size = ref (Wire.varint_size (Trace.length trace)) in
+    Trace.iter_addrs (fun addr -> size := !size + Wire.varint_size (addr lsl 2)) trace;
+    !size
+  | Records records -> Trace_records.write_size records
+  | Sketched _ -> 0
 
 (* Offsets in frame errors count from the frame start; offsets inside
    the payload count from the payload start. *)
@@ -768,22 +781,27 @@ let timed_out = function
   | Dse_error.Io_error { message; _ } -> message = timeout_message
   | _ -> false
 
-let write_request ?(peer = "<server>") fd request =
-  guard ~peer (fun () ->
-      let tag, size =
-        match request with
-        | Submit { name; trace = Full trace; _ } ->
-          (tag_submit, 64 + String.length name + trace_size trace)
-        | Submit _ -> (tag_submit, 1024)
-        | Ping -> (tag_ping, 0)
-        | Health -> (tag_health, 0)
-        | Replicate _ -> (tag_replicate, 1024)
-        | Cache_query _ -> (tag_cache_query, 1024)
-        | Ring_status -> (tag_ring_status, 0)
-        | Ring_update _ -> (tag_ring_update, 1024)
-        | Drain _ -> (tag_drain, 1024)
-      in
-      send_frame fd ~tag ~size (fun buf -> encode_request buf request))
+type frame = { bytes : Bytes.t; off : int; len : int }
+
+let frame request =
+  let tag, size =
+    match request with
+    | Submit { name; trace; _ } -> (tag_submit, 64 + String.length name + trace_size trace)
+    | Ping -> (tag_ping, 0)
+    | Health -> (tag_health, 0)
+    | Replicate _ -> (tag_replicate, 1024)
+    | Cache_query _ -> (tag_cache_query, 1024)
+    | Ring_status -> (tag_ring_status, 0)
+    | Ring_update _ -> (tag_ring_update, 1024)
+    | Drain _ -> (tag_drain, 1024)
+  in
+  let bytes, off, len = Wire.framed ~tag ~magic ~version size (fun buf -> encode_request buf request) in
+  { bytes; off; len }
+
+let write_frame ?(peer = "<server>") fd f =
+  guard ~peer (fun () -> Transport.write_sub fd f.bytes f.off f.len)
+
+let write_request ?peer fd request = write_frame ?peer fd (frame request)
 
 let write_response ?(peer = "<client>") fd response =
   guard ~peer ~timeout:timeout_message (fun () ->
@@ -799,13 +817,15 @@ let write_response ?(peer = "<client>") fd response =
       in
       send_frame fd ~tag ~size:1024 (fun buf -> encode_response buf response))
 
-let read_request ?(peer = "<client>") ?max_job_refs ?memory_budget ?sketch_approx fd =
+let read_request ?(peer = "<client>") ?max_job_refs ?memory_budget ?(sketch_approx = false)
+    ?(records = false) fd =
   guard ~peer ~timeout:timeout_message (fun () ->
       match read_frame fd with
       | exception Clean_close -> None
       | tag, c ->
         let request =
-          if tag = tag_submit then decode_submit ?max_job_refs ?memory_budget ?sketch_approx c
+          if tag = tag_submit then
+            decode_submit ?max_job_refs ?memory_budget ~sketch_approx ~records c
           else if tag = tag_retired_server_stats then
             Dse_error.fail
               (Dse_error.Constraint_violation
@@ -878,7 +898,7 @@ let read_response ?(peer = "<server>") fd =
    only matters for approx (exact histograms were already bounded at
    prepare time); it rides in the cache key, so every holder of the
    entry shares it. *)
-let answer_entry ~name ~query ~max_level (entry : Result_cache.entry) =
+let rec answer_entry ~name ~query ~max_level (entry : Result_cache.entry) =
   match entry with
   | Result_cache.Exact { stats; histograms } -> (
     match query with
@@ -889,3 +909,4 @@ let answer_entry ~name ~query ~max_level (entry : Result_cache.entry) =
     match query with
     | Percents percents -> Approx_table (Approx_dse.table ~percents ?max_level ~name prepared)
     | Budget k -> Approx_optimal (Approx_dse.optimal ?max_level ~k prepared))
+  | Result_cache.Packed _ -> answer_entry ~name ~query ~max_level (Result_cache.unpack entry)

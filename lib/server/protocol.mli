@@ -40,14 +40,23 @@ type query = Percents of int list | Budget of int
     kernel, or the one-pass approximate estimator. *)
 type method_spec = Exact of Analytical.method_ | Approx
 
-(** The decoded form of a submission's reference stream. Clients always
-    {e send} records ([Full]); what a decoder builds from them depends
-    on the method: the daemon decodes an [Approx] submission's records
-    straight into a streaming sketch ([Sketched]) so the trace never
-    materialises server-side. A [Sketched] value cannot be re-encoded
-    ({!write_request} raises [Invalid_argument]) — it is a decode-only
-    representation. *)
-type submission = Full of Trace.t | Sketched of Sketch.profile
+(** The decoded form of a submission's reference stream. The wire
+    always carries records; what a decoder builds from them depends on
+    its mode (see {!read_request}):
+    - [Full]: a materialised {!Trace.t} (what clients send from, and
+      the default decode);
+    - [Records]: the record bytes as they arrived, checked and
+      fingerprinted in one pass but not decoded — the daemon's form for
+      an exact job, and the router's for every job, which it forwards
+      verbatim;
+    - [Sketched]: the daemon decodes an [Approx] submission's records
+      straight into a streaming sketch, so the trace never materialises
+      server-side. A [Sketched] value cannot be re-encoded
+      ({!write_request} raises [Invalid_argument]) — it is a decode-only
+      representation.
+
+    [Full] and [Records] of the same trace encode to the same bytes. *)
+type submission = Full of Trace.t | Sketched of Sketch.profile | Records of Trace_records.t
 
 (** The fleet view as one versioned value: the full node list, the
     replication factor, and a monotonically increasing version. Version
@@ -219,6 +228,18 @@ val max_payload : int
     ["<client>"] when reading). *)
 val write_request : ?peer:string -> Unix.file_descr -> request -> (unit, Dse_error.t) result
 
+(** A request encoded once, to be written to several peers (the
+    router's hedged and failover forwards). *)
+type frame
+
+(** [frame r] encodes [r]; raises [Invalid_argument] on a [Sketched]
+    submission. *)
+val frame : request -> frame
+
+(** [write_frame ?peer fd f] is {!write_request} of the encoded
+    request. *)
+val write_frame : ?peer:string -> Unix.file_descr -> frame -> (unit, Dse_error.t) result
+
 (** [Ok None] means the peer closed the connection without sending a
     byte — a liveness probe (the socket-claim check, monitoring), not a
     defect; the daemon closes silently instead of logging or replying.
@@ -237,18 +258,20 @@ val write_request : ?peer:string -> Unix.file_descr -> request -> (unit, Dse_err
     so is the retired request tag 2 (server-stats; {!Health} carries
     every counter it did).
 
-    [sketch_approx] (default false) selects the daemon's decode for
-    [Approx] submissions: when set, the record stream is fed straight
-    into a streaming sketch and the request carries a [Sketched]
-    profile — no [Trace.t] is ever allocated, honouring the [`Sketch]
-    admission price. When unset (the router, tests), approx submissions
-    materialise like any other so the frame can be re-encoded
-    downstream. *)
+    [sketch_approx] (default false) selects the daemon's decode: an
+    [Approx] submission's record stream is fed straight into a
+    streaming sketch and the request carries a [Sketched] profile — no
+    [Trace.t] is ever allocated, honouring the [`Sketch] admission
+    price — and an exact one is kept as its [Records]. [records]
+    (default false) keeps every submission as its [Records], to be
+    forwarded verbatim (the router). With neither, submissions
+    materialise ([Full]). *)
 val read_request :
   ?peer:string ->
   ?max_job_refs:int ->
   ?memory_budget:int ->
   ?sketch_approx:bool ->
+  ?records:bool ->
   Unix.file_descr ->
   (request option, Dse_error.t) result
 

@@ -3,8 +3,130 @@ type key = { fingerprint : int64; method_tag : int; domains : int; max_level : i
 type entry =
   | Exact of { stats : Stats.t; histograms : int array array }
   | Approx of Sketch.profile
+  | Packed of string
 
 type counters = { hits : int; misses : int; entries : int; evictions : int }
+
+let write_key w k =
+  Wire.put_i64 w k.fingerprint;
+  Wire.put_varint w k.method_tag;
+  Wire.put_varint w k.domains;
+  Wire.put_varint w (k.max_level + 1)
+
+let read_key r =
+  let fingerprint = Wire.i64 r in
+  let method_tag = Wire.varint r in
+  let domains = Wire.varint r in
+  let max_level = Wire.varint r - 1 in
+  { fingerprint; method_tag; domains; max_level }
+
+let write_stats w (s : Stats.t) =
+  Wire.put_varint w s.Stats.n;
+  Wire.put_varint w s.Stats.n_unique;
+  Wire.put_varint w s.Stats.address_bits;
+  Wire.put_varint w s.Stats.max_misses
+
+let read_stats r =
+  let n = Wire.varint r in
+  let n_unique = Wire.varint r in
+  let address_bits = Wire.varint r in
+  let max_misses = Wire.varint r in
+  { Stats.n; n_unique; address_bits; max_misses }
+
+(* -- the record: one exact entry as one self-framing frame --
+
+     "DSEW" | version (1) | payload length (LEB128) | payload
+            | CRC-32 (4 bytes LE, over every preceding record byte)
+
+   Payload: the key and the stats (their layouts above) | level count |
+   per level: bucket count | buckets... *)
+
+let record_magic = "DSEW"
+
+let record_version = 1
+
+let iter_histogram_varints f histograms =
+  f (Array.length histograms);
+  Array.iter
+    (fun histogram ->
+      f (Array.length histogram);
+      Array.iter f histogram)
+    histograms
+
+(* One exactly-sized [Bytes]: the key and stats fit in 64 bytes, a
+   sizing pass covers the histogram varints, and the frame is written
+   and sealed in place. *)
+let encode_record key stats histograms =
+  let size = ref 64 in
+  iter_histogram_varints (fun v -> size := !size + Wire.varint_size v) histograms;
+  let bytes, off, len =
+    Wire.framed ~magic:record_magic ~version:record_version !size (fun w ->
+        write_key w key;
+        write_stats w stats;
+        iter_histogram_varints (Wire.put_varint w) histograms)
+  in
+  Bytes.sub_string bytes off len
+
+let pack key = function
+  | Exact { stats; histograms } -> Packed (encode_record key stats histograms)
+  | (Approx _ | Packed _) as entry -> entry
+
+let record_eof = "torn record"
+
+(* The frame checks (magic, version, a length that fits before the
+   footer, the CRC), then the payload as far as the stats; the reader
+   is left at the level count. The CRC is checked before the payload
+   is read. *)
+let open_record data pos =
+  let r = Wire.of_string ~eof:record_eof ~pos data in
+  Wire.magic r record_magic;
+  Wire.version r ~name:"WAL" record_version;
+  let payload_len = Wire.length r in
+  if not (Wire.fits ~reserve:4 r payload_len) then
+    raise (Wire.Malformed (Wire.offset r, record_eof));
+  let c = Wire.sub r payload_len in
+  Wire.footer r;
+  let key = read_key c in
+  let stats = read_stats c in
+  (key, stats, c, pos + Wire.offset r)
+
+(* each histogram contributes at least one byte, so a declared count
+   beyond the payload is damage the CRC happened to miss *)
+let read_histograms c =
+  let histograms =
+    Array.init (Wire.count c "level count") (fun _ ->
+        let histogram = Array.make (Wire.count c "bucket count") 0 in
+        for i = 0 to Array.length histogram - 1 do
+          histogram.(i) <- Wire.varint c
+        done;
+        histogram)
+  in
+  Wire.finish c "record";
+  histograms
+
+let skip_histograms c =
+  for _ = 1 to Wire.count c "level count" do
+    for _ = 1 to Wire.count c "bucket count" do
+      ignore (Wire.varint c)
+    done
+  done;
+  Wire.finish c "record"
+
+let check_record data pos =
+  let key, _, c, next = open_record data pos in
+  skip_histograms c;
+  (key, next)
+
+let decode_record data pos =
+  let key, stats, c, next = open_record data pos in
+  let histograms = read_histograms c in
+  (key, Exact { stats; histograms }, next)
+
+let unpack = function
+  | Packed record ->
+    let _, entry, _ = decode_record record 0 in
+    entry
+  | (Exact _ | Approx _) as entry -> entry
 
 type node = { entry : entry; mutable last_used : int }
 
@@ -40,7 +162,7 @@ let touch t node =
   t.tick <- t.tick + 1;
   node.last_used <- t.tick
 
-let find t key =
+let find_packed t key =
   with_lock t (fun () ->
       match Hashtbl.find_opt t.table key with
       | Some node ->
@@ -50,6 +172,8 @@ let find t key =
       | None ->
         t.misses <- t.misses + 1;
         None)
+
+let find t key = Option.map unpack (find_packed t key)
 
 (* O(entries) scan; entries is bounded by [capacity] (default 256), so
    eviction cost is trivial next to the kernel run that preceded it. *)
@@ -68,6 +192,7 @@ let evict_lru t =
     t.evictions <- t.evictions + 1
 
 let store t key entry =
+  let entry = pack key entry in
   with_lock t (fun () ->
       (match Hashtbl.find_opt t.table key with
       | Some _ -> Hashtbl.remove t.table key
@@ -93,7 +218,8 @@ let remove t key = with_lock t (fun () -> Hashtbl.remove t.table key)
 let exact_keys t =
   with_lock t (fun () ->
       Hashtbl.fold
-        (fun key node acc -> match node.entry with Exact _ -> key :: acc | Approx _ -> acc)
+        (fun key node acc ->
+          match node.entry with Exact _ | Packed _ -> key :: acc | Approx _ -> acc)
         t.table [])
 
 let snapshot t =
@@ -109,28 +235,3 @@ let counters t =
       { hits = t.hits; misses = t.misses; entries = Hashtbl.length t.table;
         evictions = t.evictions })
 
-let write_key w k =
-  Wire.put_i64 w k.fingerprint;
-  Wire.put_varint w k.method_tag;
-  Wire.put_varint w k.domains;
-  Wire.put_varint w (k.max_level + 1)
-
-let read_key r =
-  let fingerprint = Wire.i64 r in
-  let method_tag = Wire.varint r in
-  let domains = Wire.varint r in
-  let max_level = Wire.varint r - 1 in
-  { fingerprint; method_tag; domains; max_level }
-
-let write_stats w (s : Stats.t) =
-  Wire.put_varint w s.Stats.n;
-  Wire.put_varint w s.Stats.n_unique;
-  Wire.put_varint w s.Stats.address_bits;
-  Wire.put_varint w s.Stats.max_misses
-
-let read_stats r =
-  let n = Wire.varint r in
-  let n_unique = Wire.varint r in
-  let address_bits = Wire.varint r in
-  let max_misses = Wire.varint r in
-  { Stats.n; n_unique; address_bits; max_misses }

@@ -11,10 +11,16 @@
     kernel at all, via {!Analytical_dse.of_histograms} /
     {!Optimizer.of_histograms}.
 
+    An exact entry is held as its encoded record ({!Packed}, about
+    2.3 KB for a 20K-reference trace where the boxed arrays take
+    16 KB), and decoded on a hit. The same bytes are the WAL record,
+    the [Replicate] and [Cache_reply] payload and the drain hand-off,
+    so none of those encodes or decodes anything.
+
     The cache is bounded: storing past [capacity] entries evicts the
     least-recently-used one (a long-lived daemon under many distinct
-    traces cannot grow without limit), and evictions are counted for
-    [dse submit --server-stats]. Eviction is O(entries) — trivial at the
+    traces cannot grow without limit), and evictions are counted in
+    [dse submit --health]. Eviction is O(entries) — trivial at the
     default capacity of 256 against the kernel run each store follows.
 
     Single-flight deduplication ({!Inflight}) means concurrent identical
@@ -37,6 +43,9 @@ type key = {
 type entry =
   | Exact of { stats : Stats.t; histograms : int array array }
   | Approx of Sketch.profile
+  | Packed of string
+      (** an exact entry as its record ({!pack}): the key, stats and
+          histograms in one self-framing, checksummed frame *)
 
 type counters = { hits : int; misses : int; entries : int; evictions : int }
 
@@ -50,11 +59,17 @@ val default_capacity : int
 val create : ?capacity:int -> unit -> t
 
 (** [find t key] counts a hit or a miss; a hit refreshes the entry's
-    recency. *)
+    recency. An exact entry comes back decoded ([Exact]). *)
 val find : t -> key -> entry option
 
-(** [store t key entry] inserts (or refreshes) the entry, evicting the
-    least-recently-used one first when the cache is full. *)
+(** [find_packed] is {!find} returning the entry as held: an exact one
+    [Packed], for a caller that ships its bytes. *)
+val find_packed : t -> key -> entry option
+
+(** [store t key entry] inserts (or refreshes) the entry, {!pack}ed,
+    evicting the least-recently-used one first when the cache is full.
+    A [Packed] entry must be a record of [key] (as {!check_record}
+    reads it). *)
 val store : t -> key -> entry -> unit
 
 (** [mem t key] is a pure peek: no hit/miss counting, no recency touch.
@@ -73,9 +88,10 @@ val remove : t -> key -> unit
     entries are omitted — they are neither persisted nor replicated. *)
 val exact_keys : t -> key list
 
-(** [snapshot t] is every live entry, least-recently-used first —
-    replaying a snapshot through {!store} in order reproduces both the
-    contents and the recency order (the WAL compaction format). *)
+(** [snapshot t] is every live entry as held (exact ones [Packed]),
+    least-recently-used first — replaying a snapshot through {!store}
+    in order reproduces both the contents and the recency order (the
+    WAL compaction format). *)
 val snapshot : t -> (key * entry) list
 
 val capacity : t -> int
@@ -98,3 +114,38 @@ val read_key : Wire.reader -> key
 val write_stats : Wire.writer -> Stats.t -> unit
 
 val read_stats : Wire.reader -> Stats.t
+
+(** {2 Records}
+
+    An exact entry's one encoding, a {!Wire} frame:
+
+    {v "DSEW" | version (1) | payload length (LEB128) | payload | CRC-32 (4, LE) v}
+
+    The payload is the key and the stats in the layouts above, then the
+    level count and, per level, the bucket count and the buckets. *)
+
+val record_magic : string
+
+(** [pack key entry] is an [Exact] entry as its record ([Packed]);
+    other entries are returned as they are. *)
+val pack : key -> entry -> entry
+
+(** [unpack entry] decodes a [Packed] entry to [Exact]; other entries
+    are returned as they are. [entry] must have come from {!pack} or
+    {!check_record}. *)
+val unpack : entry -> entry
+
+(** [record_eof] is the [Wire.Malformed] message of a record that runs
+    past the end of its input (the payload length does not fit): a
+    torn record, or a damaged length field. *)
+val record_eof : string
+
+(** [check_record data pos] checks the whole record starting at [pos]
+    (frame, CRC and payload) without decoding its histograms, and
+    returns its key and the position just past it. Raises
+    [Wire.Malformed]. *)
+val check_record : string -> int -> key * int
+
+(** [decode_record data pos] is {!check_record} that also decodes the
+    entry ([Exact]). *)
+val decode_record : string -> int -> key * entry * int

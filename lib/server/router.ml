@@ -450,9 +450,9 @@ let peer_lookup t b p =
 (* Only the write half of the exchange: hedging waits on the reply
    itself. The request timeout rides the socket, so even a mid-frame
    stall is bounded. *)
-let send_to t b request =
-  Client.send ~connect_timeout:t.config.connect_timeout ~timeout:t.config.request_timeout b.name
-    request
+let send_to t b frame =
+  Client.send_frame ~connect_timeout:t.config.connect_timeout ~timeout:t.config.request_timeout
+    b.name frame
 
 (* Read and classify one backend reply.
 
@@ -492,7 +492,7 @@ let select_readable fds timeout =
    then on each candidate is first asked for the cached result
    ([peek]), because the failed node's warm range lives replicated on
    exactly these successors. *)
-let rec try_next t ~hedging ~primary ~attempts ~busy ~peek ~degraded request candidates =
+let rec try_next t ~hedging ~primary ~attempts ~busy ~peek ~degraded frame candidates =
   match candidates with
   | [] -> (
     match !busy with
@@ -504,7 +504,7 @@ let rec try_next t ~hedging ~primary ~attempts ~busy ~peek ~degraded request can
   | b :: rest -> (
     if not (Breaker.acquire b.breaker ~now:(Unix.gettimeofday ())) then begin
       degraded := true;
-      try_next t ~hedging ~primary ~attempts ~busy ~peek ~degraded request rest
+      try_next t ~hedging ~primary ~attempts ~busy ~peek ~degraded frame rest
     end
     else
       match (if !degraded then Option.bind peek (peer_lookup t b) else None) with
@@ -516,20 +516,20 @@ let rec try_next t ~hedging ~primary ~attempts ~busy ~peek ~degraded request can
       | None -> (
         incr attempts;
         if !attempts > 1 then Atomic.incr t.failovers;
-        match send_to t b request with
+        match send_to t b frame with
         | Error e ->
           fail_breaker t b;
           degraded := true;
           t.log (Printf.sprintf "forward to %s failed: %s" b.name (Dse_error.to_string e));
-          try_next t ~hedging ~primary ~attempts ~busy ~peek ~degraded request rest
+          try_next t ~hedging ~primary ~attempts ~busy ~peek ~degraded frame rest
         | Ok fd ->
-          await_one t ~hedging ~primary ~attempts ~busy ~peek ~degraded request
+          await_one t ~hedging ~primary ~attempts ~busy ~peek ~degraded frame
             { b; fd; started = Unix.gettimeofday (); is_hedge = false }
             rest))
 
 (* One flight outstanding. Silence past the hedge threshold fires the
    duplicate; silence past the request timeout is a node failure. *)
-and await_one t ~hedging ~primary ~attempts ~busy ~peek ~degraded request fl rest =
+and await_one t ~hedging ~primary ~attempts ~busy ~peek ~degraded frame fl rest =
   let deadline = fl.started +. t.config.request_timeout in
   let hedge_at = fl.started +. hedge_threshold t fl.b in
   let giveup () =
@@ -537,7 +537,7 @@ and await_one t ~hedging ~primary ~attempts ~busy ~peek ~degraded request fl res
     close_noerr fl.fd;
     degraded := true;
     t.log (Printf.sprintf "%s silent for %.1f s; failing over" fl.b.name t.config.request_timeout);
-    try_next t ~hedging ~primary ~attempts ~busy ~peek ~degraded request rest
+    try_next t ~hedging ~primary ~attempts ~busy ~peek ~degraded frame rest
   in
   let settle () =
     match settle_flight t fl with
@@ -547,11 +547,11 @@ and await_one t ~hedging ~primary ~attempts ~busy ~peek ~degraded request fl res
     | `Spill e ->
       close_noerr fl.fd;
       busy := Some e;
-      try_next t ~hedging ~primary ~attempts ~busy ~peek ~degraded request rest
+      try_next t ~hedging ~primary ~attempts ~busy ~peek ~degraded frame rest
     | `Failed ->
       close_noerr fl.fd;
       degraded := true;
-      try_next t ~hedging ~primary ~attempts ~busy ~peek ~degraded request rest
+      try_next t ~hedging ~primary ~attempts ~busy ~peek ~degraded frame rest
   in
   let rec wait ~may_hedge =
     let now = Unix.gettimeofday () in
@@ -574,13 +574,13 @@ and await_one t ~hedging ~primary ~attempts ~busy ~peek ~degraded request fl res
         t.log
           (Printf.sprintf "%s slow (past %.2f s); hedging to %s" fl.b.name
              (hedge_threshold t fl.b) b.name);
-        match send_to t b request with
+        match send_to t b frame with
         | Error e ->
           fail_breaker t b;
           t.log (Printf.sprintf "hedge to %s failed: %s" b.name (Dse_error.to_string e));
           spawn_hedge more
         | Ok fd ->
-          await_two t ~primary ~attempts ~busy ~peek ~degraded request fl
+          await_two t ~primary ~attempts ~busy ~peek ~degraded frame fl
             { b; fd; started = Unix.gettimeofday (); is_hedge = true }
             more
       end)
@@ -592,10 +592,10 @@ and await_one t ~hedging ~primary ~attempts ~busy ~peek ~degraded request fl res
    hits EPIPE and is discarded; the job itself is pure, so the wasted
    kernel run costs time on that node and nothing else). The deadline
    is the primary's: the hedge gets whatever remains of it. *)
-and await_two t ~primary ~attempts ~busy ~peek ~degraded request fl1 fl2 rest =
+and await_two t ~primary ~attempts ~busy ~peek ~degraded frame fl1 fl2 rest =
   let deadline = fl1.started +. t.config.request_timeout in
   let continue_with survivor =
-    await_one t ~hedging:false ~primary ~attempts ~busy ~peek ~degraded request survivor rest
+    await_one t ~hedging:false ~primary ~attempts ~busy ~peek ~degraded frame survivor rest
   in
   let rec wait () =
     let now = Unix.gettimeofday () in
@@ -605,7 +605,7 @@ and await_two t ~primary ~attempts ~busy ~peek ~degraded request fl1 fl2 rest =
       close_noerr fl1.fd;
       close_noerr fl2.fd;
       degraded := true;
-      try_next t ~hedging:false ~primary ~attempts ~busy ~peek ~degraded request rest
+      try_next t ~hedging:false ~primary ~attempts ~busy ~peek ~degraded frame rest
     end
     else begin
       match select_readable [ fl1.fd; fl2.fd ] (deadline -. now) with
@@ -630,13 +630,16 @@ and await_two t ~primary ~attempts ~busy ~peek ~degraded request fl1 fl2 rest =
   in
   wait ()
 
+(* The request is encoded once, whichever backends the walk, its
+   failovers and its hedge send it to. *)
 let forward ?peek t ~hedging ~candidates request =
   match candidates with
   | [] -> assert false (* create and adopt_if_newer refuse empty node lists *)
   | first :: _ ->
     Atomic.incr t.forwarded;
+    let frame = Protocol.frame request in
     try_next t ~hedging ~primary:first.name ~attempts:(ref 0) ~busy:(ref None) ~peek
-      ~degraded:(ref false) request candidates
+      ~degraded:(ref false) frame candidates
 
 (* Least-loaded spill: when the owner's last-polled queue-depth/worker
    ratio exceeds the threshold, promote the least-loaded live candidate
@@ -681,9 +684,11 @@ let respond_and_close t fd response =
    end to end. The
    router imposes no admission budgets of its own — the owning backend
    prices the job against its memory; what the router enforces is its
-   bounded connection queue. *)
+   bounded connection queue. A submission is kept as the record bytes
+   it arrived in, fingerprinted in the same pass, and forwarded as they
+   are: no trace is built here. *)
 let handle_client t fd =
-  match Protocol.read_request fd with
+  match Protocol.read_request ~records:true fd with
   | Ok None -> close_noerr fd (* liveness probe *)
   | Error e when Protocol.timed_out e ->
     t.log "dropped a connection that timed out mid-request";

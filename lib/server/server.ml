@@ -15,11 +15,12 @@ type config = {
   anti_entropy : bool;
 }
 
-(* What the worker actually runs: an exact kernel over a materialised
-   trace, or the approximate estimator over a profile the protocol
-   layer already sketched during decode (no trace ever existed). *)
+(* What the worker actually runs: the exact kernel over the record
+   bytes the submission arrived in, or the approximate estimator over a
+   profile the protocol layer already sketched during decode (no trace
+   ever existed either way). *)
 type work =
-  | Exact_work of Trace.t
+  | Exact_work of Trace_records.t
   | Approx_work of Sketch.profile
 
 (* The node's current fleet view — one value, swapped whole under
@@ -116,9 +117,9 @@ let retry_hint config ~pending =
 
 (* Warm the cache from the WAL in append order (later duplicates win
    and recency is reproduced); damage is tolerated by design and only
-   logged. *)
+   logged. The records go into the cache as they are, undecoded. *)
 let restore_from_wal ~log ~cache path =
-  match Wal.replay path with
+  match Wal.restore path with
   | Error _ as e -> e
   | Ok { Wal.entries; intact; damaged; truncated } ->
     List.iter (fun (key, entry) -> Result_cache.store cache key entry) entries;
@@ -318,13 +319,10 @@ let gc_grace = 1.0
 
 (* -- replication -- *)
 
-(* Store a record that arrived from a peer (a Replicate push or an
-   anti-entropy pull). It takes the same path as a locally computed
-   result — cache store + WAL append — so a replica is durable here
-   too, and a later restart of this node warms it from its own WAL. *)
-let store_replica t key entry =
+(* Cache an entry and log it: the one store path of a computed result
+   and a replica. A full disk degrades persistence, never serving. *)
+let store_packed t key entry =
   Result_cache.store t.cache key entry;
-  Atomic.incr t.replicated_in;
   match t.wal with
   | None -> ()
   | Some wal -> (
@@ -333,6 +331,20 @@ let store_replica t key entry =
     | Error e ->
       Atomic.incr t.wal_failures;
       t.log (Printf.sprintf "wal append failed: %s" (Dse_error.to_string e)))
+
+(* Store a record that arrived from a peer (a Replicate push or an
+   anti-entropy pull), checked but not decoded. It takes the same path
+   as a locally computed result — cache store + WAL append — so a
+   replica is durable here too, and a later restart of this node warms
+   it from its own WAL. An undecodable record is dropped: it can never
+   corrupt us. *)
+let store_replica t record =
+  match Wal.check_record record with
+  | None -> false
+  | Some key ->
+    store_packed t key (Result_cache.Packed record);
+    Atomic.incr t.replicated_in;
+    true
 
 (* Where a key's copies go under the current membership: its first R−1
    ring successors other than this node. *)
@@ -350,20 +362,14 @@ let push_targets t (key : Result_cache.key) =
    job's result still lands on the nodes any router will walk for that
    fingerprint, the owner included. A full queue drops the push and
    counts it: a slow peer degrades durability, never serving. *)
-let replicate t key entry =
-  match push_targets t key with
-  | [] -> ()
-  | targets -> (
-    match Wal.encode_record key entry with
-    | None -> () (* approx entries are not replicated, mirroring the WAL *)
-    | Some record ->
-      List.iter
-        (fun target ->
-          match Job_queue.push t.repl_queue (target, record) with
-          | `Ok -> ()
-          | `Full _ -> Atomic.incr t.replication_dropped
-          | `Closed -> ())
-        targets)
+let replicate t key record =
+  List.iter
+    (fun target ->
+      match Job_queue.push t.repl_queue (target, record) with
+      | `Ok -> ()
+      | `Full _ -> Atomic.incr t.replication_dropped
+      | `Closed -> ())
+    (push_targets t key)
 
 (* One request/response exchange with a peer daemon. Bounded
    everywhere (connect, send, receive): a wedged peer must not wedge the
@@ -434,7 +440,7 @@ let refetch_config t peer =
   | Ok _ | Error _ -> false
 
 let current_targets t record =
-  match Wal.decode_record record with None -> [] | Some (key, _) -> push_targets t key
+  match Wal.check_record record with None -> [] | Some key -> push_targets t key
 
 let rec push_record ?(refetched = false) t target record =
   if not (List.mem target (current_targets t record)) then
@@ -530,12 +536,7 @@ let anti_entropy t =
             | Ok (Protocol.Cache_reply { records; _ }) ->
               let pulled =
                 List.fold_left
-                  (fun acc record ->
-                    match Wal.decode_record record with
-                    | Some (key, entry) ->
-                      store_replica t key entry;
-                      acc + 1
-                    | None -> acc)
+                  (fun acc record -> if store_replica t record then acc + 1 else acc)
                   0 records
               in
               t.log
@@ -701,10 +702,18 @@ let run_job t ~heartbeat job =
          counts; an already-expired job fails here without a kernel run *)
       Cancel.check cancel;
       (match job.work with
-      | Exact_work trace ->
-        let prepared = Analytical.prepare ?max_level:job.max_level trace in
-        (* O(1) off the arena build: the kernel never boxes the strip, so
-           a job's heap cost is the decoded trace alone *)
+      | Exact_work records when job.domains = 1 ->
+        (* the records go straight into this worker domain's reused
+           stream: no trace, no id arena, no per-job table *)
+        let stats, histograms =
+          Analytical.stream_records ~cancel ?max_level:job.max_level records
+        in
+        Result_cache.Exact { stats; histograms }
+      | Exact_work records ->
+        (* shards need the random-access strip of the whole trace *)
+        let prepared =
+          Analytical.prepare ?max_level:job.max_level (Trace_records.to_trace records)
+        in
         let stats = Analytical.stats prepared in
         let histograms = Analytical.histograms ~cancel ~domains:job.domains prepared in
         Result_cache.Exact { stats; histograms }
@@ -725,18 +734,14 @@ let run_job t ~heartbeat job =
   in
   if Atomic.compare_and_set job.settled false true then begin
     (match outcome with
-    | Ok entry ->
-      Result_cache.store t.cache job.key entry;
-      (match t.wal with
-      | None -> ()
-      | Some wal -> (
-        (* a full disk degrades persistence, never serving *)
-        match Wal.append wal job.key entry with
-        | Ok () -> Atomic.incr t.wal_appends
-        | Error e ->
-          Atomic.incr t.wal_failures;
-          t.log (Printf.sprintf "wal append failed: %s" (Dse_error.to_string e))));
-      replicate t job.key entry
+    | Ok entry -> (
+      (* encoded once: the cache, the WAL and every replica push get
+         these bytes *)
+      let packed = Result_cache.pack job.key entry in
+      store_packed t job.key packed;
+      match packed with
+      | Result_cache.Packed record -> replicate t job.key record
+      | Result_cache.Exact _ | Result_cache.Approx _ -> ())
     | Error _ -> ());
     Atomic.incr t.jobs_completed;
     respond_flight t job outcome
@@ -823,9 +828,9 @@ let handle_drain t fd (config : Protocol.ring_config) =
         let by_target : (string, string list) Hashtbl.t = Hashtbl.create 8 in
         List.iter
           (fun (key, entry) ->
-            match Wal.encode_record key entry with
-            | None -> ()
-            | Some record ->
+            match (entry : Result_cache.entry) with
+            | Exact _ | Approx _ -> ()
+            | Packed record ->
               Ring.successors ring key.Result_cache.fingerprint
               |> List.filteri (fun i _ -> i < config.Protocol.replication)
               |> List.iter (fun target ->
@@ -864,17 +869,15 @@ let handle_submission t fd ~name ~trace ~query ~method_ ~domains ~max_level ~dea
     respond_and_close t fd
       (Protocol.Server_error (Dse_error.Constraint_violation { context = "submit"; message }))
   in
-  (* Total over (spec, decoded payload). The daemon's decoder sketches
-     approx submissions, so Approx normally arrives Sketched; a
-     materialised approx submission (a hand-crafted frame) is sketched
-     here, and a sketched exact one is impossible to serve. *)
+  (* Total over (spec, decoded payload). The daemon's decoder
+     ([read_request ~sketch_approx:true]) keeps an exact submission's
+     records and sketches an approx one; no other pairing reaches here. *)
   let work =
     match (method_, trace) with
-    | Protocol.Exact Analytical.Arena, Protocol.Full trace -> Ok (Exact_work trace)
+    | Protocol.Exact Analytical.Arena, Protocol.Records records -> Ok (Exact_work records)
     | Protocol.Approx, Protocol.Sketched profile -> Ok (Approx_work profile)
-    | Protocol.Approx, Protocol.Full trace -> Ok (Approx_work (Sketch.of_trace trace))
-    | Protocol.Exact _, Protocol.Sketched _ ->
-      Error "a sketched submission cannot run an exact method"
+    | _, (Protocol.Full _ | Protocol.Records _ | Protocol.Sketched _) ->
+      Error "submission not decoded for its method"
   in
   match work with
   | Error message -> reject message
@@ -922,7 +925,7 @@ let handle_submission t fd ~name ~trace ~query ~method_ ~domains ~max_level ~dea
            tier with pings and cache probes. *)
         let heavy =
           match work with
-          | Exact_work trace -> Trace.length trace >= heavy_refs
+          | Exact_work records -> Trace_records.length records >= heavy_refs
           | Approx_work _ -> false
         in
         let pending = Job_queue.length t.queue in
@@ -988,13 +991,11 @@ let handle_connection t fd =
       let stored =
         List.fold_left
           (fun acc record ->
-            match Wal.decode_record record with
-            | Some (key, entry) ->
-              store_replica t key entry;
-              acc + 1
-            | None ->
+            if store_replica t record then acc + 1
+            else begin
               t.log "replicate: dropped an undecodable record from a peer";
-              acc)
+              acc
+            end)
           0 records
       in
       respond_and_close t fd (Protocol.Replicate_ack { stored }))
@@ -1013,14 +1014,11 @@ let handle_connection t fd =
         let records =
           List.filter_map
             (fun key ->
-              match Result_cache.find t.cache key with
-              | Some entry -> (
-                match Wal.encode_record key entry with
-                | Some record ->
-                  Atomic.incr t.peer_hits;
-                  Some record
-                | None -> None)
-              | None -> None)
+              match Result_cache.find_packed t.cache key with
+              | Some (Result_cache.Packed record) ->
+                Atomic.incr t.peer_hits;
+                Some record
+              | Some (Result_cache.Exact _ | Result_cache.Approx _) | None -> None)
             keys
         in
         respond_and_close t fd (Protocol.Cache_reply { keys = []; records })))

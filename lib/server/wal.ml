@@ -1,61 +1,39 @@
-(* Per-record framing: the [Wire] envelope, one frame per record so a
-   torn write damages at most that record:
-
-     "DSEW" | version (1 byte) | payload length (LEB128) | payload
-            | CRC-32 (4 bytes LE, over every preceding record byte)
-
-   Payload layout: the cache key and the stats (their [Result_cache]
-   wire layouts) | level count | per level: count | values... *)
-
-let magic = "DSEW"
-
-let version = 1
-
-(* -- encoding -- *)
-
-(* A record is built in one exactly-sized [Bytes]: the key and stats go
-   to a small scratch writer, a sizing pass covers the histogram
-   varints, then the frame is written and sealed in place. Records run
-   to several KB (one varint per histogram bucket) and compaction
-   re-encodes every live entry at once, so each copy of a record is a
-   major-heap allocation worth avoiding. *)
-
-let iter_histogram_varints f histograms =
-  f (Array.length histograms);
-  Array.iter
-    (fun histogram ->
-      f (Array.length histogram);
-      Array.iter f histogram)
-    histograms
+(* Per-record framing: one [Result_cache] record per entry, so a torn
+   write damages at most that record; see [Result_cache.record_magic]
+   for the layout. An exact entry is held by the cache in these very
+   bytes, so appending, compacting and replicating copy them as they
+   are. *)
 
 (* Approx entries are deliberately not persisted: the record format is
    the exact histogram summary, and an approx profile is cheap to
    recompute from a resubmission (one streaming pass) — so a restarted
    daemon simply answers approx repeats cold. [None] means "nothing to
    write", and both the append path and compaction skip it. *)
-let encode_record (key : Result_cache.key) (entry : Result_cache.entry) =
-  match entry with
-  | Result_cache.Approx _ -> None
-  | Result_cache.Exact { stats; histograms } ->
-    (* the key and stats take well under 64 bytes *)
-    let size = ref 64 in
-    iter_histogram_varints (fun v -> size := !size + Wire.varint_size v) histograms;
-    let bytes, off, len =
-      Wire.framed ~magic ~version !size (fun w ->
-          Result_cache.write_key w key;
-          Result_cache.write_stats w stats;
-          iter_histogram_varints (Wire.put_varint w) histograms)
-    in
-    Some (Bytes.sub_string bytes off len)
+let encode_record key entry =
+  match Result_cache.pack key entry with
+  | Result_cache.Packed record -> Some record
+  | Result_cache.Exact _ | Result_cache.Approx _ -> None
+
+(* One record as a standalone string — the Replicate verb's payload
+   unit. Accepts exactly one whole well-formed record; anything else
+   (damage, trailing bytes, a torn prefix) is [None], so a replication
+   receiver can never be corrupted by a bad peer. *)
+let whole data read =
+  match read data 0 with
+  | result, next when next = String.length data -> Some result
+  | _ -> None
+  | exception Wire.Malformed _ -> None
+
+let decode_record data =
+  whole data (fun data pos ->
+      let key, entry, next = Result_cache.decode_record data pos in
+      ((key, entry), next))
+
+let check_record data = whole data Result_cache.check_record
 
 (* -- replay -- *)
 
-(* The end-of-data message of a record reader. A record that runs past
-   the end of the log is either a torn tail (a crash mid-append) or
-   length-field damage, told apart by whether another magic follows;
-   every other [Wire.Malformed] is damage inside the record, skipped by
-   resyncing on the next magic. *)
-let torn = "torn record"
+let magic = Result_cache.record_magic
 
 let rec find_magic data pos =
   let n = String.length magic in
@@ -64,27 +42,26 @@ let rec find_magic data pos =
   else if matches 0 then Some pos
   else find_magic data (pos + 1)
 
-(* Parse the record whose magic starts at [pos]; returns the decoded
-   entry and the position just past its CRC footer. The CRC is checked
-   before the payload is decoded. *)
-let parse_record data pos =
-  let r = Wire.of_string ~eof:torn ~pos data in
-  Wire.magic r magic;
-  Wire.version r ~name:"WAL" version;
-  let payload_len = Wire.length r in
-  if not (Wire.fits ~reserve:4 r payload_len) then raise (Wire.Malformed (Wire.offset r, torn));
-  let c = Wire.sub r payload_len in
-  Wire.footer r;
-  let key = Result_cache.read_key c in
-  let stats = Result_cache.read_stats c in
-  (* each histogram contributes at least one byte, so a declared count
-     beyond the payload is damage the CRC happened to miss *)
-  let histograms =
-    Array.init (Wire.count c "level count") (fun _ ->
-        Array.init (Wire.count c "bucket count") (fun _ -> Wire.varint c))
-  in
-  Wire.finish c "record";
-  ((key, Result_cache.Exact { stats; histograms }), pos + Wire.offset r)
+let starts_record data pos = find_magic data pos = Some pos
+
+(* A record whose footer ran into the next record's magic: a torn
+   record can borrow the bytes it lacks from the magic after it, and
+   its CRC can come out right by chance (one in 256 for one borrowed
+   byte). Then the record parsed ends just past a magic inside its own
+   footer, neither at the end of the log nor at a magic. If a valid
+   record starts at that inner magic, the parsed one was torn. *)
+let swallowed data next =
+  let len = String.length data in
+  if next >= len || starts_record data next then None
+  else
+    List.find_opt
+      (fun p ->
+        starts_record data p
+        &&
+        match Result_cache.check_record data p with
+        | _ -> true
+        | exception Wire.Malformed _ -> false)
+      (List.init 4 (fun i -> next - 4 + i))
 
 type replay = {
   entries : (Result_cache.key * Result_cache.entry) list;
@@ -93,12 +70,23 @@ type replay = {
   truncated : bool;
 }
 
-let replay_string data =
+(* [packed] keeps each record's bytes as they are ([Result_cache.Packed]),
+   checked but not decoded; otherwise entries are decoded. Also returns
+   where a torn tail starts (the length of the log when there is none). *)
+let replay_string ~packed data =
   let len = String.length data in
   let entries = ref [] in
   let intact = ref 0 in
   let damaged = ref 0 in
-  let truncated = ref false in
+  let tail = ref None in
+  let read start =
+    if packed then
+      let key, next = Result_cache.check_record data start in
+      ((key, Result_cache.Packed (String.sub data start (next - start))), next)
+    else
+      let key, entry, next = Result_cache.decode_record data start in
+      ((key, entry), next)
+  in
   let rec scan pos =
     if pos < len then
       match find_magic data pos with
@@ -108,44 +96,43 @@ let replay_string data =
         incr damaged
       | Some start ->
         if start > pos then incr damaged;
-        (match parse_record data start with
-        | entry, next ->
-          entries := entry :: !entries;
-          incr intact;
-          scan next
-        | exception Wire.Malformed (_, message) when message == torn -> (
+        (match read start with
+        | entry, next -> (
+          match swallowed data next with
+          | Some inner ->
+            incr damaged;
+            scan inner
+          | None ->
+            entries := entry :: !entries;
+            incr intact;
+            scan next)
+        | exception Wire.Malformed (_, message) when message == Result_cache.record_eof -> (
           (* torn tail only if no later magic; otherwise the length
              field was damaged mid-file *)
           match find_magic data (start + String.length magic) with
           | Some next ->
             incr damaged;
             scan next
-          | None -> truncated := true)
+          | None -> tail := Some start)
         | exception Wire.Malformed _ ->
           incr damaged;
           scan (start + String.length magic))
   in
   scan 0;
-  { entries = List.rev !entries; intact = !intact; damaged = !damaged; truncated = !truncated }
+  ( { entries = List.rev !entries; intact = !intact; damaged = !damaged;
+      truncated = !tail <> None },
+    Option.value !tail ~default:len )
 
-(* One record as a standalone string — the Replicate verb's payload
-   unit. Accepts exactly one whole well-formed record; anything else
-   (damage, trailing bytes, a torn prefix) is [None], so a replication
-   receiver can never be corrupted by a bad peer. *)
-let decode_record data =
-  match parse_record data 0 with
-  | (key, entry), next when next = String.length data -> Some (key, entry)
-  | _ -> None
-  | exception Wire.Malformed _ -> None
-
-let replay path =
+let read_log path scan =
   match In_channel.with_open_bin path In_channel.input_all with
-  | data -> Ok (replay_string data)
+  | data -> Ok (scan data)
   | exception Sys_error _ when not (Sys.file_exists path) ->
-    Ok { entries = []; intact = 0; damaged = 0; truncated = false }
+    Ok ({ entries = []; intact = 0; damaged = 0; truncated = false }, 0)
   | exception Sys_error message -> Error (Dse_error.Io_error { file = path; message })
   | exception Unix.Unix_error (err, _, _) ->
     Error (Dse_error.Io_error { file = path; message = Unix.error_message err })
+
+let replay path = Result.map fst (read_log path (replay_string ~packed:false))
 
 (* -- appending -- *)
 
@@ -169,6 +156,17 @@ let guard ~path f =
   | exception Unix.Unix_error (err, _, _) ->
     Error (Dse_error.Io_error { file = path; message = Unix.error_message err })
   | exception Sys_error message -> Error (Dse_error.Io_error { file = path; message })
+
+(* The next append must start on a record boundary: a record appended
+   after a torn tail would follow bytes that lack their end, and the
+   tail could borrow from it (see [swallowed]). *)
+let restore path =
+  match read_log path (replay_string ~packed:true) with
+  | Error _ as e -> e
+  | Ok (replay, tail) ->
+    guard ~path (fun () ->
+        if replay.truncated then Unix.truncate path tail;
+        replay)
 
 let open_append path = Unix.openfile path [ Unix.O_WRONLY; Unix.O_APPEND; Unix.O_CREAT ] 0o644
 

@@ -8,16 +8,21 @@
 
     {v "DSEW" | version (1) | payload length (LEB128) | payload | CRC-32 (4, LE) v}
 
-    The payload is the cache key and the stats in their
-    {!Result_cache.write_key} / {!Result_cache.write_stats} layouts,
-    then the per-level histograms, length-prefixed.
+    A record is the {!Result_cache} record of the entry: the cache key
+    and the stats in their {!Result_cache.write_key} /
+    {!Result_cache.write_stats} layouts, then the per-level histograms,
+    length-prefixed. The cache holds exact entries in these bytes
+    ({!Result_cache.Packed}), so an append or a compaction writes them
+    as they are.
 
     {!replay} tolerates real crash damage: a torn tail (a [kill -9]
     mid-append) drops only the unfinished record, and a bit-flipped or
     garbage region is skipped by re-synchronising on the next ["DSEW"]
     magic — every intact record before {e and after} the damage is
-    recovered. Records replay in append order, so later writes of the
-    same key win and LRU recency is reproduced.
+    recovered. A torn record whose CRC happens to come out right on
+    bytes borrowed from the next record's magic is counted as damage,
+    and the next record is kept. Records replay in append order, so
+    later writes of the same key win and LRU recency is reproduced.
 
     Appends are a single [write(2)] on an [O_APPEND] descriptor, so a
     crash can tear at most the final record. When the log has grown past
@@ -39,6 +44,11 @@ val encode_record : Result_cache.key -> Result_cache.entry -> string option
     peer. *)
 val decode_record : string -> (Result_cache.key * Result_cache.entry) option
 
+(** [check_record data] is [decode_record]'s check without decoding
+    the histograms: the key of a whole well-formed record, whose bytes
+    [data] can then be stored as they are ({!Result_cache.Packed}). *)
+val check_record : string -> Result_cache.key option
+
 type replay = {
   entries : (Result_cache.key * Result_cache.entry) list;  (** in append order *)
   intact : int;  (** records recovered *)
@@ -50,6 +60,12 @@ type replay = {
     first run of a daemon), damage is tolerated as documented above;
     only an OS-level open/read failure is an [Error]. *)
 val replay : string -> (replay, Dse_error.t) result
+
+(** [restore path] is {!replay} for a daemon's start-up: entries are
+    {!Result_cache.Packed} records, checked but not decoded, and a torn
+    tail is cut off the file, so the next append starts on a record
+    boundary. *)
+val restore : string -> (replay, Dse_error.t) result
 
 type t
 

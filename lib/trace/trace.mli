@@ -94,6 +94,23 @@ val fingerprint_add : int64 -> int -> int64
 
 val fingerprint_finish : int64 -> len:int -> int64
 
+(** The streaming fingerprint as a mutable accumulator, for a sink
+    that sees one address at a time: [fingerprinter_finish] after
+    [fingerprinter_add] of each address equals the fold above, and an
+    add allocates nothing. *)
+type fingerprinter
+
+val fingerprinter : unit -> fingerprinter
+
+val fingerprinter_add : fingerprinter -> int -> unit
+
+val fingerprinter_finish : fingerprinter -> len:int -> int64
+
+(** [fingerprint_of n next] is the fingerprint of the [n] addresses
+    that [n] calls of [next ()] return, in order: [fingerprint t] for
+    the trace [t] of those addresses, computed without allocating. *)
+val fingerprint_of : int -> (unit -> int) -> int64
+
 (** [estimate_bytes ~model ~refs] is a pessimistic upper bound on the
     bytes a job over a [refs]-reference trace costs the daemon.
     Computed from the *declared* reference count of a submission frame,

@@ -59,6 +59,8 @@ let put_sub w b off len =
   Bytes.blit b off w.bytes w.pos len;
   w.pos <- w.pos + len
 
+let put_substring w s off len = put_sub w (Bytes.unsafe_of_string s) off len
+
 let put_string w s =
   put_varint w (String.length s);
   put_sub w (Bytes.unsafe_of_string s) 0 (String.length s)
@@ -244,6 +246,10 @@ let sub r n =
     r.base <- r.base + n - buffered;
     r.crc <- Crc32.update_sub r.crc !out 0 n;
     of_string ~eof (Bytes.unsafe_to_string !out)
+
+let string_view r =
+  if r.fill <> None then invalid_arg "Wire.string_view: a stream reader";
+  (Bytes.unsafe_to_string r.buf, r.pos)
 
 let list r what get = List.init (count r what) (fun _ -> get r)
 

@@ -41,6 +41,9 @@ val put_varint : writer -> int -> unit
 (** A varint length, then the bytes. *)
 val put_string : writer -> string -> unit
 
+(** [put_substring w s off len]: the bytes alone, no length. *)
+val put_substring : writer -> string -> int -> int -> unit
+
 (** [put_list w put xs]: the length of [xs] as a varint, then [put w]
     of each item. *)
 val put_list : writer -> (writer -> 'a -> unit) -> 'a list -> unit
@@ -112,6 +115,12 @@ val list : reader -> string -> (reader -> 'a) -> 'a list
 
 (** A {!count}ed length, then the bytes. *)
 val string : reader -> string
+
+(** [string_view r] is the string a reader made by {!of_string} (or a
+    {!sub} of one) reads, and the index in it of the next byte — so a
+    caller can keep a run of consumed bytes without copying them.
+    Raises [Invalid_argument] on a stream reader. *)
+val string_view : reader -> string * int
 
 (** [sub r n] consumes the next [n] bytes as a reader of their own
     (offsets from 0, running out is ["unexpected end of payload"]). It

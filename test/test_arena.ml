@@ -544,6 +544,41 @@ let prop_stream_equals_strip =
       triple gen_stream_addresses (oneofl [ 1; 2; 4 ]) (oneofl [ Unset; Zero; Below; Above ]))
     (fun (addrs, line_words, cap) -> stream_equals_strip ~line_words ~cap addrs)
 
+(* A reset stream counts a trace as a fresh one does, whatever trace
+   and level cap it counted before. *)
+let prop_stream_reset_equals_fresh =
+  prop ~count:100 "a reset stream = a fresh stream (any earlier trace and level cap)"
+    QCheck2.Gen.(
+      pair
+        (pair gen_stream_addresses (oneofl [ Unset; Zero; Below; Above ]))
+        (pair gen_stream_addresses (oneofl [ Unset; Zero; Below; Above ])))
+    (fun ((before, before_cap), (addrs, cap)) ->
+      let level cap addrs =
+        cap_level cap ~bits:(Arena_kernel.address_bits (Arena_kernel.of_trace (Trace.of_addresses addrs)))
+      in
+      let s = Arena_kernel.stream_create ?max_level:(level before_cap before) () in
+      Array.iter (Arena_kernel.stream_add s) before;
+      let max_level = level cap addrs in
+      Arena_kernel.stream_reset ?max_level s;
+      Array.iter (Arena_kernel.stream_add s) addrs;
+      (Arena_kernel.stream_stats s, Arena_kernel.stream_histograms s)
+      = streamed ?max_level ~line_words:1 addrs)
+
+(* A stream capped at level 0 has no bit-plane; reset without the cap,
+   it must start with the one plane a fresh stream has, even when no
+   address ever widens it. *)
+let test_stream_reset_after_level_zero () =
+  let s = Arena_kernel.stream_create ~max_level:0 () in
+  Arena_kernel.stream_add s 0;
+  List.iter
+    (fun addrs ->
+      Arena_kernel.stream_reset s;
+      Array.iter (Arena_kernel.stream_add s) addrs;
+      check_bool "reset = fresh" true
+        ((Arena_kernel.stream_stats s, Arena_kernel.stream_histograms s)
+        = streamed ~line_words:1 addrs))
+    [ [| 1 |]; [| 1; 0; 1 |]; [| 0; 2; 0; 6 |] ]
+
 let test_stream_edges () =
   List.iter
     (fun cap ->
@@ -813,6 +848,8 @@ let suites =
     ( "arena-stream",
       [
         prop_stream_equals_strip;
+        prop_stream_reset_equals_fresh;
+        Alcotest.test_case "reset after a level-0 cap" `Quick test_stream_reset_after_level_zero;
         Alcotest.test_case "edges: empty, all cold, widest address" `Quick test_stream_edges;
         Alcotest.test_case "minor words flat in N" `Quick test_stream_minor_words_flat;
         Alcotest.test_case "file damage: stream = materialised" `Quick test_stream_file_damage;

@@ -538,6 +538,83 @@ let test_probe_is_silent () =
       ok_or_fail (Client.ping ~socket);
       check_bool "no log line for the probe" true (!logged = []))
 
+(* -- a packed entry: one encoding for cache, WAL and replication -- *)
+
+let test_packed_entry_roundtrip () =
+  let trace = Lazy.force small_trace in
+  let prepared = Analytical.prepare trace in
+  let entry =
+    Result_cache.Exact
+      { stats = Analytical.stats prepared; histograms = Analytical.histograms prepared }
+  in
+  let key =
+    { Result_cache.fingerprint = Trace.fingerprint trace;
+      method_tag = Protocol.method_tag Analytical.Arena; domains = 1; max_level = -1 }
+  in
+  let record =
+    match Wal.encode_record key entry with
+    | Some record -> record
+    | None -> Alcotest.fail "exact entry not encoded"
+  in
+  (* the cache holds the entry as exactly its record and decodes it on a
+     hit *)
+  let cache = Result_cache.create () in
+  Result_cache.store cache key entry;
+  check_bool "held as its record" true
+    (Result_cache.snapshot cache = [ (key, Result_cache.Packed record) ]);
+  check_bool "a hit decodes it" true (Result_cache.find cache key = Some entry);
+  (* the log gets the held bytes as they are, on append and on
+     compaction; replay decodes them, restore keeps them packed *)
+  let path = temp_wal () in
+  let wal =
+    ok_or_fail
+      (Wal.open_ ~capacity:4 ~snapshot:(fun () -> Result_cache.snapshot cache) path)
+  in
+  ok_or_fail (Wal.append wal key (Result_cache.Packed record));
+  check_bool "appended verbatim" true (read_file path = record);
+  ok_or_fail (Wal.compact wal);
+  Wal.close wal;
+  check_bool "compacted verbatim" true (read_file path = record);
+  check_bool "replay decodes it" true ((ok_or_fail (Wal.replay path)).Wal.entries = [ (key, entry) ]);
+  check_bool "restore keeps it packed" true
+    ((ok_or_fail (Wal.restore path)).Wal.entries = [ (key, Result_cache.Packed record) ]);
+  Sys.remove path;
+  (* a daemon stores a pushed record, hands it to a peer byte for byte
+     and answers the trace warm, exactly as direct explore *)
+  with_server (fun socket _server ->
+      (match Client.exchange socket (Protocol.Replicate { ring_version = 0; records = [ record ] }) with
+      | Ok (Protocol.Replicate_ack { stored }) -> check_int "stored" 1 stored
+      | _ -> Alcotest.fail "replicate refused");
+      (match Client.exchange socket (Protocol.Cache_query { ring_version = 0; keys = [ key ] }) with
+      | Ok (Protocol.Cache_reply { records = [ served ]; _ }) ->
+        check_bool "a peer gets the record verbatim" true (served = record)
+      | _ -> Alcotest.fail "cache query missed");
+      let payload = ok_or_fail (Client.submit ~socket ~name:"bcnt" trace) in
+      check_bool "answered warm" true payload.Protocol.cache_hit;
+      check_bool "as direct explore" true
+        (payload.Protocol.outcome = Protocol.Table (Analytical_dse.run ~name:"bcnt" trace)))
+
+(* A restart cuts a torn tail off the log before its first append, so
+   the new record cannot be read as the rest of the torn one. *)
+let test_restore_cuts_torn_tail () =
+  let path = temp_wal () in
+  with_wal path (fun wal _ ->
+      List.iter (fun i -> ok_or_fail (Wal.append wal (key i) (entry i))) [ 1; 2; 3 ]);
+  let data = read_file path in
+  let record_len = String.length data / 3 in
+  write_file path (String.sub data 0 (String.length data - 1));
+  let r = ok_or_fail (Wal.restore path) in
+  check_int "two intact" 2 r.Wal.intact;
+  check_bool "torn tail flagged" true r.Wal.truncated;
+  check_int "the file ends at the last whole record" (2 * record_len)
+    (String.length (read_file path));
+  with_wal path (fun wal _ -> ok_or_fail (Wal.append wal (key 4) (entry 4)));
+  let r = ok_or_fail (Wal.replay path) in
+  check_int "no damage after the append" 0 r.Wal.damaged;
+  check_bool "the append is replayed" true
+    (r.Wal.entries = [ (key 1, entry 1); (key 2, entry 2); (key 4, entry 4) ]);
+  Sys.remove path
+
 let suites =
   [
     ( "selfheal:cancel",
@@ -554,6 +631,7 @@ let suites =
         Alcotest.test_case "wal torn tail" `Quick test_wal_torn_tail;
         Alcotest.test_case "wal bit flip" `Quick test_wal_bitflip;
         Alcotest.test_case "wal compaction" `Quick test_wal_compaction;
+        Alcotest.test_case "restore cuts a torn tail" `Quick test_restore_cuts_torn_tail;
         Alcotest.test_case "zero-byte close" `Quick test_zero_byte_close;
         Alcotest.test_case "receive timeout is typed" `Quick test_receive_timeout_typed;
       ] );
@@ -569,5 +647,7 @@ let suites =
         Alcotest.test_case "retry recovers from queue-full" `Quick
           test_retry_recovers_from_queue_full;
         Alcotest.test_case "probes are silent" `Quick test_probe_is_silent;
+        Alcotest.test_case "packed entry through cache, WAL and Replicate" `Quick
+          test_packed_entry_roundtrip;
       ] );
   ]

@@ -62,7 +62,7 @@ let test_request_roundtrip () =
     check_bool "trace" true
       (match s.trace with
       | Protocol.Full t -> Trace.to_list t = Trace.to_list trace
-      | Protocol.Sketched _ -> false);
+      | Protocol.Sketched _ | Protocol.Records _ -> false);
     check_bool "query" true (s.query = Protocol.Percents [ 5; 10 ]);
     check_bool "method" true (s.method_ = Protocol.Exact Analytical.Arena);
     check_int "domains" 3 s.domains;
@@ -547,6 +547,125 @@ let test_half_open_peer_never_delays_ring_update () =
               | Error e, _ -> Alcotest.failf "ring update: %s" (Dse_error.to_string e))
             [ tcp; socket ]))
 
+(* -- an exact miss: record bytes into the worker's reused stream -- *)
+
+(* A Submit as the daemon decodes it: an exact job keeps its records as
+   the bytes they arrived in. *)
+let daemon_records trace =
+  let request =
+    Protocol.Submit
+      { name = "records"; trace = Protocol.Full trace; query = Protocol.Percents [ 5 ];
+        method_ = Protocol.Exact Analytical.Arena; domains = 1; max_level = None;
+        deadline = None }
+  in
+  with_socketpair (fun a b ->
+      ok_or_fail (Protocol.write_request a request);
+      match ok_or_fail (Protocol.read_request ~sketch_approx:true b) with
+      | Some (Protocol.Submit { trace = Protocol.Records records; _ }) ->
+        check_bool "records fingerprint" true
+          (Protocol.submission_fingerprint (Protocol.Records records) = Trace.fingerprint trace);
+        records
+      | _ -> Alcotest.fail "an exact submission did not decode to its records")
+
+(* The worker's computation against direct [prepare] + [histograms].
+   Every call runs in this test's domain, so the stream is reset from
+   one trace, level cap and size to the next. *)
+let records_job_equals_explore ~cap addrs =
+  (* a record carries [addr lsl 2] in a non-negative varint, so a
+     submission's addresses stay below 2^60 *)
+  let trace = Trace.of_addresses (Array.map (fun a -> a land ((1 lsl 60) - 1)) addrs) in
+  let bits = (Analytical.stats (Analytical.prepare trace)).Stats.address_bits in
+  let max_level = Test_arena.cap_level cap ~bits in
+  let prepared = Analytical.prepare ?max_level trace in
+  Analytical.stream_records ?max_level (daemon_records trace)
+  = (Analytical.stats prepared, Analytical.histograms prepared)
+
+let prop_records_job_equals_explore =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:80
+       ~name:"record-bytes job = prepare + histograms (arena-stream shapes, level caps)"
+       QCheck2.Gen.(
+         pair Test_arena.gen_stream_addresses
+           (oneofl Test_arena.[ Unset; Zero; Below; Above ]))
+       (fun (addrs, cap) -> records_job_equals_explore ~cap addrs))
+
+let test_records_job_edges () =
+  List.iter
+    (fun cap ->
+      List.iter
+        (fun (what, addrs) -> check_bool what true (records_job_equals_explore ~cap addrs))
+        [
+          ("one reference", [| 42 |]);
+          ("all cold", Array.init 3000 Test_arena.scatter);
+          ("all cold, then one warm", Array.append (Array.init 3000 Test_arena.scatter) [| 0 |]);
+        ])
+    Test_arena.[ Unset; Zero; Below; Above ]
+
+(* [in_fresh_domain f] runs [f] where no stream has been retained yet,
+   as in a newly spawned worker. *)
+let in_fresh_domain f = Domain.join (Domain.spawn f)
+
+let test_warm_stream_creates_no_arena () =
+  let addrs = Array.init 6000 (fun i -> Test_arena.scatter (i * i mod 997)) in
+  let first = daemon_records (Trace.of_addresses addrs) in
+  let prefix = Trace.of_addresses (Array.sub addrs 0 4000) in
+  let second = daemon_records prefix in
+  let created, result =
+    in_fresh_domain (fun () ->
+        ignore (Analytical.stream_records first);
+        let before = Arena.created_count () in
+        let result = Analytical.stream_records second in
+        (Arena.created_count () - before, result))
+  in
+  check_int "the second job created no arena" 0 created;
+  let prepared = Analytical.prepare prefix in
+  check_bool "and its answer is direct explore's" true
+    (result = (Analytical.stats prepared, Analytical.histograms prepared))
+
+(* The records of [trace] without a socket: a large frame would fill a
+   socketpair's buffer before anyone reads it. *)
+let records_of trace =
+  let w = Wire.writer (4 * Trace.length trace) in
+  Wire.put_varint w (Trace.length trace);
+  Trace.iter_records (Wire.put_record w) trace;
+  let bytes = ref "" in
+  Wire.flush w (fun b off len -> bytes := Bytes.sub_string b off len);
+  let r = Wire.of_string ~eof:"records" !bytes in
+  Trace_records.read r (Wire.varint r)
+
+let test_oversized_stream_released () =
+  let trace = Trace.of_addresses (Array.init 200_000 Test_arena.scatter) in
+  let s = Arena_kernel.stream_create () in
+  Trace.iter_addrs (Arena_kernel.stream_add s) trace;
+  check_bool "the trace's stream outgrows the bound" true
+    (Arena_kernel.stream_bytes s > Analytical.retain_bytes);
+  let records = records_of trace in
+  let created =
+    in_fresh_domain (fun () ->
+        ignore (Analytical.stream_records records);
+        let before = Arena.created_count () in
+        ignore (Analytical.stream_records records);
+        Arena.created_count () - before)
+  in
+  check_bool "the second job started a fresh stream" true (created > 0)
+
+(* A served miss keeps answering like direct explore across level caps
+   on one worker, whose stream every job resets. *)
+let test_served_records_identity () =
+  with_server ~workers:1 (fun socket _server ->
+      List.iter
+        (fun (name, trace) ->
+          List.iter
+            (fun max_level ->
+              let payload = ok_or_fail (Client.submit ~socket ?max_level ~name trace) in
+              check_bool (name ^ " miss") false payload.Protocol.cache_hit;
+              match payload.Protocol.outcome with
+              | Protocol.Table t ->
+                check_bool (name ^ " identity") true (t = Analytical_dse.run ?max_level ~name trace)
+              | _ -> Alcotest.fail "expected a table")
+            [ None; Some 0; Some 3; Some 40 ])
+        (("one reference", Trace.of_addresses [| 9 |]) :: Lazy.force small_traces))
+
 let suites =
   [
     ( "server:protocol",
@@ -571,6 +690,16 @@ let suites =
         Alcotest.test_case "corrupt submission" `Quick test_corrupt_submission;
         Alcotest.test_case "sigterm drains" `Quick test_sigterm_drains;
         Alcotest.test_case "shard recovery per job" `Quick test_job_shard_recovery;
+      ] );
+    ( "server:records",
+      [
+        prop_records_job_equals_explore;
+        Alcotest.test_case "edges: one reference, all cold" `Quick test_records_job_edges;
+        Alcotest.test_case "a warm worker's second job creates no arena" `Quick
+          test_warm_stream_creates_no_arena;
+        Alcotest.test_case "an oversized job releases its stream" `Quick
+          test_oversized_stream_released;
+        Alcotest.test_case "served misses across level caps" `Quick test_served_records_identity;
       ] );
     ( "server:front",
       [

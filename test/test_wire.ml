@@ -550,12 +550,66 @@ let is_corrupt = function Error (Dse_error.Corrupt_binary _) -> true | _ -> fals
 
 let trace_of records = Trace.of_list (List.map (fun (addr, kind) -> access addr kind) records)
 
+(* The legacy v1 reading of [bytes], decoded here without [Wire]:
+   "DSET", a LEB128 record count, then that many LEB128 records
+   [(addr lsl 2) lor kind], and no footer (bytes after the records are
+   not read). [None] where a v1 reader must refuse the bytes: too few of
+   them, a varint wider than 63 bits, or kind tag 3. *)
+let legacy_v1 bytes =
+  let len = String.length bytes in
+  let pos = ref 4 in
+  let rec varint shift acc =
+    if !pos >= len || shift > 56 then None
+    else begin
+      let b = Char.code bytes.[!pos] in
+      incr pos;
+      let acc = acc lor ((b land 0x7F) lsl shift) in
+      if acc < 0 then None else if b land 0x80 = 0 then Some acc else varint (shift + 7) acc
+    end
+  in
+  let kinds = [| Trace.Fetch; Trace.Read; Trace.Write |] in
+  let rec records k n acc =
+    if k = n then Some (List.rev acc)
+    else
+      match varint 0 0 with
+      | Some v when v land 3 < 3 -> records (k + 1) n (access (v lsr 2) kinds.(v land 3) :: acc)
+      | _ -> None
+  in
+  if len < 4 || String.sub bytes 0 4 <> "DSET" then None
+  else Option.bind (varint 0 0) (fun n -> records 0 n [])
+
+(* A damaged v2 file is [Corrupt_binary], except where the damage turned
+   the magic "DSEB" into the legacy "DSET": those bytes are a v1 file,
+   and must load as one (or be refused as one). *)
+let damaged_file_reads_right d =
+  let loaded = load_binary_bytes d in
+  if String.length d >= 4 && String.sub d 0 4 = "DSET" then
+    match (legacy_v1 d, loaded) with
+    | Some records, Ok ingest -> Trace.to_list ingest.Trace_io.trace = records
+    | None, loaded -> is_corrupt loaded
+    | Some _, Error _ -> false
+  else is_corrupt loaded
+
 let prop_trace_io_damage =
   prop "trace_io: every truncation and byte xor is Corrupt_binary"
     QCheck2.Gen.(pair gen_records nat)
     (fun (records, seed) ->
       let s = encode_trace (trace_of records) in
-      List.for_all (fun d -> is_corrupt (load_binary_bytes d)) (truncations s @ xors seed s))
+      List.for_all damaged_file_reads_right (truncations s @ xors seed s))
+
+(* Inputs of the property above (seeds 6 and 39) whose magic byte xor
+   made "DSET": each is a valid v1 file. *)
+let test_dset_xor_reads_as_legacy () =
+  List.iter
+    (fun h ->
+      let d = unhex h in
+      check_bool (h ^ " is a v1 file") true (legacy_v1 d <> None);
+      check_bool (h ^ " loads as one") true (damaged_file_reads_right d))
+    [
+      "445345540200e1cf5ab7";
+      "44534554020a88db87e38b27a0addfb4c96da1d38ac8b15f82a6ef9ee65daee990a88477bccd8aa48070ed9cbf9ff24eb9ae9fea9277e18bfbc0a066eca197c4d64b940173ae";
+      "445345540211aee69af5d912c5b591b486488a8cfed5fd38b2c0eade821fb98cdaf3c152a5d3eeb7d623eaa0e7e7f643b4dbaaaf84728d9ba4c9a120dedfc3f1ff15c2b184c99e09dce89ca7fd3aa5ce91b6da1f98a2c5f0b11aaab6a1a8b35de19b8aaac414eeb3e487b831f5ca8f5b";
+    ]
 
 let prop_trace_io_junk =
   prop ~count:300 "trace_io: random bytes are a typed result" gen_junk (fun junk ->
@@ -635,6 +689,20 @@ let prop_wal_damage =
              r.Wal.entries = [ survivor ] && (r.Wal.damaged >= 1 || r.Wal.truncated))
            (List.tl (truncations first) @ xors seed first))
 
+(* Seed 91 of the property above: a record cut short by its last CRC
+   byte, then [wal_record 2 []], whose magic's "D" (0x44) completes the
+   cut record's CRC. The cut record is damage and the next one is
+   kept. *)
+let test_wal_torn_record_keeps_next () =
+  let log =
+    unhex
+      "445345570126ef1e00000000000003010003030c050203a5a0eadfc21bce8da3bfe7178085b8ca961e020102438683445345570114de3d00000000000003010000030c050200020102adcac7e1"
+  in
+  check_int "a 77-byte log" 77 (String.length log);
+  let r = replay_bytes log in
+  check_bool "the intact record survives" true (r.Wal.entries = [ (wal_key 2, wal_entry []) ]);
+  check_bool "the torn one is damage" true (r.Wal.damaged >= 1)
+
 let prop_wal_junk =
   prop ~count:300 "wal: random bytes decode to None and replay without raising" gen_junk
     (fun junk ->
@@ -660,10 +728,14 @@ let suites =
         prop_wire_damage;
         prop_wire_junk;
         prop_trace_io_damage;
+        Alcotest.test_case "trace_io: a DSEB-to-DSET xor reads as v1" `Quick
+          test_dset_xor_reads_as_legacy;
         prop_trace_io_junk;
         prop_protocol_damage;
         prop_protocol_junk;
         prop_wal_damage;
+        Alcotest.test_case "wal: a torn record never swallows the next" `Quick
+          test_wal_torn_record_keeps_next;
         prop_wal_junk;
       ] );
   ]
