@@ -597,11 +597,6 @@ let distinct_add d addr =
 
 let distinct_estimate d = if d.added = 0 then 0. else Float.max 1. (Distinct.estimate d.counter)
 
-let distinct_of_trace trace =
-  let d = distinct_create () in
-  Trace.iter_addrs (distinct_add d) trace;
-  distinct_estimate d
-
 (* rough but honest: every O(kilobytes) claim in the docs is this number *)
 let state_bytes t =
   let probe_bytes (p : Probe.t) =

@@ -109,13 +109,9 @@ val finalize : t -> profile
     validation path: small enough for exact, sketched for comparison). *)
 val of_trace : ?top_k:int -> Trace.t -> profile
 
-(** [distinct_of_trace trace] is just the HLL cardinality estimate —
-    the [dse stats] [distinct_addrs_approx] field. *)
-val distinct_of_trace : Trace.t -> float
-
-(** The same estimate fed one address at a time: [distinct_estimate]
-    after [distinct_add] of every address of [trace] is
-    [distinct_of_trace trace]. *)
+(** The HLL cardinality estimate alone, fed one address at a time —
+    the [dse stats] [distinct_addrs_approx] field: [distinct_estimate]
+    after [distinct_add] of every address (0 for none). *)
 type distinct
 
 val distinct_create : unit -> distinct

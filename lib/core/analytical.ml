@@ -78,6 +78,8 @@ let stream_records ?(cancel = Cancel.none) ?max_level records =
   if Arena_kernel.stream_bytes s <= retain_bytes then Domain.DLS.set domain_stream (Some s);
   result
 
+let retained_bytes () = Option.map Arena_kernel.stream_bytes (Domain.DLS.get domain_stream)
+
 let histograms ?cancel ?domains prepared =
   Arena_kernel.histograms ?cancel ?domains prepared.arena ~max_level:prepared.max_level
 

@@ -66,6 +66,10 @@ val stream_records :
 (** 4 MiB: a stream that held more after its job is not kept. *)
 val retain_bytes : int
 
+(** [retained_bytes ()] is the off-heap bytes of the stream the calling
+    domain keeps for its next {!stream_records}, if it keeps one. *)
+val retained_bytes : unit -> int option
+
 (** {2 The materialised prelude} *)
 
 (** The prelude result, reusable across budgets K: the off-heap arena

@@ -25,20 +25,12 @@ type i32 = (int32, Bigarray.int32_elt, Bigarray.c_layout) Bigarray.Array1.t
 
 type word = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
 
-(* Arenas created so far, process-wide: the off-heap allocations a
-   reused stream should not repeat. *)
-let created = Atomic.make 0
-
-let created_count () = Atomic.get created
-
 let i32_create n : i32 =
-  Atomic.incr created;
   let a = Bigarray.Array1.create Bigarray.int32 Bigarray.c_layout (max n 1) in
   Bigarray.Array1.fill a 0l;
   a
 
 let word_create n : word =
-  Atomic.incr created;
   let a = Bigarray.Array1.create Bigarray.int Bigarray.c_layout (max n 1) in
   Bigarray.Array1.fill a 0;
   a

@@ -26,10 +26,6 @@ val i32_create : int -> i32
 
 val word_create : int -> word
 
-(** [created_count ()] is how many arenas (of either width, grown
-    copies included) this process has created. *)
-val created_count : unit -> int
-
 val i32_length : i32 -> int
 
 val word_length : word -> int

@@ -655,11 +655,24 @@ let stream_histograms s =
 (* Empty every table in place for the next trace. The arenas keep their
    sizes, and so do the planes and tally levels (up to the new cap): a
    later trace that needs no larger table than an earlier one grows
-   nothing. *)
+   nothing. Only the cells the last trace wrote are cleared, so a small
+   trace after a large one pays for its own size: the table cells of
+   its uniques, its words in use (every later word is zero), and each
+   histogram up to its largest count. *)
 let stream_reset ?max_level s =
   let cap = cap_of max_level in
   let it = s.interner and st = s.slots and t = s.tally in
-  Bigarray.Array1.fill it.table 0;
+  let mask = (1 lsl it.table_bits) - 1 in
+  for id = 0 to it.count - 1 do
+    let slot = ref (home it (word_get it.uniques id)) in
+    while word_get it.table !slot <> id + 1 do
+      slot := (!slot + 1) land mask
+    done;
+    word_set it.table !slot 0
+  done;
+  for i = 0 to (words_used st * st.stride) - 1 do
+    word_set st.bits i 0
+  done;
   it.count <- 0;
   it.refs <- 0;
   it.max_address <- 0;
@@ -670,11 +683,15 @@ let stream_reset ?max_level s =
   st.planes <- planes;
   st.stride <- planes + 2;
   st.words <- min (Arena.i32_length st.id_of / 64) (Arena.word_length st.bits / st.stride);
-  Bigarray.Array1.fill st.bits 0;
   st.next_slot <- 0;
   st.first_dead <- st.words;
   st.dead_scanned <- 0;
-  Array.iter (fun h -> Bigarray.Array1.fill h 0) t.hists;
+  Array.iteri
+    (fun l h ->
+      for c = 0 to t.max_c.(l) do
+        word_set h c 0
+      done)
+    t.hists;
   Array.fill t.max_c 0 (Array.length t.max_c) 0;
   Bigarray.Array1.fill t.depth_count 0;
   if planes > t.max_level then add_levels t planes else t.max_level <- planes;

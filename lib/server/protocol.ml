@@ -460,45 +460,38 @@ let admit ?max_job_refs ?memory_budget ~method_ declared =
            budget })
   | _ -> ()
 
-(* One decode for every submission form. The daemon feeds an approx
-   job's records straight into the streaming sketch, so no Trace.t
-   exists and the peak per-job heap is the sketch state whatever the
-   declared length, matching the [`Sketch] admission price; the
-   profile's fingerprint is computed by the sketch over the same stream,
-   so an approx job lands on the same cache identity as an exact one.
-   The daemon keeps an exact job's records, and the router every job's,
-   as the bytes of the frame they arrived in: one pass checks them and
-   computes the fingerprint, and nothing is copied. *)
-let trace_field ?max_job_refs ?memory_budget ~method_ ~form c =
+(* One decode for every submission. An exact job's records are kept as
+   the bytes of the frame they arrived in: one pass checks them and
+   computes the fingerprint, and nothing is copied; the daemon runs them
+   on its worker stream and the router forwards them verbatim. The
+   daemon feeds an approx job's records straight into the streaming
+   sketch instead, so no trace is held and the peak per-job heap is the
+   sketch state whatever the declared length, matching the [`Sketch]
+   admission price; the profile's fingerprint is computed by the sketch
+   over the same stream, so an approx job lands on the same cache
+   identity as an exact one. *)
+let trace_field ?max_job_refs ?memory_budget ~method_ ~sketch c =
   let declared = Wire.varint c in
   admit ?max_job_refs ?memory_budget ~method_ declared;
   (* each record is at least one byte, so a declared count beyond the
      remaining payload is corruption — caught before allocation *)
   Wire.check_count c declared "trace length";
-  match form with
-  | `Sketch ->
+  if sketch then begin
     let s = Sketch.create () in
     Wire.records c declared (Sketch.add s);
     Sketched (Sketch.finalize s)
-  | `Records -> Records (Trace_records.read c declared)
-  | `Full ->
-    let trace = Trace.create ~capacity:(max 1 declared) () in
-    Wire.records c declared (Trace.add trace);
-    Full trace
+  end
+  else Records (Trace_records.read c declared)
 
-let decode_submit ?max_job_refs ?memory_budget ~sketch_approx ~records c =
+let decode_submit ?max_job_refs ?memory_budget ~sketch_approx c =
   let name = Wire.string c in
   let method_ = method_field c in
   let domains = Wire.varint c in
   let max_level = if bool_field c then Some (Wire.varint c) else None in
   let deadline = if bool_field c then Some (f64 c) else None in
   let query = query_field c in
-  let form =
-    if sketch_approx && method_ = Approx then `Sketch
-    else if sketch_approx || records then `Records
-    else `Full
-  in
-  let trace = trace_field ?max_job_refs ?memory_budget ~method_ ~form c in
+  let sketch = sketch_approx && method_ = Approx in
+  let trace = trace_field ?max_job_refs ?memory_budget ~method_ ~sketch c in
   Submit { name; trace; query; method_; domains; max_level; deadline }
 
 let decode_error c =
@@ -817,15 +810,14 @@ let write_response ?(peer = "<client>") fd response =
       in
       send_frame fd ~tag ~size:1024 (fun buf -> encode_response buf response))
 
-let read_request ?(peer = "<client>") ?max_job_refs ?memory_budget ?(sketch_approx = false)
-    ?(records = false) fd =
+let read_request ?(peer = "<client>") ?max_job_refs ?memory_budget ?(sketch_approx = false) fd =
   guard ~peer ~timeout:timeout_message (fun () ->
       match read_frame fd with
       | exception Clean_close -> None
       | tag, c ->
         let request =
           if tag = tag_submit then
-            decode_submit ?max_job_refs ?memory_budget ~sketch_approx ~records c
+            decode_submit ?max_job_refs ?memory_budget ~sketch_approx c
           else if tag = tag_retired_server_stats then
             Dse_error.fail
               (Dse_error.Constraint_violation
@@ -909,4 +901,4 @@ let rec answer_entry ~name ~query ~max_level (entry : Result_cache.entry) =
     match query with
     | Percents percents -> Approx_table (Approx_dse.table ~percents ?max_level ~name prepared)
     | Budget k -> Approx_optimal (Approx_dse.optimal ?max_level ~k prepared))
-  | Result_cache.Packed _ -> answer_entry ~name ~query ~max_level (Result_cache.unpack entry)
+  | Result_cache.Packed record -> answer_entry ~name ~query ~max_level (Result_cache.decode record)

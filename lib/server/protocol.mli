@@ -43,12 +43,12 @@ type method_spec = Exact of Analytical.method_ | Approx
 (** The decoded form of a submission's reference stream. The wire
     always carries records; what a decoder builds from them depends on
     its mode (see {!read_request}):
-    - [Full]: a materialised {!Trace.t} (what clients send from, and
-      the default decode);
+    - [Full]: a materialised {!Trace.t}, what clients send from; no
+      decoder builds one;
     - [Records]: the record bytes as they arrived, checked and
       fingerprinted in one pass but not decoded — the daemon's form for
       an exact job, and the router's for every job, which it forwards
-      verbatim;
+      verbatim ({!Trace_records.to_trace} materialises them);
     - [Sketched]: the daemon decodes an [Approx] submission's records
       straight into a streaming sketch, so the trace never materialises
       server-side. A [Sketched] value cannot be re-encoded
@@ -258,20 +258,17 @@ val write_frame : ?peer:string -> Unix.file_descr -> frame -> (unit, Dse_error.t
     so is the retired request tag 2 (server-stats; {!Health} carries
     every counter it did).
 
-    [sketch_approx] (default false) selects the daemon's decode: an
-    [Approx] submission's record stream is fed straight into a
+    A submission's records are kept as they arrived ([Records]):
+    checked and fingerprinted in one pass, not decoded.
+    [sketch_approx] (default false) selects the daemon's decode of an
+    [Approx] submission: its record stream is fed straight into a
     streaming sketch and the request carries a [Sketched] profile — no
-    [Trace.t] is ever allocated, honouring the [`Sketch] admission
-    price — and an exact one is kept as its [Records]. [records]
-    (default false) keeps every submission as its [Records], to be
-    forwarded verbatim (the router). With neither, submissions
-    materialise ([Full]). *)
+    trace is ever held, honouring the [`Sketch] admission price. *)
 val read_request :
   ?peer:string ->
   ?max_job_refs:int ->
   ?memory_budget:int ->
   ?sketch_approx:bool ->
-  ?records:bool ->
   Unix.file_descr ->
   (request option, Dse_error.t) result
 

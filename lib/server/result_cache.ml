@@ -56,7 +56,7 @@ let iter_histogram_varints f histograms =
 (* One exactly-sized [Bytes]: the key and stats fit in 64 bytes, a
    sizing pass covers the histogram varints, and the frame is written
    and sealed in place. *)
-let encode_record key stats histograms =
+let encode key stats histograms =
   let size = ref 64 in
   iter_histogram_varints (fun v -> size := !size + Wire.varint_size v) histograms;
   let bytes, off, len =
@@ -66,10 +66,6 @@ let encode_record key stats histograms =
         iter_histogram_varints (Wire.put_varint w) histograms)
   in
   Bytes.sub_string bytes off len
-
-let pack key = function
-  | Exact { stats; histograms } -> Packed (encode_record key stats histograms)
-  | (Approx _ | Packed _) as entry -> entry
 
 let record_eof = "torn record"
 
@@ -122,13 +118,15 @@ let decode_record data pos =
   let histograms = read_histograms c in
   (key, Exact { stats; histograms }, next)
 
-let unpack = function
-  | Packed record ->
-    let _, entry, _ = decode_record record 0 in
-    entry
-  | (Exact _ | Approx _) as entry -> entry
+let decode record =
+  let _, entry, _ = decode_record record 0 in
+  entry
 
-type node = { entry : entry; mutable last_used : int }
+(* What the table holds: an exact entry as its record, an approx one as
+   its profile. *)
+type held = Record of string | Profile of Sketch.profile
+
+type node = { held : held; mutable last_used : int }
 
 type t = {
   table : (key, node) Hashtbl.t;
@@ -162,18 +160,28 @@ let touch t node =
   t.tick <- t.tick + 1;
   node.last_used <- t.tick
 
-let find_packed t key =
+let lookup t key =
   with_lock t (fun () ->
       match Hashtbl.find_opt t.table key with
       | Some node ->
         t.hits <- t.hits + 1;
         touch t node;
-        Some node.entry
+        Some node.held
       | None ->
         t.misses <- t.misses + 1;
         None)
 
-let find t key = Option.map unpack (find_packed t key)
+(* decoded outside the lock *)
+let find t key =
+  match lookup t key with
+  | Some (Record record) -> Some (decode record)
+  | Some (Profile profile) -> Some (Approx profile)
+  | None -> None
+
+let find_packed t key =
+  match lookup t key with
+  | Some (Record record) -> Some record
+  | Some (Profile _) | None -> None
 
 (* O(entries) scan; entries is bounded by [capacity] (default 256), so
    eviction cost is trivial next to the kernel run that preceded it. *)
@@ -192,13 +200,18 @@ let evict_lru t =
     t.evictions <- t.evictions + 1
 
 let store t key entry =
-  let entry = pack key entry in
+  let held =
+    match entry with
+    | Exact { stats; histograms } -> Record (encode key stats histograms)
+    | Packed record -> Record record
+    | Approx profile -> Profile profile
+  in
   with_lock t (fun () ->
       (match Hashtbl.find_opt t.table key with
       | Some _ -> Hashtbl.remove t.table key
       | None -> ());
       if Hashtbl.length t.table >= t.capacity then evict_lru t;
-      let node = { entry; last_used = 0 } in
+      let node = { held; last_used = 0 } in
       touch t node;
       Hashtbl.replace t.table key node)
 
@@ -219,14 +232,15 @@ let exact_keys t =
   with_lock t (fun () ->
       Hashtbl.fold
         (fun key node acc ->
-          match node.entry with Exact _ | Packed _ -> key :: acc | Approx _ -> acc)
+          match node.held with Record _ -> key :: acc | Profile _ -> acc)
         t.table [])
 
 let snapshot t =
   with_lock t (fun () ->
       Hashtbl.fold (fun key node acc -> (key, node) :: acc) t.table []
       |> List.sort (fun (_, a) (_, b) -> compare a.last_used b.last_used)
-      |> List.map (fun (key, node) -> (key, node.entry)))
+      |> List.map (fun (key, node) ->
+             (key, match node.held with Record record -> Packed record | Profile p -> Approx p)))
 
 let capacity t = t.capacity
 

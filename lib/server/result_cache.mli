@@ -44,8 +44,9 @@ type entry =
   | Exact of { stats : Stats.t; histograms : int array array }
   | Approx of Sketch.profile
   | Packed of string
-      (** an exact entry as its record ({!pack}): the key, stats and
-          histograms in one self-framing, checksummed frame *)
+      (** an exact entry as its record ({!encode}): the key, stats and
+          histograms in one self-framing, checksummed frame. The cache
+          hands exact entries out in this form only from {!snapshot}. *)
 
 type counters = { hits : int; misses : int; entries : int; evictions : int }
 
@@ -62,14 +63,14 @@ val create : ?capacity:int -> unit -> t
     recency. An exact entry comes back decoded ([Exact]). *)
 val find : t -> key -> entry option
 
-(** [find_packed] is {!find} returning the entry as held: an exact one
-    [Packed], for a caller that ships its bytes. *)
-val find_packed : t -> key -> entry option
+(** [find_packed t key] is {!find} of an exact entry as its record,
+    for a caller that ships its bytes; [None] for an approx entry too. *)
+val find_packed : t -> key -> string option
 
-(** [store t key entry] inserts (or refreshes) the entry, {!pack}ed,
-    evicting the least-recently-used one first when the cache is full.
-    A [Packed] entry must be a record of [key] (as {!check_record}
-    reads it). *)
+(** [store t key entry] inserts (or refreshes) the entry, an [Exact]
+    one {!encode}d, evicting the least-recently-used one first when the
+    cache is full. A [Packed] entry must be a record of [key] (as
+    {!check_record} reads it). *)
 val store : t -> key -> entry -> unit
 
 (** [mem t key] is a pure peek: no hit/miss counting, no recency touch.
@@ -84,7 +85,7 @@ val mem : t -> key -> bool
 val remove : t -> key -> unit
 
 (** [exact_keys t] is the cache-key digest exchanged by anti-entropy:
-    the keys of every [Exact] entry, in no particular order. Approx
+    the keys of every exact entry, in no particular order. Approx
     entries are omitted — they are neither persisted nor replicated. *)
 val exact_keys : t -> key list
 
@@ -126,14 +127,12 @@ val read_stats : Wire.reader -> Stats.t
 
 val record_magic : string
 
-(** [pack key entry] is an [Exact] entry as its record ([Packed]);
-    other entries are returned as they are. *)
-val pack : key -> entry -> entry
+(** [encode key stats histograms] is the record of an exact entry. *)
+val encode : key -> Stats.t -> int array array -> string
 
-(** [unpack entry] decodes a [Packed] entry to [Exact]; other entries
-    are returned as they are. [entry] must have come from {!pack} or
-    {!check_record}. *)
-val unpack : entry -> entry
+(** [decode record] is the [Exact] entry of a record that came from
+    {!encode} or passed {!check_record}. *)
+val decode : string -> entry
 
 (** [record_eof] is the [Wire.Malformed] message of a record that runs
     past the end of its input (the payload length does not fit): a

@@ -688,7 +688,7 @@ let respond_and_close t fd response =
    it arrived in, fingerprinted in the same pass, and forwarded as they
    are: no trace is built here. *)
 let handle_client t fd =
-  match Protocol.read_request ~records:true fd with
+  match Protocol.read_request fd with
   | Ok None -> close_noerr fd (* liveness probe *)
   | Error e when Protocol.timed_out e ->
     t.log "dropped a connection that timed out mid-request";

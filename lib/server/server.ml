@@ -734,14 +734,13 @@ let run_job t ~heartbeat job =
   in
   if Atomic.compare_and_set job.settled false true then begin
     (match outcome with
-    | Ok entry -> (
+    | Ok (Result_cache.Exact { stats; histograms }) ->
       (* encoded once: the cache, the WAL and every replica push get
          these bytes *)
-      let packed = Result_cache.pack job.key entry in
-      store_packed t job.key packed;
-      match packed with
-      | Result_cache.Packed record -> replicate t job.key record
-      | Result_cache.Exact _ | Result_cache.Approx _ -> ())
+      let record = Result_cache.encode job.key stats histograms in
+      store_packed t job.key (Result_cache.Packed record);
+      replicate t job.key record
+    | Ok entry -> store_packed t job.key entry
     | Error _ -> ());
     Atomic.incr t.jobs_completed;
     respond_flight t job outcome
@@ -828,9 +827,9 @@ let handle_drain t fd (config : Protocol.ring_config) =
         let by_target : (string, string list) Hashtbl.t = Hashtbl.create 8 in
         List.iter
           (fun (key, entry) ->
-            match (entry : Result_cache.entry) with
-            | Exact _ | Approx _ -> ()
-            | Packed record ->
+            match Wal.encode_record key entry with
+            | None -> () (* approx: not replicated *)
+            | Some record ->
               Ring.successors ring key.Result_cache.fingerprint
               |> List.filteri (fun i _ -> i < config.Protocol.replication)
               |> List.iter (fun target ->
@@ -1015,10 +1014,10 @@ let handle_connection t fd =
           List.filter_map
             (fun key ->
               match Result_cache.find_packed t.cache key with
-              | Some (Result_cache.Packed record) ->
+              | Some record ->
                 Atomic.incr t.peer_hits;
                 Some record
-              | Some (Result_cache.Exact _ | Result_cache.Approx _) | None -> None)
+              | None -> None)
             keys
         in
         respond_and_close t fd (Protocol.Cache_reply { keys = []; records })))

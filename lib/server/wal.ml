@@ -9,10 +9,10 @@
    recompute from a resubmission (one streaming pass) — so a restarted
    daemon simply answers approx repeats cold. [None] means "nothing to
    write", and both the append path and compaction skip it. *)
-let encode_record key entry =
-  match Result_cache.pack key entry with
-  | Result_cache.Packed record -> Some record
-  | Result_cache.Exact _ | Result_cache.Approx _ -> None
+let encode_record key : Result_cache.entry -> string option = function
+  | Exact { stats; histograms } -> Some (Result_cache.encode key stats histograms)
+  | Packed record -> Some record
+  | Approx _ -> None
 
 (* One record as a standalone string — the Replicate verb's payload
    unit. Accepts exactly one whole well-formed record; anything else
@@ -70,22 +70,18 @@ type replay = {
   truncated : bool;
 }
 
-(* [packed] keeps each record's bytes as they are ([Result_cache.Packed]),
-   checked but not decoded; otherwise entries are decoded. Also returns
-   where a torn tail starts (the length of the log when there is none). *)
-let replay_string ~packed data =
+(* Each record's bytes are kept as they are ([Result_cache.Packed]),
+   checked but not decoded. Also returns where a torn tail starts (the
+   length of the log when there is none). *)
+let replay_string data =
   let len = String.length data in
   let entries = ref [] in
   let intact = ref 0 in
   let damaged = ref 0 in
   let tail = ref None in
   let read start =
-    if packed then
-      let key, next = Result_cache.check_record data start in
-      ((key, Result_cache.Packed (String.sub data start (next - start))), next)
-    else
-      let key, entry, next = Result_cache.decode_record data start in
-      ((key, entry), next)
+    let key, next = Result_cache.check_record data start in
+    ((key, Result_cache.Packed (String.sub data start (next - start))), next)
   in
   let rec scan pos =
     if pos < len then
@@ -132,7 +128,7 @@ let read_log path scan =
   | exception Unix.Unix_error (err, _, _) ->
     Error (Dse_error.Io_error { file = path; message = Unix.error_message err })
 
-let replay path = Result.map fst (read_log path (replay_string ~packed:false))
+let replay path = Result.map fst (read_log path replay_string)
 
 (* -- appending -- *)
 
@@ -161,7 +157,7 @@ let guard ~path f =
    after a torn tail would follow bytes that lack their end, and the
    tail could borrow from it (see [swallowed]). *)
 let restore path =
-  match read_log path (replay_string ~packed:true) with
+  match read_log path replay_string with
   | Error _ as e -> e
   | Ok (replay, tail) ->
     guard ~path (fun () ->

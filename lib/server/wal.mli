@@ -56,14 +56,14 @@ type replay = {
   truncated : bool;  (** a torn final record was dropped *)
 }
 
-(** [replay path] scans the log. A missing file is an empty replay (the
-    first run of a daemon), damage is tolerated as documented above;
-    only an OS-level open/read failure is an [Error]. *)
+(** [replay path] scans the log. Entries are {!Result_cache.Packed}
+    records, checked but not decoded. A missing file is an empty replay
+    (the first run of a daemon), damage is tolerated as documented
+    above; only an OS-level open/read failure is an [Error]. *)
 val replay : string -> (replay, Dse_error.t) result
 
-(** [restore path] is {!replay} for a daemon's start-up: entries are
-    {!Result_cache.Packed} records, checked but not decoded, and a torn
-    tail is cut off the file, so the next append starts on a record
+(** [restore path] is {!replay} for a daemon's start-up that also cuts
+    a torn tail off the file, so the next append starts on a record
     boundary. *)
 val restore : string -> (replay, Dse_error.t) result
 

@@ -159,19 +159,9 @@ let fingerprinter () =
   Bytes.set_int64_le b 0 fingerprint_init;
   b
 
-let fingerprinter_add b v = Bytes.set_int64_le b 0 (fingerprint_add (Bytes.get_int64_le b 0) v)
+let[@inline] fingerprinter_add b v = Bytes.set_int64_le b 0 (fingerprint_add (Bytes.get_int64_le b 0) v)
 
 let fingerprinter_finish b ~len = fingerprint_finish (Bytes.get_int64_le b 0) ~len
-
-(* The fold stays in this unit so that the hash stays unboxed even
-   where [fingerprint_add] is not inlined across modules (the dev
-   profile): a caller-side fold boxes an [int64] per address. *)
-let fingerprint_of n next =
-  let h = ref fingerprint_init in
-  for _ = 1 to n do
-    h := fingerprint_add !h (next ())
-  done;
-  fingerprint_finish !h ~len:n
 
 (* Pessimistic per-reference footprint, in bytes, of admitting an
    exact job. [`Arena] prices the off-heap arena kernel from a

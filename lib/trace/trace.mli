@@ -106,11 +106,6 @@ val fingerprinter_add : fingerprinter -> int -> unit
 
 val fingerprinter_finish : fingerprinter -> len:int -> int64
 
-(** [fingerprint_of n next] is the fingerprint of the [n] addresses
-    that [n] calls of [next ()] return, in order: [fingerprint t] for
-    the trace [t] of those addresses, computed without allocating. *)
-val fingerprint_of : int -> (unit -> int) -> int64
-
 (** [estimate_bytes ~model ~refs] is a pessimistic upper bound on the
     bytes a job over a [refs]-reference trace costs the daemon.
     Computed from the *declared* reference count of a submission frame,

@@ -4,13 +4,14 @@ type t = { data : string; pos : int; len : int; count : int; fingerprint : int64
 
 let read r n =
   let data, pos = Wire.string_view r in
-  let fingerprint =
-    Trace.fingerprint_of n (fun () ->
-        let at = Wire.offset r in
-        let v = Wire.varint r in
-        if v land 3 = 3 then raise (Wire.Malformed (at, "bad kind tag 3"));
-        v lsr 2)
-  in
+  let fp = Trace.fingerprinter () in
+  for _ = 1 to n do
+    let at = Wire.offset r in
+    let v = Wire.varint r in
+    if v land 3 = 3 then raise (Wire.Malformed (at, "bad kind tag 3"));
+    Trace.fingerprinter_add fp (v lsr 2)
+  done;
+  let fingerprint = Trace.fingerprinter_finish fp ~len:n in
   let _, stop = Wire.string_view r in
   { data; pos; len = stop - pos; count = n; fingerprint }
 

@@ -220,7 +220,8 @@ let test_frame_reads_survive_dripping () =
   | Protocol.Submit got, Protocol.Submit sent ->
     check_bool "trace intact" true
       (match (got.trace, sent.trace) with
-      | Protocol.Full g, Protocol.Full s -> Trace.to_list g = Trace.to_list s
+      | Protocol.Records g, Protocol.Full s ->
+        Trace.to_list (Trace_records.to_trace g) = Trace.to_list s
       | _ -> false);
     check_bool "query intact" true (got.query = sent.query);
     check_int "domains intact" sent.domains got.domains

@@ -61,8 +61,8 @@ let test_request_roundtrip () =
     check_int "name" 1 (String.length s.name);
     check_bool "trace" true
       (match s.trace with
-      | Protocol.Full t -> Trace.to_list t = Trace.to_list trace
-      | Protocol.Sketched _ | Protocol.Records _ -> false);
+      | Protocol.Records r -> Trace.to_list (Trace_records.to_trace r) = Trace.to_list trace
+      | Protocol.Full _ | Protocol.Sketched _ -> false);
     check_bool "query" true (s.query = Protocol.Percents [ 5; 10 ]);
     check_bool "method" true (s.method_ = Protocol.Exact Analytical.Arena);
     check_int "domains" 3 s.domains;
@@ -605,19 +605,28 @@ let test_records_job_edges () =
    as in a newly spawned worker. *)
 let in_fresh_domain f = Domain.join (Domain.spawn f)
 
+(* The arenas only grow, so equal off-heap bytes before and after a
+   job mean it created none. *)
 let test_warm_stream_creates_no_arena () =
   let addrs = Array.init 6000 (fun i -> Test_arena.scatter (i * i mod 997)) in
-  let first = daemon_records (Trace.of_addresses addrs) in
+  let first = Trace.of_addresses addrs in
   let prefix = Trace.of_addresses (Array.sub addrs 0 4000) in
-  let second = daemon_records prefix in
-  let created, result =
+  let s = Arena_kernel.stream_create () in
+  Trace.iter_addrs (Arena_kernel.stream_add s) first;
+  let bytes = Arena_kernel.stream_bytes s in
+  Arena_kernel.stream_reset s;
+  Trace.iter_addrs (Arena_kernel.stream_add s) prefix;
+  check_int "a reset stream grew nothing" bytes (Arena_kernel.stream_bytes s);
+  let first = daemon_records first and second = daemon_records prefix in
+  let before, after, result =
     in_fresh_domain (fun () ->
         ignore (Analytical.stream_records first);
-        let before = Arena.created_count () in
+        let before = Analytical.retained_bytes () in
         let result = Analytical.stream_records second in
-        (Arena.created_count () - before, result))
+        (before, Analytical.retained_bytes (), result))
   in
-  check_int "the second job created no arena" 0 created;
+  check_bool "the worker kept its stream" true (before <> None);
+  check_bool "and the second job grew it not at all" true (after = before);
   let prepared = Analytical.prepare prefix in
   check_bool "and its answer is direct explore's" true
     (result = (Analytical.stats prepared, Analytical.histograms prepared))
@@ -640,14 +649,12 @@ let test_oversized_stream_released () =
   check_bool "the trace's stream outgrows the bound" true
     (Arena_kernel.stream_bytes s > Analytical.retain_bytes);
   let records = records_of trace in
-  let created =
+  let retained =
     in_fresh_domain (fun () ->
         ignore (Analytical.stream_records records);
-        let before = Arena.created_count () in
-        ignore (Analytical.stream_records records);
-        Arena.created_count () - before)
+        Analytical.retained_bytes ())
   in
-  check_bool "the second job started a fresh stream" true (created > 0)
+  check_bool "the job released its stream" true (retained = None)
 
 (* A served miss keeps answering like direct explore across level caps
    on one worker, whose stream every job resets. *)

@@ -337,13 +337,14 @@ let responses =
       (fun e h -> ("error " ^ Dse_error.to_string e, Protocol.Server_error e, h))
       errors error_hex
 
-(* Submissions carry a [Trace.t], whose backing arrays have spare
-   capacity; compare those by their accesses. *)
+(* A submission decodes to its record bytes; compare those with the
+   sent [Trace.t] by their accesses. *)
 let same_request a b =
   match (a, b) with
   | Protocol.Submit sa, Protocol.Submit sb ->
     (match (sa.trace, sb.trace) with
-    | Protocol.Full ta, Protocol.Full tb -> Trace.to_list ta = Trace.to_list tb
+    | Protocol.Records ra, Protocol.Full tb ->
+      Trace.to_list (Trace_records.to_trace ra) = Trace.to_list tb
     | _ -> false)
     && sa.name = sb.name && sa.query = sb.query && sa.method_ = sb.method_
     && sa.domains = sb.domains && sa.max_level = sb.max_level && sa.deadline = sb.deadline
@@ -681,7 +682,7 @@ let prop_wal_damage =
     QCheck2.Gen.(pair gen_records nat)
     (fun (records, seed) ->
       let first = wal_record 1 records and second = wal_record 2 [] in
-      let survivor = (wal_key 2, wal_entry []) in
+      let survivor = (wal_key 2, Result_cache.Packed second) in
       List.for_all (fun d -> decode_wal d = None) (truncations first @ xors seed first)
       && List.for_all
            (fun d ->
@@ -700,7 +701,8 @@ let test_wal_torn_record_keeps_next () =
   in
   check_int "a 77-byte log" 77 (String.length log);
   let r = replay_bytes log in
-  check_bool "the intact record survives" true (r.Wal.entries = [ (wal_key 2, wal_entry []) ]);
+  check_bool "the intact record survives" true
+    (r.Wal.entries = [ (wal_key 2, Result_cache.Packed (wal_record 2 [])) ]);
   check_bool "the torn one is damage" true (r.Wal.damaged >= 1)
 
 let prop_wal_junk =
