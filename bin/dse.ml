@@ -179,16 +179,8 @@ let method_arg =
            bars via a Che/Fagin power-law model. $(b,dse explore) never loads the trace into \
            memory for $(b,approx).")
 
-let domains_arg =
-  let doc =
-    "Number of parallel domains for the exact kernel: the trace is sharded into windows \
-     that all read one shared, read-only arena strip."
-  in
-  Arg.(value & opt int 1 & info [ "domains" ] ~docv:"N" ~doc)
-
 let explore_cmd =
-  let run path format on_error percents k max_depth csv no_trim method_ domains =
-    if domains < 1 then usage_fail "domains must be >= 1";
+  let run path format on_error percents k max_depth csv no_trim method_ =
     let max_level = level_of_max_depth max_depth in
     let name = Filename.basename path in
     if method_ = `Approx then begin
@@ -204,20 +196,11 @@ let explore_cmd =
         else Format.printf "%a@." Report.pp_approx_instances table
     end
     else begin
-      (* one domain: decode, intern and count in one pass over the file;
-         sharding needs the whole trace for its window prologues *)
-      let stats, histograms =
-        if domains = 1 then begin
-          let s = or_exit (Analytical.stream_file ?max_level ~on_error ~format path) in
-          let ingest = s.Analytical.ingest in
-          report_skipped path ingest.Trace_io.skipped ingest.Trace_io.errors;
-          (s.Analytical.stats, s.Analytical.histograms)
-        end
-        else begin
-          let prepared = Analytical.prepare ?max_level (load_trace format on_error path) in
-          (Analytical.stats prepared, Analytical.histograms ~domains prepared)
-        end
-      in
+      (* decode, intern and count in one pass over the file *)
+      let s = or_exit (Analytical.stream_file ?max_level ~on_error ~format path) in
+      let ingest = s.Analytical.ingest in
+      report_skipped path ingest.Trace_io.skipped ingest.Trace_io.errors;
+      let stats = s.Analytical.stats and histograms = s.Analytical.histograms in
       match k with
       | Some k -> Format.printf "%a@." Optimizer.pp (Optimizer.of_histograms ~k histograms)
       | None ->
@@ -229,7 +212,7 @@ let explore_cmd =
   in
   let term =
     Term.(const run $ trace_arg $ format_arg $ on_error_arg $ percents_arg $ absolute_k_arg
-          $ max_depth_arg $ csv_arg $ trim_arg $ method_arg $ domains_arg)
+          $ max_depth_arg $ csv_arg $ trim_arg $ method_arg)
   in
   Cmd.v
     (Cmd.info "explore"
@@ -571,8 +554,8 @@ let serve_cmd =
       & info [ "memory-budget" ] ~docv:"MIB"
           ~doc:
             "Admission bound on a submission's estimated memory footprint, in MiB (judged from \
-             the declared reference count, before allocation). Exact jobs are charged 1 KiB \
-             plus 100 bytes/ref; approx jobs a fixed 4 MiB whatever their length.")
+             the declared reference count, before allocation). Exact jobs are charged 128 KiB \
+             plus 192 bytes/ref; approx jobs a fixed 4 MiB whatever their length.")
   in
   let supervise_arg =
     Arg.(
@@ -774,8 +757,8 @@ let submit_cmd =
             "Service address, overriding $(b,--socket): either $(i,HOST:PORT) for a TCP \
              listener or router, or a Unix socket path.")
   in
-  let run socket addr path format on_error percents k max_depth csv no_trim method_ domains
-      ping health deadline retries retry_base retry_cap =
+  let run socket addr path format on_error percents k max_depth csv no_trim method_ ping health
+      deadline retries retry_base retry_cap =
     let socket = Option.value addr ~default:socket in
     if ping then begin
       or_exit (Client.ping ~socket);
@@ -822,7 +805,6 @@ let submit_cmd =
       match path with
       | None -> usage_fail "TRACE is required unless --ping or --health is given"
       | Some path ->
-        if domains < 1 then usage_fail "domains must be >= 1";
         (match deadline with
         | Some d when not (d > 0.) -> usage_fail "deadline must be > 0 seconds"
         | _ -> ());
@@ -834,8 +816,7 @@ let submit_cmd =
         let name = Filename.basename path in
         let payload =
           or_exit
-            (Client.submit ~socket ~percents ?k ?max_level ~approx:(method_ = `Approx) ~domains
-               ?deadline ~retries ~retry_base ~retry_cap ~name trace)
+            (Client.submit ~socket ~percents ?k ?max_level ~approx:(method_ = `Approx) ?deadline ~retries ~retry_base ~retry_cap ~name trace)
         in
         if payload.Protocol.cache_hit then Format.eprintf "dse: served from the result cache@.";
         (match payload.Protocol.outcome with
@@ -854,7 +835,7 @@ let submit_cmd =
   let term =
     Term.(const run $ socket_arg $ addr_arg $ trace_opt_arg $ format_arg $ on_error_arg
           $ percents_arg $ absolute_k_arg $ max_depth_arg $ csv_arg $ trim_arg $ method_arg
-          $ domains_arg $ ping_arg $ health_arg $ deadline_arg
+          $ ping_arg $ health_arg $ deadline_arg
           $ retries_arg $ retry_base_arg $ retry_cap_arg)
   in
   Cmd.v

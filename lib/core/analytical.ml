@@ -31,10 +31,24 @@ type streamed = {
   ingest : Trace_io.stream;
 }
 
+(* [DSE_FAULT]'s kernel hook, at the start of every exact run and before
+   its first cancellation poll: a hang goes silent at once, exactly like
+   a wedged loop, and spins rather than sleeping for good so tests can
+   unwedge the zombie with [Fault.release_hangs]. *)
+let inject_fault () =
+  if Fault.should_hang () then
+    while not (Fault.hang_released ()) do
+      Unix.sleepf 0.01
+    done;
+  if Fault.should_fail () then
+    Dse_error.fail
+      (Dse_error.Shard_failure { shard = 0; attempts = 1; message = "injected fault (DSE_FAULT)" })
+
 (* The one-pass path: each decoded address goes straight into the
    kernel's interner and step, so neither a [Trace.t] nor the id arena
    is built. *)
 let stream_file ?max_level ?on_error ?format path =
+  inject_fault ();
   let max_level = Option.map (max 0) max_level in
   let s = Arena_kernel.stream_create ?max_level () in
   let sink ~addr ~kind:_ = Arena_kernel.stream_add s addr in
@@ -57,6 +71,7 @@ let domain_stream : Arena_kernel.stream option Domain.DLS.key =
 let retain_bytes = 4 * 1024 * 1024
 
 let stream_records ?(cancel = Cancel.none) ?max_level records =
+  inject_fault ();
   let max_level = Option.map (max 0) max_level in
   let s =
     match Domain.DLS.get domain_stream with
@@ -80,18 +95,17 @@ let stream_records ?(cancel = Cancel.none) ?max_level records =
 
 let retained_bytes () = Option.map Arena_kernel.stream_bytes (Domain.DLS.get domain_stream)
 
-let histograms ?cancel ?domains prepared =
-  Arena_kernel.histograms ?cancel ?domains prepared.arena ~max_level:prepared.max_level
+let histograms ?cancel prepared =
+  Arena_kernel.histograms ?cancel prepared.arena ~max_level:prepared.max_level
 
-let explore_prepared ?cancel ?domains prepared ~k =
-  Optimizer.of_histograms ~k (histograms ?cancel ?domains prepared)
+let explore_prepared ?cancel prepared ~k = Optimizer.of_histograms ~k (histograms ?cancel prepared)
 
-let explore_many ?domains prepared ~ks =
-  let histograms = histograms ?domains prepared in
+let explore_many prepared ~ks =
+  let histograms = histograms prepared in
   List.map (fun k -> Optimizer.of_histograms ~k histograms) ks
 
-let explore ?max_level ?line_words ?domains trace ~k =
-  explore_prepared ?domains (prepare ?max_level ?line_words trace) ~k
+let explore ?max_level ?line_words trace ~k =
+  explore_prepared (prepare ?max_level ?line_words trace) ~k
 
 let level_of_depth depth max_level =
   let rec log2 n acc = if n <= 1 then acc else log2 (n lsr 1) (acc + 1) in
@@ -103,6 +117,6 @@ let level_of_depth depth max_level =
       (Printf.sprintf "Analytical.misses: depth %d exceeds max level %d" depth max_level);
   level
 
-let misses ?domains prepared ~depth ~associativity =
+let misses prepared ~depth ~associativity =
   let level = level_of_depth depth prepared.max_level in
-  Arena_kernel.misses ?domains prepared.arena ~level ~associativity
+  Arena_kernel.misses prepared.arena ~level ~associativity

@@ -2,19 +2,19 @@
     (the paper's Figure 2 pipeline: strip -> MRCT/BCAT -> optimal set).
 
     Every entry point runs the one production kernel, {!Arena_kernel}:
-    {!stream_file} in one pass from a trace file in O(N') memory (the
-    one-domain [dse explore]), the rest on a {!prepared} strip of a
-    loaded {!Trace.t}, which sharded runs need. The paper-faithful
+    {!stream_file} in one pass from a trace file in O(N') memory
+    ([dse explore]), {!stream_records} in one pass from an upload's
+    record bytes (every exact [dse serve] job), the rest on a
+    {!prepared} strip of a {!Trace.t} already in memory. The paper-faithful
     path — {!Mrct}, {!Bcat}, {!Zero_one}, {!Dfs_optimizer} and
     {!Optimizer.explore} — is kept as the test oracle; callers that
     want it build it from
     [Arena_kernel.to_strip (arena_strip prepared)]. *)
 
 (** The exact analysis method. One constructor: the fused kernel on
-    off-heap {!Arena_kernel} bigarrays, whose strip, slot state and
-    tallies are GC-invisible and shared by reference across shard
-    domains, so peak {e heap} is O(1) in N. Kept as a type because it is
-    the exact half of the served method field. *)
+    off-heap {!Arena_kernel} bigarrays, whose interner, slot state and
+    tallies are GC-invisible, so peak {e heap} is O(1) in N. Kept as a
+    type because it is the exact half of the served method field. *)
 type method_ = Arena
 
 (** {2 One pass over a trace file} *)
@@ -36,8 +36,11 @@ type streamed = {
     O(N') memory: no {!Trace.t} and no id arena are built. [stats] and
     [histograms] equal {!stats} and {!histograms} of
     [prepare ?max_level] over the loaded trace, and read
-    errors are those of the materialising loaders. The run is
-    sequential; sharding needs {!prepare}'s random-access strip. *)
+    errors are those of the materialising loaders.
+
+    The run starts at the {!Fault} hook: an armed [fail] raises a typed
+    {!Dse_error.Shard_failure}, an armed [hang] blocks before anything
+    is read. *)
 val stream_file :
   ?max_level:int ->
   ?on_error:Trace_io.on_error ->
@@ -59,7 +62,8 @@ val stream_file :
     that runs job after job (a [dse serve] worker) allocates its arenas
     once. A call whose stream ends holding more than {!retain_bytes}
     off-heap, or that raises, releases it. [cancel] is polled every
-    {!Cancel.poll_mask}+1 references. *)
+    {!Cancel.poll_mask}+1 references. The run starts at the {!Fault}
+    hook, as {!stream_file} does, before its first poll. *)
 val stream_records :
   ?cancel:Cancel.t -> ?max_level:int -> Trace_records.t -> Stats.t * int array array
 
@@ -87,8 +91,8 @@ type prepared
     conflicts happen between lines. Must be a power of two. *)
 val prepare : ?max_level:int -> ?line_words:int -> Trace.t -> prepared
 
-(** [arena_strip prepared] is the off-heap strip the kernel runs on —
-    read-only, shareable across domains by reference. *)
+(** [arena_strip prepared] is the off-heap strip the kernel runs on,
+    read-only. *)
 val arena_strip : prepared -> Arena_kernel.strip
 
 (** [max_level prepared] is the number of address bits usable as index
@@ -104,33 +108,30 @@ val line_words : prepared -> int
     trace. *)
 val stats : prepared -> Stats.t
 
-(** [histograms ?cancel ?domains prepared] is the per-level
+(** [histograms ?cancel prepared] is the per-level
     conflict-cardinality histograms, the shared currency of every
     postlude — bit-identical to the materialized oracle (property
-    tested). [domains] (default 1) shards the trace into windows.
-    [cancel] (default {!Cancel.none}) makes the run cooperatively
-    cancellable: the kernel polls it every {!Cancel.poll_mask}+1
-    references and sharded runs poll at shard boundaries; expiry raises
-    a typed {!Dse_error.Deadline_exceeded}. *)
-val histograms : ?cancel:Cancel.t -> ?domains:int -> prepared -> int array array
+    tested). [cancel] (default {!Cancel.none}) makes the run
+    cooperatively cancellable: the kernel polls it every
+    {!Cancel.poll_mask}+1 references; expiry raises a typed
+    {!Dse_error.Deadline_exceeded}. *)
+val histograms : ?cancel:Cancel.t -> prepared -> int array array
 
-(** [explore_prepared ?cancel ?domains prepared ~k] runs the postlude
-    for one budget. *)
-val explore_prepared : ?cancel:Cancel.t -> ?domains:int -> prepared -> k:int -> Optimizer.t
+(** [explore_prepared ?cancel prepared ~k] runs the postlude for one
+    budget. *)
+val explore_prepared : ?cancel:Cancel.t -> prepared -> k:int -> Optimizer.t
 
-(** [explore_many ?domains prepared ~ks] answers several budgets from a
-    single histogram computation — the "prelude once, postlude per
-    constraint" economy the paper's flow is built around. Results are in
-    the order of [ks] and identical to per-budget {!explore_prepared}
-    calls. *)
-val explore_many : ?domains:int -> prepared -> ks:int list -> Optimizer.t list
+(** [explore_many prepared ~ks] answers several budgets from a single
+    histogram computation — the "prelude once, postlude per constraint"
+    economy the paper's flow is built around. Results are in the order
+    of [ks] and identical to per-budget {!explore_prepared} calls. *)
+val explore_many : prepared -> ks:int list -> Optimizer.t list
 
-(** [explore ?max_level ?line_words ?domains trace ~k] is
+(** [explore ?max_level ?line_words trace ~k] is
     [explore_prepared (prepare trace) ~k]. *)
-val explore :
-  ?max_level:int -> ?line_words:int -> ?domains:int -> Trace.t -> k:int -> Optimizer.t
+val explore : ?max_level:int -> ?line_words:int -> Trace.t -> k:int -> Optimizer.t
 
-(** [misses ?domains prepared ~depth ~associativity] is the model's
-    exact non-cold miss count for one configuration. [depth] must be a
-    power of two no greater than [2 ^ max_level]. *)
-val misses : ?domains:int -> prepared -> depth:int -> associativity:int -> int
+(** [misses prepared ~depth ~associativity] is the model's exact
+    non-cold miss count for one configuration. [depth] must be a power
+    of two no greater than [2 ^ max_level]. *)
+val misses : prepared -> depth:int -> associativity:int -> int

@@ -2,11 +2,9 @@
 
    Bigarray data lives outside the OCaml major heap: the GC neither
    scans nor copies it, [Gc.stat ()]'s [top_heap_words] does not count
-   it, and multiple domains can read one array through the same handle
-   without per-domain copies (only the small proxy record is on-heap).
-   That combination is exactly what the sharded kernel wants — a strip
-   built once and shared read-only by every shard, with none of the
-   boxed [int array] footprint that used to dominate peak heap.
+   it (only the small proxy record is on-heap). That is exactly what the
+   kernel wants: tables of N' or N entries with none of the boxed
+   [int array] footprint that used to dominate peak heap.
 
    Two element widths cover every table the kernel keeps:
      - [i32]: per-reference and per-slot tables (stripped ids, the

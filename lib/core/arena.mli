@@ -2,9 +2,9 @@
 
     [Bigarray]-backed storage the GC never scans, copies, or counts:
     the data plane of the [--method arena] kernel. A handle is a small
-    on-heap proxy; the payload lives outside the OCaml heap, so domains
-    can share one read-only arena by reference and [top_heap_words]
-    stays proportional to the boxed control state, not the trace.
+    on-heap proxy; the payload lives outside the OCaml heap, so
+    [top_heap_words] stays proportional to the boxed control state, not
+    the trace.
 
     Accessors are bounds-unchecked by design — every index in the
     kernel is derived from a length the arena was created with. The

@@ -5,7 +5,7 @@
 
      interner     word arenas: id -> line address, 8 B/unique; an
                   open-addressing table at most half full, 16-32 B/unique
-     ids          i32 arena, 4 B/ref, built only for sharded runs
+     ids          i32 arena, 4 B/ref, built only by the strip
      slot state   i32 slot -> id map, ~8 B/unique at ~2 N' slots;
                   i32 id -> slot map, 4 B/unique;
                   alive mask, base address and bit-planes,
@@ -15,20 +15,18 @@
    Two callers share one interner and one per-reference [step]:
 
    - the stream ([stream_add]) interns each address as the trace file is
-     decoded and steps it at once, so a one-domain run holds O(N') state
-     and neither the trace nor the id arena ever exists. Its slot state
-     and tallies grow as it goes;
+     decoded and steps it at once, so a run holds O(N') state and
+     neither the trace nor the id arena ever exists. Its slot state and
+     tallies grow as it goes;
    - the strip ([of_trace]) interns a whole trace into the id arena,
-     which shard windows read by reference: each [Shard_exec] closure
-     captures the same handles, so a sharded run adds per-shard slot
-     state (O(N')) and nothing proportional to N. A window creates its
-     slot state at its final size, so growth never fires there.
+     which [histograms] then walks in order. It creates its slot state
+     at its final size, so growth never fires there.
 
    The conflict-count step, the kernel's whole cost on most traces, is
    one C function ([count_conflicts], arena_kernel_stubs.c): a
    [@@noalloc] external with untagged int arguments, so each level costs
    one hardware popcount and a call costs no runtime transition. Slots,
-   placement, compaction, tallies, sharding and cancellation stay here.
+   placement, compaction, tallies and cancellation stay here.
 
    Outputs are bit-identical to the materialized oracle: identical
    first-occurrence id assignment, identical histogram growth/trim
@@ -227,7 +225,7 @@ let to_strip s =
    plane and one popcount per level.
 
    Dead slots are not reused; [compact] squeezes them out in order. The
-   state grows in three ways, all of which a window, created at its
+   state grows in three ways, all of which a strip run, created at its
    final size, never triggers: [slot_of] doubles when an id outgrows it,
    a compaction widens the capacity to about 2 N', and [add_planes]
    appends planes when the widest address gains a bit. *)
@@ -265,8 +263,8 @@ let log2_of_pow2 =
 (* One plane per address bit, up to [max_level]: level [max_level] is
    recorded and the count stops there. The top plane never narrows a
    count to a nonempty set (two distinct addresses that agree on every
-   lower bit differ there), so a window, which knows its widest address
-   up front, drops it. A stream keeps it: then every address seen lies
+   lower bit differ there), so a strip run, which knows its widest
+   address up front, drops it. A stream keeps it: then every address seen lies
    below 2^planes when planes are not capped, so a plane added for a
    new top bit is zero in every live slot.
    Capacity is about 2 N' slots, so a compaction that moves every alive
@@ -467,25 +465,6 @@ let tally_finish t =
   Array.init (t.max_level + 1) (fun l ->
       Array.init (t.max_c.(l) + 1) (Arena.word_get t.hists.(l)))
 
-(* Merge shard tallies straight from their arenas into the final boxed
-   histograms — no per-shard intermediate arrays. Width per level is the
-   max across shards of (max_c + 1), floored at 1, so the merge equals
-   the sequential run's trim. *)
-let merge_tallies ~max_level parts =
-  Array.init (max_level + 1) (fun level ->
-      let width =
-        List.fold_left (fun acc t -> max acc (t.max_c.(level) + 1)) 1 parts
-      in
-      let merged = Array.make width 0 in
-      List.iter
-        (fun t ->
-          let h = t.hists.(level) in
-          for c = 0 to t.max_c.(level) do
-            merged.(c) <- merged.(c) + Arena.word_get h c
-          done)
-        parts;
-      merged)
-
 (* Record levels [0 .. top] of [depth_count] and clear them. The level
    counts are nonincreasing in l, so every level up to [top] records a
    nonzero count: the same (level, count) pairs as a suffix sum over the
@@ -498,7 +477,7 @@ let record_levels t top =
     word_set depth_count l 0
   done
 
-(* The kernel's per-reference step, shared by windows and the stream:
+(* The kernel's per-reference step, shared by the strip and the stream:
    one reference of id [u], where [seen] is the count of distinct ids
    met before it. No membership set is needed: ids are assigned in
    first-occurrence order, so the reference is warm exactly when
@@ -522,77 +501,26 @@ let step st t uniques ~seen u =
   place st uniques u
 [@@inline]
 
-(* One trace window [lo, hi). The prologue builds the slot state at
-   [lo] straight from last-access order in O(lo + N'): one pass records
-   each id's last position in [0, lo) (in [slot_of]), a second places
-   the ids in the order of those positions. Warm occurrences partition
-   by position, so summing window tallies is exact. *)
-let window_tally ?(cancel = Cancel.none) s ~max_level ~lo ~hi =
+(* The strip run: every reference in order, from empty slot state. *)
+let histograms ?(cancel = Cancel.none) s ~max_level =
   let t = tally_create max_level in
   let st =
     slots_create ~n_unique:(num_unique s)
       ~planes:(planes_for ~max_level ~address_bits:(address_bits s - 1))
   in
-  let ids = s.ids and uniques = s.uniques and slot_of = st.slot_of in
+  let ids = s.ids and uniques = s.uniques in
   let seen = ref 0 in
-  for j = 0 to lo - 1 do
-    if j land Cancel.poll_mask = 0 then Cancel.check cancel;
-    let u = i32_get ids j in
-    if u = !seen then incr seen;
-    i32_set slot_of u j
-  done;
-  for j = 0 to lo - 1 do
-    if j land Cancel.poll_mask = 0 then Cancel.check cancel;
-    let u = i32_get ids j in
-    if i32_get slot_of u = j then place st uniques u
-  done;
-  for j = lo to hi - 1 do
+  for j = 0 to num_refs s - 1 do
     if j land Cancel.poll_mask = 0 then Cancel.check cancel;
     let u = i32_get ids j in
     step st t uniques ~seen:!seen u;
     if u = !seen then incr seen
   done;
-  t
+  tally_finish t
 
-(* Each shard pays an O(lo + N') prologue, two passes over [0, lo)
-   and one placement per id met there, so total prologue work is
-   ~domains/2 passes over the trace; below this window size that and
-   Domain.spawn outweigh the tally work split. The daemon's
-   [Server.heavy_refs] reuses it as the size of a heavy job. *)
-let min_shard_refs = 65536
-
-let histograms ?(cancel = Cancel.none) ?(domains = 1) ?(shard_threshold = min_shard_refs) s
-    ~max_level =
-  let n = num_refs s in
-  let domains = max 1 domains in
-  if domains = 1 || n < domains * shard_threshold then
-    tally_finish (window_tally ~cancel s ~max_level ~lo:0 ~hi:n)
-  else begin
-    let chunk = (n + domains - 1) / domains in
-    match
-      List.init domains (fun d -> (d * chunk, min n ((d + 1) * chunk)))
-      |> List.filter (fun (lo, hi) -> lo < hi)
-      |> Array.of_list
-    with
-    | [||] -> tally_finish (window_tally ~cancel s ~max_level ~lo:0 ~hi:n)
-    | windows ->
-      (* every shard closure captures the same [s]: the strip arenas are
-         shared by reference across domains, read-only — no per-shard
-         copies, boxed or otherwise *)
-      merge_tallies ~max_level
-        (Shard_exec.map ~cancel
-           (fun shard ->
-             let lo, hi = windows.(shard) in
-             window_tally ~cancel s ~max_level ~lo ~hi)
-           (Array.length windows))
-  end
-
-let explore ?cancel ?domains ?shard_threshold s ~max_level ~k =
-  Optimizer.of_histograms ~k (histograms ?cancel ?domains ?shard_threshold s ~max_level)
-
-let misses ?cancel ?domains ?shard_threshold s ~level ~associativity =
+let misses ?cancel s ~level ~associativity =
   if level < 0 then invalid_arg "Arena_kernel.misses: negative level";
-  let hists = histograms ?cancel ?domains ?shard_threshold s ~max_level:level in
+  let hists = histograms ?cancel s ~max_level:level in
   Optimizer.misses_of_histogram hists.(level) ~associativity
 
 (* -- the stream: intern and step each address as it arrives ----------- *)

@@ -37,9 +37,8 @@
       moves. No membership set is kept, because ids are assigned in
       first-occurrence order and so a reference is warm exactly when
       its id is below the count of distinct ids seen so far;
-    - per-level tallies and [depth_count] accumulate in per-shard word
-      arenas merged straight into the final histograms, no intermediate
-      per-shard arrays.
+    - per-level tallies and [depth_count] accumulate in word arenas,
+      grown geometrically, and are boxed once at the end.
 
     One per-reference step (count conflicts, record, kill, compact,
     place) serves two callers:
@@ -50,24 +49,18 @@
       Its slot state grows as N' does (the capacity to about 2 N' at a
       compaction; one zero bit-plane and one empty tally level when the
       widest address gains a bit), and nothing is ever recounted. This
-      is the one-domain [dse explore];
+      is the production path: [dse explore] and every exact daemon job;
     - the {e strip} ({!of_trace}) interns a whole trace into a 4 B/ref
-      id arena that shard windows read by reference ({!histograms}).
+      id arena that {!histograms} walks in order: the path of a trace
+      already in memory ({!Analytical.prepare}), and the random-access
+      input of the oracle tests.
 
-    [domains > 1] shards the {e trace} into per-domain windows. Each
-    shard rebuilds the slot state at the start [lo] of its window from
-    last-access order in O(lo + N'), then tallies its own window; warm
-    occurrences partition by position, so the merge is exact. Sharded runs are fault-isolated
-    through {!Shard_exec}: a crashing domain is retried once in a fresh
-    domain, then its window is recomputed sequentially; only when all
-    three attempts fail does a typed {!Dse_error.Shard_failure} escape.
     [cancel] (default {!Cancel.none}) is polled every
-    {!Cancel.poll_mask}+1 references of both prologue passes and the
-    tally loop; expiry raises a typed {!Dse_error.Deadline_exceeded},
-    which is never retried. *)
+    {!Cancel.poll_mask}+1 references; expiry raises a typed
+    {!Dse_error.Deadline_exceeded}. *)
 
-(** A read-only stripped trace in flat arenas. Safe to share across
-    domains: after {!of_trace} returns it is never written again. *)
+(** A read-only stripped trace in flat arenas: after {!of_trace}
+    returns it is never written again. *)
 type strip
 
 (** [of_trace ?line_words trace] interns every address of [trace] into
@@ -120,50 +113,16 @@ external count_conflicts :
   (int[@untagged]) = "dse_count_conflicts_byte" "dse_count_conflicts"
 [@@noalloc]
 
-(** [min_shard_refs] is the smallest per-domain window (in trace
-    references) for which sharding is attempted; below it the
-    sequential kernel runs regardless of [domains]. *)
-val min_shard_refs : int
-
-(** [histograms ?cancel ?domains ?shard_threshold s ~max_level] is the
-    per-level conflict-cardinality histograms ([result.(l).(c)] counts
-    warm occurrences whose conflict set meets their depth-[2^l] row in
-    exactly [c] references). [domains] (default 1, clamped to at least
-    1) shards the trace into windows; every shard reads the same strip
-    arenas by reference. [shard_threshold] (default {!min_shard_refs})
-    is the smallest per-domain window for which sharding is attempted —
-    tests lower it to exercise the sharded path on short traces. Raises
+(** [histograms ?cancel s ~max_level] is the per-level
+    conflict-cardinality histograms ([result.(l).(c)] counts warm
+    occurrences whose conflict set meets their depth-[2^l] row in
+    exactly [c] references), in one pass over the strip. Raises
     [Invalid_argument] on a negative [max_level]. *)
-val histograms :
-  ?cancel:Cancel.t ->
-  ?domains:int ->
-  ?shard_threshold:int ->
-  strip ->
-  max_level:int ->
-  int array array
+val histograms : ?cancel:Cancel.t -> strip -> max_level:int -> int array array
 
-(** [explore ?cancel ?domains ?shard_threshold s ~max_level ~k] runs the
-    postlude on the arena histograms. *)
-val explore :
-  ?cancel:Cancel.t ->
-  ?domains:int ->
-  ?shard_threshold:int ->
-  strip ->
-  max_level:int ->
-  k:int ->
-  Optimizer.t
-
-(** [misses ?cancel ?domains ?shard_threshold s ~level ~associativity]
-    is the exact non-cold miss count of the [2^level] x [associativity]
-    LRU cache. *)
-val misses :
-  ?cancel:Cancel.t ->
-  ?domains:int ->
-  ?shard_threshold:int ->
-  strip ->
-  level:int ->
-  associativity:int ->
-  int
+(** [misses ?cancel s ~level ~associativity] is the exact non-cold miss
+    count of the [2^level] x [associativity] LRU cache. *)
+val misses : ?cancel:Cancel.t -> strip -> level:int -> associativity:int -> int
 
 (** {2 The stream} *)
 

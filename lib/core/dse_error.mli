@@ -17,8 +17,10 @@ type t =
   | Constraint_violation of { context : string; message : string }
       (** A caller-supplied parameter outside its domain (usage error). *)
   | Shard_failure of { shard : int; attempts : int; message : string }
-      (** A parallel shard kept failing after every recovery path
-          (respawn retry, then sequential recomputation) was exhausted. *)
+      (** An exact kernel run failed: an injected [DSE_FAULT=fail] or
+          an unexpected engine crash (internal-failure class). The
+          fields keep their wire layout; a run is one attempt of
+          shard 0. *)
   | Io_error of { file : string; message : string }
       (** The operating system refused an open/read/write. *)
   | Queue_full of { pending : int; max_pending : int; retry_after : float }
@@ -79,8 +81,8 @@ val to_string : t -> string
     ([Backend_unavailable]), 10 = membership ([Stale_ring]). *)
 val exit_code : t -> int
 
-(** Hook invoked whenever the parallel engine degrades (a shard retry or
-    a fall-back to sequential recomputation). Defaults to printing on
+(** Hook invoked whenever a component degrades but carries on (a
+    worker domain replaced after a crash). Defaults to printing on
     stderr; tests redirect it to capture or silence the log. *)
 val on_degradation : (string -> unit) ref
 

@@ -1,43 +1,36 @@
 type kind = Fail | Hang | Net_drop | Net_delay of int
 
-type spec = { kind : kind; shard : int; times : int }
+type spec = { kind : kind; times : int }
 
-(* The armed state is written before any domain is spawned and only read
-   concurrently; the per-attempt budget is an atomic so parallel shards
-   cannot double-consume it. *)
-let state : (kind * int * int Atomic.t) option ref = ref None
+(* The armed state is written before any worker domain is spawned and
+   only read concurrently; the budget is an atomic so two jobs running
+   at once cannot double-consume it. *)
+let state : (kind * int Atomic.t) option ref = ref None
 
-(* Hung shards spin on this flag (via Shard_exec) instead of sleeping
-   forever, so tests and benches can unwedge their zombie domains during
-   teardown. Releases are sticky until the next [set]. *)
+(* Hung kernel runs spin on this flag instead of sleeping forever, so
+   tests and benches can unwedge their zombie domains during teardown.
+   Releases are sticky until the next [set]. *)
 let released = Atomic.make false
 
 let set spec =
   Atomic.set released false;
   match spec with
   | None -> state := None
-  | Some { kind; shard; times } -> state := Some (kind, shard, Atomic.make times)
+  | Some { kind; times } -> state := Some (kind, Atomic.make times)
 
 let parse s =
-  let spec kind shard times = Some { kind; shard; times } in
+  let spec kind times = if times >= 1 then Some { kind; times } else None in
+  let kernel = function "fail" -> Some Fail | "hang" -> Some Hang | _ -> None in
   match String.split_on_char ':' s with
-  | [ ("shard" | "hang") as which; k ] -> (
-    match int_of_string_opt k with
-    | Some shard when shard >= 0 ->
-      spec (if which = "hang" then Hang else Fail) shard 1
+  | [ which ] -> Option.bind (kernel which) (fun kind -> spec kind 1)
+  | [ which; t ] -> (
+    match (kernel which, int_of_string_opt t) with
+    | Some kind, Some times -> spec kind times
     | _ -> None)
-  | [ ("shard" | "hang") as which; k; t ] -> (
-    match (int_of_string_opt k, int_of_string_opt t) with
-    | Some shard, Some times when shard >= 0 && times >= 1 ->
-      spec (if which = "hang" then Hang else Fail) shard times
-    | _ -> None)
-  | [ "net"; "drop"; k ] -> (
-    match int_of_string_opt k with
-    | Some times when times >= 1 -> spec Net_drop 0 times
-    | _ -> None)
+  | [ "net"; "drop"; k ] -> Option.bind (int_of_string_opt k) (spec Net_drop)
   | [ "net"; "delay"; k; ms ] -> (
     match (int_of_string_opt k, int_of_string_opt ms) with
-    | Some times, Some ms when times >= 1 && ms >= 0 -> spec (Net_delay ms) 0 times
+    | Some times, Some ms when ms >= 0 -> spec (Net_delay ms) times
     | _ -> None)
   | _ -> None
 
@@ -60,23 +53,20 @@ let take remaining =
   in
   take ()
 
-let claim want ~shard =
+let claim want () =
   match !state with
   | None -> false
-  | Some (kind, target, remaining) -> kind = want && target = shard && take remaining
+  | Some (kind, remaining) -> kind = want && take remaining
 
 let should_fail = claim Fail
 
 let should_hang = claim Hang
 
-let net_drop () =
-  match !state with
-  | Some (Net_drop, _, remaining) -> take remaining
-  | _ -> false
+let net_drop = claim Net_drop
 
 let net_delay () =
   match !state with
-  | Some (Net_delay ms, _, remaining) -> if take remaining then Some ms else None
+  | Some (Net_delay ms, remaining) -> if take remaining then Some ms else None
   | _ -> None
 
 let release_hangs () = Atomic.set released true

@@ -4,9 +4,8 @@
     domain doing kernel work and the watchdog observing it. The worker
     side stamps it implicitly: attaching a heartbeat to a {!Cancel}
     token ({!Cancel.with_heartbeat}) makes every cancellation poll —
-    every {!Cancel.poll_mask}+1 references in the streaming loops,
-    before each shard attempt, per BCAT-walk level — also refresh the
-    timestamp. The watchdog side reads {!age} from another domain and
+    every {!Cancel.poll_mask}+1 references in the kernel loops, per
+    BCAT-walk level — also refresh the timestamp. The watchdog side reads {!age} from another domain and
     declares a worker stalled once the age exceeds the hang timeout:
     a wedged loop stops polling, so it stops beating.
 

@@ -22,11 +22,11 @@ let of_histograms ?(percents = [ 5; 10; 15; 20 ]) ~name ~stats histograms =
   in
   { name; stats; percents; budgets; rows }
 
-let run ?percents ?max_level ?line_words ?domains ~name trace =
+let run ?percents ?max_level ?line_words ~name trace =
   let prepared = Analytical.prepare ?max_level ?line_words trace in
   (* O(1) from the arena build — no boxed strip is forced for stats *)
   let stats = Analytical.stats prepared in
-  let histograms = Analytical.histograms ?domains prepared in
+  let histograms = Analytical.histograms prepared in
   of_histograms ?percents ~name ~stats histograms
 
 let trim table =

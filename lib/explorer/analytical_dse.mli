@@ -21,18 +21,16 @@ type table = {
 val of_histograms :
   ?percents:int list -> name:string -> stats:Stats.t -> int array array -> table
 
-(** [run ?percents ?max_level ?line_words ?domains ~name trace]
+(** [run ?percents ?max_level ?line_words ~name trace]
     strips and analyses the trace once, then solves for each budget.
     [percents] defaults to the paper's 5, 10, 15, 20; [max_level]
     defaults to the trace's address bits; [line_words] (default 1) folds
     the trace to line addresses first (model extension beyond the
-    paper). [domains] (default 1) is the arena kernel's parallelism, as
-    in {!Analytical.explore_many}. *)
+    paper). *)
 val run :
   ?percents:int list ->
   ?max_level:int ->
   ?line_words:int ->
-  ?domains:int ->
   name:string ->
   Trace.t ->
   table

@@ -95,7 +95,7 @@ let call ~socket request expect =
         (Dse_error.Io_error
            { file = socket; message = "unexpected response kind from the server" }))
 
-let submit ~socket ?(percents = [ 5; 10; 15; 20 ]) ?k ?max_level ?(approx = false) ?(domains = 1)
+let submit ~socket ?(percents = [ 5; 10; 15; 20 ]) ?k ?max_level ?(approx = false)
     ?deadline ?(retries = 0) ?(retry_base = 0.1) ?(retry_cap = 30.) ~name trace =
   if retries < 0 then invalid_arg "Client.submit: retries must be >= 0";
   if not (retry_base > 0.) then invalid_arg "Client.submit: retry_base must be > 0";
@@ -107,7 +107,7 @@ let submit ~socket ?(percents = [ 5; 10; 15; 20 ]) ?k ?max_level ?(approx = fals
   with_retry ~retries ~retry_base ~retry_cap (fun () ->
       call ~socket
         (Protocol.Submit
-           { name; trace = Protocol.Full trace; query; method_; domains; max_level; deadline })
+           { name; trace = Protocol.Full trace; query; method_; domains = 1; max_level; deadline })
         (function Protocol.Result payload -> Some payload | _ -> None))
 
 let ping ~socket = call ~socket Protocol.Ping (function Protocol.Pong -> Some () | _ -> None)

@@ -41,7 +41,7 @@ val exchange :
   Protocol.request ->
   (Protocol.response, Dse_error.t) result
 
-(** [submit ~socket ?percents ?k ?max_level ?approx ?domains ?deadline
+(** [submit ~socket ?percents ?k ?max_level ?approx ?deadline
     ?retries ?retry_base ?retry_cap ~name trace] submits one job. [k]
     switches from the percentage sweep (default, the paper's
     5/10/15/20) to one absolute budget, mirroring [dse explore]'s
@@ -78,7 +78,6 @@ val submit :
   ?k:int ->
   ?max_level:int ->
   ?approx:bool ->
-  ?domains:int ->
   ?deadline:float ->
   ?retries:int ->
   ?retry_base:float ->

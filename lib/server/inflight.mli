@@ -1,7 +1,7 @@
 (** Single-flight deduplication for the serving layer.
 
-    A burst of identical submissions (same trace content, method, shard
-    count, and level bound — the {!Result_cache.key}) must cost one
+    A burst of identical submissions (same trace content, method and
+    level bound — the {!Result_cache.key}) must cost one
     kernel run, not one per connection. The first submission to miss the
     cache becomes the {e leader} and runs the job; every concurrent
     duplicate {e attaches} as a waiter and is answered from the leader's

@@ -440,7 +440,7 @@ let query_field c =
    rejected while it is still a varint and a string of frame bytes,
    never having cost the daemon its decoded footprint. The submission's
    method was decoded before the trace, so an exact job is judged by the
-   arena model (100 B/ref) and an approx job by the sketch's fixed
+   arena model (192 B/ref) and an approx job by the sketch's fixed
    footprint — reference count does not enter its price at all, which
    is what lets a budget that rejects a 100M-reference exact job admit
    the same trace approximately. *)

@@ -73,7 +73,10 @@ type request =
       trace : submission;
       query : query;
       method_ : method_spec;
-      domains : int;  (** shard count for the job's kernel run *)
+      domains : int;
+          (** kept on the wire (v7) for compatibility: the daemon
+              refuses values < 1 and otherwise ignores it, since every
+              exact job runs the one-pass stream *)
       max_level : int option;  (** as [Analytical.prepare]'s [?max_level] *)
       deadline : float option;
           (** seconds the job may spend, queue wait included; expiry is

@@ -5,8 +5,8 @@
     per-level conflict-cardinality histograms are a complete summary of
     the design space. The cache therefore stores exactly that — the
     histograms plus the calibrating {!Stats.t} — keyed by the trace's
-    content ({!Trace.fingerprint}) together with the method, shard
-    count, and requested level bound, so a repeated submission (or a
+    content ({!Trace.fingerprint}) together with the method and the
+    requested level bound, so a repeated submission (or a
     K-only re-query of a solved trace) is answered without touching the
     kernel at all, via {!Analytical_dse.of_histograms} /
     {!Optimizer.of_histograms}.
@@ -30,7 +30,10 @@
 type key = {
   fingerprint : int64;  (** {!Trace.fingerprint} of the submitted trace *)
   method_tag : int;  (** {!Protocol.method_spec_tag}: the histogram kernel, or 4 = approx *)
-  domains : int;  (** shard count the job ran with *)
+  domains : int;
+      (** always 1 for what the daemon stores and looks up: the field
+          is kept in the key and its record layout, but one trace is one
+          entry whatever [domains] it was submitted with *)
   max_level : int;  (** requested level bound; [-1] encodes "unbounded" *)
 }
 

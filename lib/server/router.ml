@@ -720,8 +720,7 @@ let handle_client t fd =
       (Protocol.Server_error
          (Dse_error.Constraint_violation
             { context = "route"; message = "cluster-internal verb not accepted at the gateway" }))
-  | Ok (Some (Protocol.Submit { name; trace; query; method_; domains; max_level; _ } as request))
-    ->
+  | Ok (Some (Protocol.Submit { name; trace; query; method_; max_level; _ } as request)) ->
     let fingerprint = Protocol.submission_fingerprint trace in
     let candidates = maybe_spill t (candidates_of t fingerprint) in
     let peek =
@@ -731,7 +730,8 @@ let handle_client t fd =
             {
               Result_cache.fingerprint;
               method_tag = Protocol.method_spec_tag method_;
-              domains;
+              (* daemons key every result under one domain *)
+              domains = 1;
               max_level = (match max_level with None -> -1 | Some l -> l);
             };
           peek_name = name;

@@ -43,7 +43,6 @@ type job = {
   name : string;
   work : work;
   query : Protocol.query;
-  domains : int;
   max_level : int option;
   key : Result_cache.key;
   cancel : Cancel.t;
@@ -104,10 +103,10 @@ let close_noerr fd = try Unix.close fd with Unix.Unix_error _ -> ()
    first while the cheap tier keeps answering. *)
 let watermark config = max 1 (((3 * config.max_pending) + 3) / 4)
 
-(* A job at or above one shard of kernel work is "heavy" for shedding
+(* A job of at least this many references is "heavy" for shedding
    purposes: it is the class whose kernel time dominates queue drain
    time under overload. *)
-let heavy_refs = Arena_kernel.min_shard_refs
+let heavy_refs = 65536
 
 (* How long until a worker likely frees up: queue depth spread over the
    pool, at an assumed quarter-second per heavy job — deliberately
@@ -684,15 +683,14 @@ let respond_flight t job outcome =
     (fun (w : Inflight.waiter) -> reply ~name:w.Inflight.name ~query:w.Inflight.query w.Inflight.fd)
     waiters
 
-(* Runs in a worker domain. The kernel call goes through the standard
-   [Analytical] pipeline, so [domains > 1] jobs get Shard_exec's
-   per-shard recovery ladder and the job's cancel token — carrying this
-   worker's heartbeat — is polled at the documented points; every
-   failure — deadline expiry included — becomes a structured reply to
-   this flight's clients and the worker lives on. A worker that lost
-   the settled race (the watchdog already answered this flight) stores
-   nothing and replies to no one: its fd may have been reused and a new
-   flight for the same key may be in progress. *)
+(* Runs in a worker domain. The job's cancel token, carrying this
+   worker's heartbeat, is polled at the kernel's documented points;
+   every failure — an injected fault or deadline expiry included —
+   becomes a structured reply to this flight's clients and the worker
+   lives on. A worker that lost the settled race (the watchdog already
+   answered this flight) stores nothing and replies to no one: its fd
+   may have been reused and a new flight for the same key may be in
+   progress. *)
 let run_job t ~heartbeat job =
   t.on_job_start ();
   let cancel = Cancel.with_heartbeat heartbeat job.cancel in
@@ -702,20 +700,12 @@ let run_job t ~heartbeat job =
          counts; an already-expired job fails here without a kernel run *)
       Cancel.check cancel;
       (match job.work with
-      | Exact_work records when job.domains = 1 ->
+      | Exact_work records ->
         (* the records go straight into this worker domain's reused
            stream: no trace, no id arena, no per-job table *)
         let stats, histograms =
           Analytical.stream_records ~cancel ?max_level:job.max_level records
         in
-        Result_cache.Exact { stats; histograms }
-      | Exact_work records ->
-        (* shards need the random-access strip of the whole trace *)
-        let prepared =
-          Analytical.prepare ?max_level:job.max_level (Trace_records.to_trace records)
-        in
-        let stats = Analytical.stats prepared in
-        let histograms = Analytical.histograms ~cancel ~domains:job.domains prepared in
         Result_cache.Exact { stats; histograms }
       | Approx_work profile ->
         (* the estimator is exercised once here, so a degenerate profile
@@ -882,6 +872,9 @@ let handle_submission t fd ~name ~trace ~query ~method_ ~domains ~max_level ~dea
   | Error message -> reject message
   | Ok work ->
   if Protocol.submission_refs trace = 0 then reject "empty trace"
+  (* [domains] stays on the wire, but every exact job runs the one
+     stream: it is checked, then keyed as 1, so any value is one cache
+     entry and one kernel run *)
   else if domains < 1 then reject "domains must be >= 1"
   else if (match deadline with Some d -> not (d > 0.) || d = infinity | None -> false) then
     reject "deadline must be a positive finite number of seconds"
@@ -890,7 +883,7 @@ let handle_submission t fd ~name ~trace ~query ~method_ ~domains ~max_level ~dea
       {
         Result_cache.fingerprint = Protocol.submission_fingerprint trace;
         method_tag = Protocol.method_spec_tag method_;
-        domains;
+        domains = 1;
         max_level = (match max_level with None -> -1 | Some level -> level);
       }
     in
@@ -915,8 +908,7 @@ let handle_submission t fd ~name ~trace ~query ~method_ ~domains ~max_level ~dea
           | Some seconds -> Cancel.after seconds
         in
         let job =
-          { fd; name; work; query; domains; max_level; key; cancel;
-            settled = Atomic.make false }
+          { fd; name; work; query; max_level; key; cancel; settled = Atomic.make false }
         in
         let fail_flight e = respond_flight t job (Error e) in
         (* Approx jobs are never shed: their kernel is O(ms) over O(kB)

@@ -11,12 +11,13 @@
     daemon. Submissions
     beyond [max_pending] are rejected with a typed
     {!Dse_error.Queue_full} — explicit backpressure, never unbounded
-    buffering. Each job runs the standard [Analytical] pipeline
-    (the arena kernel by default, [Shard_exec] windows for
-    [domains > 1]), so the per-shard
-    recovery ladder of the error taxonomy applies per job; any job
-    failure is a structured reply to that one client and the daemon
-    keeps serving.
+    buffering. Each exact job decodes its upload's record bytes into
+    its worker domain's reused one-pass stream
+    ({!Analytical.stream_records}), whatever [domains] the submission
+    carries: that field is checked (>= 1) and otherwise ignored, and
+    the cache keys every exact result under [domains = 1]. Any job
+    failure — an injected [DSE_FAULT=fail] included — is a structured
+    reply to that one flight, and the worker takes the next job.
 
     Self-healing behaviours layered on top:
 
@@ -37,7 +38,8 @@
     Supervision behaviours (the watchdog plane):
 
     - {b Worker watchdog.} Every job runs under a {!Heartbeat.t} beaten
-      at the kernel's cancellation poll points. The front's 0.1 s
+      at the kernel's cancellation poll points (an injected
+      [DSE_FAULT=hang] blocks before the first of them). The front's 0.1 s
       select tick scans the pool; a worker silent past [hang_timeout]
       is declared wedged: its domain is abandoned (OCaml domains cannot
       be killed), a replacement is spawned on the same slot, the flight
@@ -51,8 +53,8 @@
       footprint); oversized jobs get a typed
       {!Dse_error.Resource_exhausted} before any trace allocation.
     - {b Overload shedding.} Past the queue watermark (3/4 of
-      [max_pending]), heavy submissions (at least one kernel shard,
-      {!Arena_kernel.min_shard_refs} references) are refused with a
+      [max_pending]), heavy submissions (at least {!heavy_refs}
+      references) are refused with a
       load-proportional [retry_after] hint that client backoff honors;
       light jobs, pings, health probes and cache hits keep being
       answered.
@@ -120,6 +122,10 @@ type config = {
       (** exchange digests with ring neighbours at startup and pull the
           missing entries of this node's key range *)
 }
+
+(** 65536: an exact submission of at least this many references is
+    heavy, and is shed past the queue watermark. *)
+val heavy_refs : int
 
 type t
 

@@ -2,7 +2,7 @@
 
     A worker that stops reaching its cancellation poll points — an
     infinite loop in a pathological input, a deterministic kernel bug,
-    an injected [DSE_FAULT=hang:K] — stops beating its heartbeat. The
+    an injected [DSE_FAULT=hang] — stops beating its heartbeat. The
     watchdog turns that silence into recovery: {!scan} finds every busy
     worker whose heartbeat is older than the hang timeout, replaces it
     (fresh domain, same slot; the wedged one is abandoned) and reports

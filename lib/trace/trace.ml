@@ -163,27 +163,30 @@ let[@inline] fingerprinter_add b v = Bytes.set_int64_le b 0 (fingerprint_add (By
 
 let fingerprinter_finish b ~len = fingerprint_finish (Bytes.get_int64_le b 0) ~len
 
-(* Pessimistic per-reference footprint, in bytes, of admitting an
-   exact job. [`Arena] prices the off-heap arena kernel from a
-   measurement: the peak resident bytes of a one-domain
-   [Analytical.prepare] + [histograms] over a decoded trace, on
-   all-unique traces of 10^5 to 4 x 10^6 references and on the 24
-   registry traces. An all-unique trace is the worst case, because
-   every per-unique table is then as large as the trace allows:
-     9  the decoded trace (8-byte address word + 1 kind byte, boxed);
-     4  the int32 id arena;
+(* Pessimistic footprint, in bytes, of admitting an exact job. Every
+   exact daemon job decodes its upload's record bytes into a one-pass
+   [Arena_kernel] stream, so [`Arena] prices what that holds at its
+   all-unique worst (N' = N), just past a doubling (N = 2^k + 1), with
+   addresses up to 61 bits wide, per reference:
+    10  the frame's record bytes (a varint of up to 9 bytes, the old
+        read buffers of its 32x growth), kept as the records;
     24  the unique-address arena: 8 B/unique, doubled when full, and
-        the old copy lives until the GC frees it;
-    48  the strip builder's hash table: 8 B entries at most half full,
-        so up to 32 B/unique, plus the old table during a rehash.
-   The kernel's slot state (8 B/unique of slot -> id map at ~2 N'
-   capacity, 4 B of id -> slot map, ~0.26 B per bit-plane) comes
-   after the builder's tables are garbage and added ~1 B/ref to their
-   peak. Measured worst: 87 B/ref over the trace at 2^21 + 1 uniques;
-   on the registry traces at most 38. 100 per reference plus a 1 KiB
-   fixed floor. Each further shard domain adds its own slot state, up
-   to ~16 B/unique (141 B/ref over the trace at 4 domains, all-unique);
-   the price does not depend on the domain count.
+        the old copies stay resident until the GC finalises them;
+    48  the interner's table: 8 B cells at most half full, so up to
+        32 B/unique, plus the old tables of earlier rehashes;
+    12  the id -> slot map, 4 B/unique, doubled when full, with its old
+        copies;
+    17  the slot -> id map over ~2 N' x 64/62 slots, with the copy a
+        compaction's widening leaves;
+    33  the alive masks, base addresses and up to 62 bit-planes: 8 B
+        per 62 slots each, with their widening copy.
+   Tallies are O(levels x largest count), nothing on an all-unique
+   trace. That sums to ~144 B/ref. Measured (release build, one-worker
+   [dse serve], daemon VmHWM growth for one submit of 2^18+1 to 2^20+1
+   all-unique references): 99-133 B/ref at 30-bit addresses, 147-157
+   B/ref at 52- and 60-bit ones, the spread being when the GC frees old
+   arenas. 192 per reference bounds that with a fifth to spare; the
+   128 KiB floor is a fresh stream's initial tables.
 
    This over- rather than under-estimates, which is the right direction
    for admission control: rejecting a job that would have fit costs a
@@ -197,7 +200,7 @@ let sketch_bytes = 4 * 1024 * 1024
 let estimate_bytes ~model ~refs =
   if refs < 0 then invalid_arg "Trace.estimate_bytes: negative reference count";
   match model with
-  | `Arena -> 1024 + (refs * 100)
+  | `Arena -> (128 * 1024) + (refs * 192)
   | `Sketch -> sketch_bytes
 
 let pp_kind fmt k = Format.fprintf fmt "%c" (kind_to_char k)

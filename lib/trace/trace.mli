@@ -113,9 +113,11 @@ val fingerprinter_finish : fingerprinter -> len:int -> int64
     ([--memory-budget], [--max-job-refs]) can reject oversized jobs
     while they are still just a varint on the wire.
 
-    [model] selects the kind of job: [`Arena] (the exact arena kernel:
-    100 B/ref — decoded trace, int32 id arena, and the unique, hash and
-    slot arenas at their all-unique worst — plus a 1 KiB floor) or [`Sketch] (the
+    [model] selects the kind of job: [`Arena] (the exact kernel's
+    one-pass stream: 192 B/ref — the upload's record bytes, the
+    interner's unique and hash arenas and the slot state at their
+    all-unique worst, with the copies their growth leaves — plus a
+    128 KiB floor) or [`Sketch] (the
     one-pass approximate profiler: a fixed 4 MiB regardless of [refs] —
     HyperLogLog registers, the top-K heavy-hitter table and the two
     bucketed-LRU probes are all trace-length-independent, which is what

@@ -102,8 +102,8 @@ val load_dinero : ?on_error:on_error -> string -> (ingest, Dse_error.t) result
 
     The memory-honest ingestion path: every well-formed access is handed
     to a sink callback in file order and nothing is retained — no boxed
-    address array, no {!Trace.t}. One-domain exact [dse explore] feeds
-    the arena kernel's interner and step from it, in O(N') memory;
+    address array, no {!Trace.t}. Exact [dse explore] feeds the arena
+    kernel's interner and step from it, in O(N') memory;
     [dse explore --approx] feeds its sketch, in O(kilobytes). Error handling (lenient modes, typed failures, CRC checking
     for the binary format) is byte-for-byte the same machinery as the
     materialising readers — the parsers are shared. *)

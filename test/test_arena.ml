@@ -3,8 +3,7 @@
    arena strip builder against the boxed prelude, and bit-identity of
    the arena histograms with the paper-faithful oracle ({!Oracle}: the
    materialized MRCT under the fused DFS and the BCAT walk) and the
-   reference LRU simulator — including the zero-copy guarantee that
-   sharding never clones the strip onto the GC heap.
+   reference LRU simulator, and the one-pass stream against the strip.
 
    The "streaming:*" suites test the same kernel through the
    {!Analytical} facade: it is the single-pass streaming fusion of
@@ -78,9 +77,7 @@ let test_strip_empty_trace () =
   check_int "address_bits floor" 1 (Arena_kernel.address_bits astrip);
   let hists = Arena_kernel.histograms astrip ~max_level:3 in
   check_int "levels" 4 (Array.length hists);
-  Array.iter (fun h -> Alcotest.(check (array int)) "empty level" [| 0 |] h) hists;
-  check_bool "sharded empty identical" true
-    (Arena_kernel.histograms ~domains:8 astrip ~max_level:3 = hists)
+  Array.iter (fun h -> Alcotest.(check (array int)) "empty level" [| 0 |] h) hists
 
 let test_strip_rejects_bad_line_words () =
   let trace = Trace.of_addresses [| 1; 2; 3 |] in
@@ -102,18 +99,6 @@ let prop_arena_equals_materialized =
       Arena_kernel.histograms astrip ~max_level
       = Oracle.histograms (Arena_kernel.to_strip astrip) ~max_level)
 
-let prop_arena_shard_invariant =
-  prop ~count:60 "arena histograms independent of domain count (forced sharding)"
-    QCheck2.Gen.(pair gen_addresses (int_range 2 6))
-    (fun (addrs, domains) ->
-      let astrip = Arena_kernel.of_trace (Trace.of_addresses addrs) in
-      let max_level = Arena_kernel.address_bits astrip in
-      let seq = Arena_kernel.histograms astrip ~max_level in
-      (* shard_threshold 8 defeats the min_shard_refs fallback, so even
-         these small traces genuinely split into windows *)
-      Arena_kernel.histograms ~domains ~shard_threshold:8 astrip ~max_level = seq
-      && Arena_kernel.histograms ~domains astrip ~max_level = seq)
-
 (* [gen_addresses] draws from [0, 127], where no XOR of two distinct
    addresses has a zero low byte, so the conflict-level step never leaves
    its byte table. Strided addresses do: a random base plus [k lsl s]
@@ -131,11 +116,10 @@ let gen_strided_addresses =
        return (base + (k lsl s) + jitter)))
 
 let prop_arena_wide_addresses =
-  prop ~count:150 "wide strided addresses: arena = materialized DFS = simulated LRU, sharded too"
+  prop ~count:150 "wide strided addresses: arena = materialized DFS = simulated LRU"
     QCheck2.Gen.(
-      quad gen_strided_addresses (oneof [ int_range 0 7; int_range 8 44 ]) (int_range 1 4)
-        (int_range 2 4))
-    (fun (addrs, max_level, associativity, domains) ->
+      triple gen_strided_addresses (oneof [ int_range 0 7; int_range 8 44 ]) (int_range 1 4))
+    (fun (addrs, max_level, associativity) ->
       let trace = Trace.of_addresses addrs in
       let astrip = Arena_kernel.of_trace trace in
       let hists = Arena_kernel.histograms astrip ~max_level in
@@ -146,22 +130,7 @@ let prop_arena_wide_addresses =
         (Cache.simulate (Config.make ~depth:(1 lsl level) ~associativity ()) trace).Cache.misses
       in
       hists = Oracle.histograms (Arena_kernel.to_strip astrip) ~max_level
-      && Arena_kernel.histograms ~domains ~shard_threshold:8 astrip ~max_level = hists
       && Optimizer.misses_of_histogram hists.(level) ~associativity = sim)
-
-(* the fallback threshold hides the sharded path from small random
-   traces, so also drive a trace long enough to shard for real *)
-let test_arena_sharded_long_trace () =
-  let body = 37 and iterations = (4 * Arena_kernel.min_shard_refs / 37) + 1 in
-  let astrip = Arena_kernel.of_trace (Synthetic.loop ~base:0 ~body ~iterations) in
-  let max_level = Arena_kernel.address_bits astrip in
-  check_bool "trace long enough to shard" true
-    (Arena_kernel.num_refs astrip >= 4 * Arena_kernel.min_shard_refs);
-  let seq = Arena_kernel.histograms astrip ~max_level in
-  check_bool "4 shards identical" true
-    (Arena_kernel.histograms ~domains:4 astrip ~max_level = seq);
-  check_bool "matches materialized" true
-    (Oracle.histograms (Arena_kernel.to_strip astrip) ~max_level = seq)
 
 (* every PowerStone workload, both trace kinds: the arena kernel — the
    one streaming kernel — must agree with the materialized MRCT oracle
@@ -180,26 +149,30 @@ let powerstone_identity_case (b : Workload.t) =
             = Oracle.histograms stripped ~max_level))
         [ itrace; dtrace ])
 
-(* -- the slot state machine: compaction and the shard prologue --
+(* -- the slot state machine: compaction --
 
    Each shape below drives one path of the kernel's slot state: full
    compactions, partial ones behind a long-lived prefix, the dead-scan
-   trigger, alive counts straddling a 62-slot word, and shard prologues.
-   Every one is checked against the materialized oracle (DFS over MRCT),
-   sequentially and sharded with a small [shard_threshold], and its miss
-   count at a small level against the LRU simulator. *)
+   trigger and alive counts straddling a 62-slot word. Every one is
+   checked against the materialized oracle (DFS over MRCT), on the
+   strip and on the stream (whose slot state also grows as it goes),
+   and its miss count at a small level against the LRU simulator. *)
 
-let agrees_with_oracle addrs ~max_level ~associativity ~domains =
+let agrees_with_oracle addrs ~max_level ~associativity =
   let trace = Trace.of_addresses addrs in
   let astrip = Arena_kernel.of_trace trace in
-  let max_level = if max_level < 0 then Arena_kernel.address_bits astrip else max_level in
+  let bits = Arena_kernel.address_bits astrip in
+  let max_level = if max_level < 0 then bits else max_level in
   let hists = Arena_kernel.histograms astrip ~max_level in
   let level = min max_level 10 in
   let sim =
     (Cache.simulate (Config.make ~depth:(1 lsl level) ~associativity ()) trace).Cache.misses
   in
+  let s = Arena_kernel.stream_create ~max_level () in
+  Array.iter (Arena_kernel.stream_add s) addrs;
   hists = Oracle.histograms (Arena_kernel.to_strip astrip) ~max_level
-  && Arena_kernel.histograms ~domains ~shard_threshold:8 astrip ~max_level = hists
+  && Arena_kernel.stream_histograms s
+     = Arena_kernel.histograms astrip ~max_level:(min max_level bits)
   && Optimizer.misses_of_histogram hists.(level) ~associativity = sim
 
 (* [-1] stands for the trace's own address width *)
@@ -218,14 +191,8 @@ let prop_slots_tiny_working_set =
       let* picks = array_size (int_range 1500 5000) (int_bound 1000) in
       let* max_level = gen_max_level in
       let* associativity = int_range 1 4 in
-      let* domains = int_range 2 4 in
-      return
-        ( Array.map (fun k -> lines.(k mod Array.length lines)) picks,
-          max_level,
-          associativity,
-          domains ))
-    (fun (addrs, max_level, associativity, domains) ->
-      agrees_with_oracle addrs ~max_level ~associativity ~domains)
+      return (Array.map (fun k -> lines.(k mod Array.length lines)) picks, max_level, associativity))
+    (fun (addrs, max_level, associativity) -> agrees_with_oracle addrs ~max_level ~associativity)
 
 (* [k] one-shot lines, then a hot loop over [hot] lines that re-touches
    one of [m] rotating lines every [period] references: the one-shot
@@ -249,11 +216,8 @@ let prop_slots_one_shot_prefix =
       let* tail = int_range 1000 4000 in
       let* max_level = gen_max_level in
       let* associativity = int_range 1 4 in
-      let* domains = int_range 2 4 in
-      return
-        (one_shot_then_hot_loop ~k ~hot ~m ~period ~tail, max_level, associativity, domains))
-    (fun (addrs, max_level, associativity, domains) ->
-      agrees_with_oracle addrs ~max_level ~associativity ~domains)
+      return (one_shot_then_hot_loop ~k ~hot ~m ~period ~tail, max_level, associativity))
+    (fun (addrs, max_level, associativity) -> agrees_with_oracle addrs ~max_level ~associativity)
 
 (* alive counts just below, at and above one and two 62-slot words, in
    a fresh random order every pass *)
@@ -264,29 +228,8 @@ let prop_slots_word_boundary =
       let* passes = list_size (int_range 2 4) (shuffle_l (List.init n scatter)) in
       let* max_level = gen_max_level in
       let* associativity = int_range 1 4 in
-      let* domains = int_range 2 4 in
-      return (Array.of_list (List.concat passes), max_level, associativity, domains))
-    (fun (addrs, max_level, associativity, domains) ->
-      agrees_with_oracle addrs ~max_level ~associativity ~domains)
-
-(* A loop over [n] lines places one slot per reference, so the
-   sequential run compacts first at reference 992 (16 words of 62
-   slots) and then every [992 - n]. Two or three shards of a trace sized
-   so that a window starts a few references either side of those points
-   rebuild their state at [lo] from last-access order. *)
-let prop_slots_shard_after_compaction =
-  prop ~count:30 "slots: shard windows starting next to a compaction"
-    QCheck2.Gen.(
-      let* n = int_range 2 40 in
-      let* domains = int_range 2 3 in
-      let* which = int_bound 1 in
-      let* delta = int_range (-2) 2 in
-      let* max_level = gen_max_level in
-      let* associativity = int_range 1 4 in
-      let lo = (if which = 0 then 992 else 992 + (992 - n)) + delta in
-      return (Array.init (lo * domains) (fun i -> scatter (i mod n)), max_level, associativity, domains))
-    (fun (addrs, max_level, associativity, domains) ->
-      agrees_with_oracle addrs ~max_level ~associativity ~domains)
+      return (Array.of_list (List.concat passes), max_level, associativity))
+    (fun (addrs, max_level, associativity) -> agrees_with_oracle addrs ~max_level ~associativity)
 
 (* The dead-slot adversary, scaled down: 2000 one-shot lines, then 8000
    references of a 2-line hot loop that re-touches one of 14 rotating
@@ -298,7 +241,7 @@ let test_slots_dead_slot_adversary () =
       check_bool
         (Printf.sprintf "arena = oracle = simulator (max_level %d)" max_level)
         true
-        (agrees_with_oracle addrs ~max_level ~associativity:2 ~domains:3))
+        (agrees_with_oracle addrs ~max_level ~associativity:2))
     [ 0; 8; -1; 70 ]
 
 (* -- the conflict-count step: C against the OCaml oracle step -- *)
@@ -388,29 +331,6 @@ let prop_step_equals_oracle =
          in
          let r_o = Oracle.count_conflicts bits stride c.planes c.au c.p c.next_slot depth_o in
          r_c = r_o && depth_c = depth_o))
-
-(* -- the zero-copy guarantee -- *)
-
-let test_sharded_run_copies_no_strip () =
-  (* 4 x min_shard_refs references: a boxed clone of the ids array alone
-     would put >= 262144 words on the major heap (large arrays are
-     allocated there directly). The sharded arena run hands every domain
-     the same bigarray handles, so cumulative major-heap allocation
-     stays orders of magnitude below one strip copy. *)
-  let refs = 4 * Arena_kernel.min_shard_refs in
-  let trace = Synthetic.loop ~base:0 ~body:48 ~iterations:((refs + 47) / 48) in
-  let astrip = Arena_kernel.of_trace trace in
-  let max_level = Arena_kernel.address_bits astrip in
-  Gc.full_major ();
-  let before = (Gc.stat ()).Gc.major_words in
-  let hists = Arena_kernel.histograms ~domains:4 astrip ~max_level in
-  let major_delta = (Gc.stat ()).Gc.major_words -. before in
-  check_bool
-    (Printf.sprintf "major-heap allocation (%.0f words) below half a strip copy" major_delta)
-    true
-    (major_delta < float_of_int (Arena_kernel.num_refs astrip) /. 2.);
-  check_bool "and the result is right" true
-    (Arena_kernel.histograms astrip ~max_level = hists)
 
 (* On a loop nest over 48 lines the kernel compacts about once per 944
    references, so an allocation per compaction (or per reference) would
@@ -567,6 +487,37 @@ let prop_stream_reset_equals_fresh =
 (* A stream capped at level 0 has no bit-plane; reset without the cap,
    it must start with the one plane a fresh stream has, even when no
    address ever widens it. *)
+(* The off-heap bytes of every bigarray reachable from [o]: the only
+   custom blocks a stream holds are its arenas, and none is shared. *)
+let rec reachable_arena_bytes o =
+  if Obj.is_int o then 0
+  else if Obj.tag o = Obj.custom_tag then
+    Bigarray.Array1.size_in_bytes
+      (Obj.obj o : (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t)
+  else if Obj.tag o < Obj.no_scan_tag then begin
+    let bytes = ref 0 in
+    for i = 0 to Obj.size o - 1 do
+      bytes := !bytes + reachable_arena_bytes (Obj.field o i)
+    done;
+    !bytes
+  end
+  else 0
+
+(* [stream_bytes] bounds what a worker retains, so it must count every
+   arena the stream holds, tallies included, before and after a reset *)
+let prop_stream_bytes_counts_every_arena =
+  prop ~count:60 "stream_bytes = the sizes of every arena the stream holds"
+    QCheck2.Gen.(pair gen_stream_addresses gen_stream_addresses)
+    (fun (first, second) ->
+      let s = Arena_kernel.stream_create () in
+      let counted () = Arena_kernel.stream_bytes s = reachable_arena_bytes (Obj.repr s) in
+      let fresh = counted () in
+      Array.iter (Arena_kernel.stream_add s) first;
+      let filled = counted () in
+      Arena_kernel.stream_reset s;
+      Array.iter (Arena_kernel.stream_add s) second;
+      fresh && filled && counted ())
+
 let test_stream_reset_after_level_zero () =
   let s = Arena_kernel.stream_create ~max_level:0 () in
   Arena_kernel.stream_add s 0;
@@ -715,19 +666,6 @@ let prop_streaming_equals_materialized =
       let prepared = Analytical.prepare ~max_level ~line_words (Trace.of_addresses addrs) in
       Analytical.histograms prepared = oracle prepared)
 
-let prop_streaming_shard_invariant =
-  prop ~count:60 "streaming histograms independent of domain count"
-    QCheck2.Gen.(pair gen_addresses (int_range 2 6))
-    (fun (addrs, domains) ->
-      let prepared = Analytical.prepare (Trace.of_addresses addrs) in
-      Analytical.histograms ~domains prepared = Analytical.histograms prepared)
-
-let test_streaming_sharded_long_trace () =
-  let body = 37 and iterations = (4 * Arena_kernel.min_shard_refs / 37) + 1 in
-  let prepared = Analytical.prepare (Synthetic.loop ~base:0 ~body ~iterations) in
-  check_bool "4 shards match the oracle" true
-    (Analytical.histograms ~domains:4 prepared = oracle prepared)
-
 (* four-way exactness: arena = BCAT walk = fused DFS = LRU simulator *)
 let prop_streaming_exact_vs_simulator =
   prop ~count:150 "streaming misses = BCAT walk = DFS = simulated LRU non-cold misses"
@@ -762,9 +700,7 @@ let prop_explore_methods_agree =
 
 let test_streaming_empty_trace () =
   let prepared = Analytical.prepare (Trace.create ()) in
-  check_bool "matches the oracle" true (Analytical.histograms prepared = oracle prepared);
-  check_bool "sharded empty identical" true
-    (Analytical.histograms ~domains:8 prepared = oracle prepared)
+  check_bool "matches the oracle" true (Analytical.histograms prepared = oracle prepared)
 
 let test_streaming_single_ref () =
   let prepared = Analytical.prepare (Trace.of_addresses [| 42 |]) in
@@ -803,15 +739,6 @@ let test_facade_defaults () =
   check_bool "stats from the arena build" true
     (Analytical.stats prepared = Stats.compute_stripped stripped)
 
-let prop_domains_facade_invariant =
-  prop ~count:50 "explore_prepared invariant in domains" gen_addresses (fun addrs ->
-      QCheck2.assume (Array.length addrs > 0);
-      let prepared = Analytical.prepare (Trace.of_addresses addrs) in
-      let pairs domains =
-        Optimizer.optimal_pairs (Analytical.explore_prepared ~domains prepared ~k:3)
-      in
-      pairs 1 = pairs 4)
-
 let suites =
   [
     ( "arena",
@@ -826,11 +753,7 @@ let suites =
         Alcotest.test_case "empty trace" `Quick test_strip_empty_trace;
         Alcotest.test_case "bad line_words rejected" `Quick test_strip_rejects_bad_line_words;
         prop_arena_equals_materialized;
-        prop_arena_shard_invariant;
         prop_arena_wide_addresses;
-        Alcotest.test_case "sharded long trace" `Quick test_arena_sharded_long_trace;
-        Alcotest.test_case "sharded run copies no strip" `Quick
-          test_sharded_run_copies_no_strip;
         Alcotest.test_case "minor words flat in N" `Quick test_kernel_minor_words_flat;
         Alcotest.test_case "negative levels rejected" `Quick test_arena_rejects_negative_level;
         Alcotest.test_case "repeated single address" `Quick test_arena_repeated_single_address;
@@ -841,7 +764,6 @@ let suites =
         prop_slots_tiny_working_set;
         prop_slots_one_shot_prefix;
         prop_slots_word_boundary;
-        prop_slots_shard_after_compaction;
         Alcotest.test_case "dead-slot adversary" `Quick test_slots_dead_slot_adversary;
       ] );
     ("arena-step", [ prop_step_equals_oracle ]);
@@ -849,6 +771,7 @@ let suites =
       [
         prop_stream_equals_strip;
         prop_stream_reset_equals_fresh;
+        prop_stream_bytes_counts_every_arena;
         Alcotest.test_case "reset after a level-0 cap" `Quick test_stream_reset_after_level_zero;
         Alcotest.test_case "edges: empty, all cold, widest address" `Quick test_stream_edges;
         Alcotest.test_case "minor words flat in N" `Quick test_stream_minor_words_flat;
@@ -859,8 +782,6 @@ let suites =
       [
         Alcotest.test_case "paper example" `Quick test_streaming_paper;
         prop_streaming_equals_materialized;
-        prop_streaming_shard_invariant;
-        Alcotest.test_case "sharded long trace" `Slow test_streaming_sharded_long_trace;
         prop_streaming_exact_vs_simulator;
         prop_explore_methods_agree;
       ] );
@@ -872,6 +793,5 @@ let suites =
           test_streaming_repeated_single_address;
         Alcotest.test_case "negative level rejected" `Quick test_streaming_rejects_negative_level;
         Alcotest.test_case "facade defaults" `Quick test_facade_defaults;
-        prop_domains_facade_invariant;
       ] );
   ]

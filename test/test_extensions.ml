@@ -101,39 +101,51 @@ let prop_reduce_keeps_uniques =
       uniques trace = uniques r.Reduce.reduced)
 
 (* -- parallel exploration: the paper's "distributed sets" remark, as
-   trace-window shards of the arena kernel checked against the
-   sequential materialized oracle. A small [shard_threshold] forces real
-   shards even on short traces. *)
+   the same job run on several domains at once, each on its own
+   domain-local one-pass stream (as [dse serve]'s workers run jobs),
+   checked against the sequential materialized oracle. *)
 
-let sharded ~domains trace =
+let in_parallel ~domains trace =
+  let records = Test_server.records_of trace in
+  let runs =
+    List.init domains (fun _ ->
+        Domain.spawn (fun () -> snd (Analytical.stream_records records)))
+  in
   let astrip = Arena_kernel.of_trace trace in
   let max_level = Arena_kernel.address_bits astrip in
-  ( Arena_kernel.histograms ~domains ~shard_threshold:16 astrip ~max_level,
-    Oracle.histograms (Arena_kernel.to_strip astrip) ~max_level )
+  (List.map Domain.join runs, Oracle.histograms (Arena_kernel.to_strip astrip) ~max_level)
 
 let prop_parallel_equals_sequential =
   prop ~count:60 "parallel histograms = sequential (1..5 domains)"
     QCheck2.Gen.(pair gen_addresses (int_range 1 5))
     (fun (addrs, domains) ->
-      let par, seq = sharded ~domains (Trace.of_addresses addrs) in
-      par = seq)
+      let par, seq = in_parallel ~domains (Trace.of_addresses addrs) in
+      List.for_all (( = ) seq) par)
 
 let test_parallel_real_trace () =
   let trace = Workload.data_trace (Registry.find "engine") in
   let astrip = Arena_kernel.of_trace trace in
   let max_level = Arena_kernel.address_bits astrip in
   let seq = Oracle.dfs_explore (Arena_kernel.to_strip astrip) ~max_level ~k:50 in
-  let par = Arena_kernel.explore ~domains:4 ~shard_threshold:256 astrip ~max_level ~k:50 in
-  check_bool "same pairs" true (Optimizer.optimal_pairs seq = Optimizer.optimal_pairs par)
+  let par, _ = in_parallel ~domains:4 trace in
+  List.iter
+    (fun hists ->
+      check_bool "same pairs" true
+        (Optimizer.optimal_pairs seq
+        = Optimizer.optimal_pairs (Optimizer.of_histograms ~k:50 hists)))
+    par
 
 let test_parallel_powerstone_histograms () =
-  let par, seq = sharded ~domains:4 (Workload.data_trace (Registry.find "compress")) in
-  check_bool "histograms identical" true (seq = par)
+  let par, seq = in_parallel ~domains:4 (Workload.data_trace (Registry.find "compress")) in
+  List.iter (fun hists -> check_bool "histograms identical" true (seq = hists)) par
 
 let test_parallel_degenerate () =
-  let par, seq = sharded ~domains:8 (Trace.create ()) in
-  check_int "levels" 2 (Array.length par);
-  check_bool "matches the oracle" true (par = seq)
+  let par, seq = in_parallel ~domains:8 (Trace.create ()) in
+  List.iter
+    (fun hists ->
+      check_int "levels" 2 (Array.length hists);
+      check_bool "matches the oracle" true (hists = seq))
+    par
 
 (* -- synthetic generators -- *)
 

@@ -105,13 +105,13 @@ let expect_table label trace payload =
 
 let test_net_fault_parse () =
   check_bool "net:drop:2" true
-    (Fault.parse "net:drop:2" = Some { Fault.kind = Fault.Net_drop; shard = 0; times = 2 });
+    (Fault.parse "net:drop:2" = Some { Fault.kind = Fault.Net_drop; times = 2 });
   check_bool "net:delay:3:25" true
     (Fault.parse "net:delay:3:25"
-    = Some { Fault.kind = Fault.Net_delay 25; shard = 0; times = 3 });
+    = Some { Fault.kind = Fault.Net_delay 25; times = 3 });
   check_bool "zero-ms delay is legal" true
     (Fault.parse "net:delay:1:0"
-    = Some { Fault.kind = Fault.Net_delay 0; shard = 0; times = 1 });
+    = Some { Fault.kind = Fault.Net_delay 0; times = 1 });
   List.iter
     (fun s -> check_bool (s ^ " rejected") true (Fault.parse s = None))
     [ "net:drop:0"; "net:drop"; "net:drop:x"; "net:delay:1"; "net:delay:1:-1"; "net:delay:0:5" ];

@@ -1,6 +1,6 @@
 (* Tests for the robustness layer: the typed error taxonomy, the v2
    binary framing (version byte + CRC-32 footer), lenient ingestion,
-   and shard-isolated parallel exploration with fault injection. *)
+   and the kernel's fault-injection hook. *)
 
 let check_int = Alcotest.(check int)
 
@@ -85,18 +85,13 @@ let test_crc32_slicing () =
     [ Crc32.init; 0; 0x12345678; 0xFFFF0000 ]
 
 let test_fault_parse () =
-  check_bool "shard:2" true
-    (Fault.parse "shard:2" = Some { Fault.kind = Fault.Fail; shard = 2; times = 1 });
-  check_bool "shard:0:3" true
-    (Fault.parse "shard:0:3" = Some { Fault.kind = Fault.Fail; shard = 0; times = 3 });
-  check_bool "hang:1" true
-    (Fault.parse "hang:1" = Some { Fault.kind = Fault.Hang; shard = 1; times = 1 });
-  check_bool "hang:0:2" true
-    (Fault.parse "hang:0:2" = Some { Fault.kind = Fault.Hang; shard = 0; times = 2 });
-  check_bool "garbage" true (Fault.parse "shard" = None);
-  check_bool "negative" true (Fault.parse "shard:-1" = None);
-  check_bool "hang negative" true (Fault.parse "hang:-1" = None);
-  check_bool "zero times" true (Fault.parse "shard:1:0" = None)
+  check_bool "fail" true (Fault.parse "fail" = Some { Fault.kind = Fault.Fail; times = 1 });
+  check_bool "fail:3" true (Fault.parse "fail:3" = Some { Fault.kind = Fault.Fail; times = 3 });
+  check_bool "hang" true (Fault.parse "hang" = Some { Fault.kind = Fault.Hang; times = 1 });
+  check_bool "hang:2" true (Fault.parse "hang:2" = Some { Fault.kind = Fault.Hang; times = 2 });
+  List.iter
+    (fun s -> check_bool (s ^ " rejected") true (Fault.parse s = None))
+    [ "shard"; "shard:1"; "fail:-1"; "hang:-1"; "fail:0"; "fail:x"; "hang:1:2"; "" ]
 
 (* -- binary v2 framing -- *)
 
@@ -259,86 +254,58 @@ let test_strip_negative_address () =
   | _ -> Alcotest.fail "expected Constraint_violation"
   | exception Dse_error.Error (Dse_error.Constraint_violation _) -> ()
 
-(* -- shard-isolated parallel exploration -- *)
+(* -- the kernel's fault hook -- *)
 
 let with_fault spec f =
-  let logs = ref [] in
-  let old = !Dse_error.on_degradation in
-  Fault.set spec;
-  Dse_error.on_degradation := (fun m -> logs := m :: !logs);
+  Fault.set (Fault.parse spec);
   Fun.protect
     ~finally:(fun () ->
-      Fault.set None;
-      Dse_error.on_degradation := old)
-    (fun () -> f logs)
+      Fault.release_hangs ();
+      Fault.set None)
+    f
 
-(* 1110 references: a [shard_threshold] of 64 makes even 4 domains
-   split the trace into real windows *)
-let recovery_strip () = Arena_kernel.of_trace (Synthetic.loop ~base:0 ~body:37 ~iterations:30)
+let fault_trace () = Synthetic.loop ~base:0 ~body:37 ~iterations:30
 
-let arena_with_fault ~times =
-  let astrip = recovery_strip () in
-  let max_level = Arena_kernel.address_bits astrip in
-  let expected = Arena_kernel.histograms astrip ~max_level in
-  with_fault (Some { Fault.kind = Fault.Fail; shard = 2; times }) (fun logs ->
-      let got = Arena_kernel.histograms ~domains:4 ~shard_threshold:64 astrip ~max_level in
-      (got = expected, List.length !logs))
+(* the one-pass run of [trace] through a file, as [dse explore] makes it *)
+let stream_trace trace =
+  with_temp_file ".bin" (fun path ->
+      ignore (io_ok (Trace_io.save_binary path trace));
+      match Analytical.stream_file ~format:`Binary path with
+      | Ok s -> (s.Analytical.stats, s.Analytical.histograms)
+      | Error e -> Alcotest.fail (Dse_error.to_string e))
 
-let test_shard_retry_recovers () =
-  let identical, degradations = arena_with_fault ~times:1 in
-  check_bool "histograms identical to sequential" true identical;
-  check_int "one degradation logged (retry)" 1 degradations
+let expected_of trace =
+  let prepared = Analytical.prepare trace in
+  (Analytical.stats prepared, Analytical.histograms prepared)
 
-let test_shard_sequential_fallback () =
-  let identical, degradations = arena_with_fault ~times:2 in
-  check_bool "histograms identical to sequential" true identical;
-  check_int "two degradations logged (retry + sequential)" 2 degradations
+(* [fail:2] fails the next two runs with the typed internal failure, and
+   nothing retries them; the run after those answers as usual *)
+let test_fail_raises_shard_failure () =
+  let trace = fault_trace () in
+  with_fault "fail:2" (fun () ->
+      for run = 1 to 2 do
+        match stream_trace trace with
+        | _ -> Alcotest.failf "run %d: expected Shard_failure" run
+        | exception Dse_error.Error (Dse_error.Shard_failure _ as e) ->
+          check_int "exit code 5" 5 (Dse_error.exit_code e)
+      done;
+      check_bool "the next run answers" true (stream_trace trace = expected_of trace))
 
-let test_shard_failure_exhausted () =
-  let astrip = recovery_strip () in
-  let max_level = Arena_kernel.address_bits astrip in
-  with_fault (Some { Fault.kind = Fault.Fail; shard = 2; times = 3 }) (fun _logs ->
-      match Arena_kernel.histograms ~domains:4 ~shard_threshold:64 astrip ~max_level with
-      | _ -> Alcotest.fail "expected Shard_failure"
-      | exception Dse_error.Error (Dse_error.Shard_failure { shard; attempts; _ } as e) ->
-        check_int "shard" 2 shard;
-        check_int "attempts" 3 attempts;
-        check_int "exit code 5" 5 (Dse_error.exit_code e))
-
-(* a 3-domain run of the parallel optimizer through both recovery rungs
-   (retry, then sequential recompute) still equals the materialized
-   oracle *)
-let test_parallel_optimizer_recovers () =
-  let astrip = recovery_strip () in
-  let max_level = Arena_kernel.address_bits astrip in
-  let expected = Oracle.histograms (Arena_kernel.to_strip astrip) ~max_level in
-  with_fault (Some { Fault.kind = Fault.Fail; shard = 1; times = 2 }) (fun logs ->
-      let got = Arena_kernel.histograms ~domains:3 ~shard_threshold:64 astrip ~max_level in
-      check_bool "sharded histograms identical to the oracle" true (got = expected);
-      check_int "degradations logged" 2 (List.length !logs))
-
-let test_explore_invariant_under_fault () =
-  (* the user-facing result (--domains N) is invariant under an injected
-     shard failure *)
-  let astrip = recovery_strip () in
-  let max_level = Arena_kernel.address_bits astrip in
-  let baseline = Optimizer.optimal_pairs (Arena_kernel.explore astrip ~max_level ~k:5) in
-  with_fault (Some { Fault.kind = Fault.Fail; shard = 1; times = 1 }) (fun _logs ->
-      let faulted =
-        Optimizer.optimal_pairs
-          (Arena_kernel.explore ~domains:3 ~shard_threshold:64 astrip ~max_level ~k:5)
+(* a hang blocks before the run reads anything, until released *)
+let test_hang_blocks_until_released () =
+  let trace = fault_trace () in
+  with_fault "hang" (fun () ->
+      let finished = Atomic.make false in
+      let run =
+        Domain.spawn (fun () ->
+            let result = stream_trace trace in
+            Atomic.set finished true;
+            result)
       in
-      check_bool "optimal pairs invariant" true (faulted = baseline))
-
-let prop_streaming_shards_with_faults =
-  prop ~count:40 "sharded streaming kernel under injected fault = sequential"
-    QCheck2.Gen.(triple gen_addresses (int_range 2 5) (int_range 0 4))
-    (fun (addrs, domains, faulty_shard) ->
-      let astrip = Arena_kernel.of_trace (Trace.of_addresses addrs) in
-      let max_level = Arena_kernel.address_bits astrip in
-      let expected = Arena_kernel.histograms astrip ~max_level in
-      with_fault (Some { Fault.kind = Fault.Fail; shard = faulty_shard; times = 1 }) (fun _logs ->
-          Arena_kernel.histograms ~domains ~shard_threshold:1 astrip ~max_level = expected))
+      Unix.sleepf 0.2;
+      check_bool "still blocked" false (Atomic.get finished);
+      Fault.release_hangs ();
+      check_bool "released, it answers" true (Domain.join run = expected_of trace))
 
 let suites =
   [
@@ -368,17 +335,10 @@ let suites =
         Alcotest.test_case "dinero lenient" `Quick test_dinero_lenient;
         Alcotest.test_case "binary salvage" `Quick test_binary_lenient_salvage;
       ] );
-    ( "robustness:shards",
+    ( "robustness:faults",
       [
-        Alcotest.test_case "retry recovers" `Quick test_shard_retry_recovers;
-        Alcotest.test_case "sequential fallback recovers" `Quick
-          test_shard_sequential_fallback;
-        Alcotest.test_case "exhausted recovery raises Shard_failure" `Quick
-          test_shard_failure_exhausted;
-        Alcotest.test_case "parallel optimizer recovers" `Quick
-          test_parallel_optimizer_recovers;
-        Alcotest.test_case "explore invariant under fault" `Quick
-          test_explore_invariant_under_fault;
-        prop_streaming_shards_with_faults;
+        Alcotest.test_case "fail raises Shard_failure, then the next run answers" `Quick
+          test_fail_raises_shard_failure;
+        Alcotest.test_case "hang blocks until released" `Quick test_hang_blocks_until_released;
       ] );
   ]

@@ -63,21 +63,17 @@ let test_kernels_honour_cancellation () =
   let prepared = Analytical.prepare trace in
   let max_level = Analytical.max_level prepared in
   let oracle = Oracle.histograms (Oracle.stripped prepared) ~max_level in
-  List.iter
-    (fun (label, domains) ->
-      raises_deadline label (fun () ->
-          Analytical.histograms ~cancel:(expired_token ()) ~domains prepared);
-      (* an un-expired token changes nothing *)
-      let watched = Analytical.histograms ~cancel:(Cancel.after 3600.) ~domains prepared in
-      check_bool (label ^ ": identical to the oracle under a live token") true
-        (watched = oracle))
-    [ ("arena", 1); ("arena-x4", 4) ];
-  (* cancellation must not be eaten by the shard recovery ladder: the
-     expiry surfaces as Deadline_exceeded, never as a Shard_failure
-     after three futile retries *)
-  raises_deadline "no shard retries" (fun () ->
-      Arena_kernel.histograms ~cancel:(expired_token ()) ~domains:4 ~shard_threshold:1
-        (Analytical.arena_strip prepared) ~max_level)
+  raises_deadline "arena" (fun () ->
+      Analytical.histograms ~cancel:(expired_token ()) prepared);
+  (* an un-expired token changes nothing *)
+  let watched = Analytical.histograms ~cancel:(Cancel.after 3600.) prepared in
+  check_bool "arena: identical to the oracle under a live token" true (watched = oracle);
+  (* the stream a worker runs polls the same token *)
+  let records = Test_server.records_of trace in
+  raises_deadline "stream" (fun () ->
+      Analytical.stream_records ~cancel:(expired_token ()) records);
+  check_bool "stream: identical to the oracle under a live token" true
+    (snd (Analytical.stream_records ~cancel:(Cancel.after 3600.) records) = oracle)
 
 (* -- LRU result cache -- *)
 

@@ -276,15 +276,57 @@ let test_cache_hit_identity () =
       check_bool "hits counted" true (stats.Protocol.cache_hits >= 2);
       check_int "one entry" 1 stats.Protocol.cache_entries)
 
+(* [domains] stays on the wire, but the daemon runs every exact job on
+   the one stream: any value is one cache entry and one kernel run *)
+let submit_with_domains socket ~domains ~name trace =
+  match
+    Client.exchange socket
+      (Protocol.Submit
+         { name; trace = Protocol.Full trace; query = Protocol.Percents [ 5; 10; 15; 20 ];
+           method_ = Protocol.Exact Analytical.Arena; domains; max_level = None;
+           deadline = None })
+  with
+  | Ok (Protocol.Result payload) -> payload
+  | Ok _ -> Alcotest.fail "expected a result"
+  | Error e -> Alcotest.failf "unexpected error: %s" (Dse_error.to_string e)
+
+(* the reply's frame bytes, its cache flag cleared; a small answer fits
+   in the pipe's buffer *)
+let encoded_answer (payload : Protocol.result_payload) =
+  let r, w = Unix.pipe ~cloexec:true () in
+  Fun.protect
+    ~finally:(fun () -> Unix.close r)
+    (fun () ->
+      ok_or_fail
+        (Protocol.write_response w (Protocol.Result { payload with Protocol.cache_hit = false }));
+      Unix.close w;
+      let buf = Buffer.create 4096 and chunk = Bytes.create 4096 in
+      let rec drain () =
+        match Unix.read r chunk 0 4096 with
+        | 0 -> Buffer.contents buf
+        | n ->
+          Buffer.add_subbytes buf chunk 0 n;
+          drain ()
+      in
+      drain ())
+
 let test_sharded_submission () =
   with_server (fun socket _server ->
       let name, trace = List.nth (Lazy.force small_traces) 1 in
-      let sequential = ok_or_fail (Client.submit ~socket ~name trace) in
-      (* a different shard count is a different cache key: fresh job *)
-      let sharded = ok_or_fail (Client.submit ~socket ~domains:4 ~name trace) in
-      check_bool "sharded cold" false sharded.Protocol.cache_hit;
-      check_bool "shard invariance" true
-        (sequential.Protocol.outcome = sharded.Protocol.outcome))
+      let answers =
+        List.map (fun domains -> submit_with_domains socket ~domains ~name trace) [ 1; 2; 8 ]
+      in
+      check_bool "the first is a miss, the rest hits" true
+        (List.map (fun p -> p.Protocol.cache_hit) answers = [ false; true; true ]);
+      let first = encoded_answer (List.hd answers) in
+      List.iter
+        (fun p -> check_bool "byte-identical answers" true (encoded_answer p = first))
+        answers;
+      check_bool "and direct explore's" true
+        ((List.hd answers).Protocol.outcome = Protocol.Table (Analytical_dse.run ~name trace));
+      let h = ok_or_fail (Client.health ~socket) in
+      check_int "one kernel run" 1 h.Protocol.jobs_completed;
+      check_int "one cache entry" 1 h.Protocol.cache_entries)
 
 let test_empty_trace_rejected () =
   with_server (fun socket _server ->
@@ -404,30 +446,30 @@ let test_sigterm_drains () =
       Domain.join runner;
       check_bool "socket unlinked" false (Sys.file_exists path))
 
-(* -- shard-fault recovery applies per job -- *)
+(* -- an injected kernel fault fails one job, not the worker -- *)
 
-let test_job_shard_recovery () =
+let test_job_fault_reply () =
   with_server ~workers:1 (fun socket _server ->
-      (* 139264 references over 256 lines: wide enough to shard at 2
-         domains (>= 2 x Arena_kernel.min_shard_refs), cheap to run *)
-      let name = "wide" and trace = Synthetic.loop ~base:0 ~body:256 ~iterations:544 in
-      let clean = ok_or_fail (Client.submit ~socket ~name trace) in
-      Fault.set (Some { Fault.kind = Fault.Fail; shard = 1; times = 1 });
+      let name, trace = List.nth (Lazy.force small_traces) 1 in
+      Fault.set (Fault.parse "fail");
       Fun.protect
         ~finally:(fun () -> Fault.set None)
         (fun () ->
-          (* domains=2 is a fresh cache key; the injected fault exercises
-             the retry rung inside the worker, invisibly to the client *)
-          let silence = Dse_error.(!on_degradation) in
-          let degradations = Atomic.make 0 in
-          Dse_error.on_degradation := (fun _ -> Atomic.incr degradations);
-          Fun.protect
-            ~finally:(fun () -> Dse_error.on_degradation := silence)
-            (fun () ->
-              let faulted = ok_or_fail (Client.submit ~socket ~domains:2 ~name trace) in
-              check_bool "the injected fault fired" true (Atomic.get degradations >= 1);
-              check_bool "recovered identically" true
-                (clean.Protocol.outcome = faulted.Protocol.outcome))))
+          (match Client.submit ~socket ~name trace with
+          | Error (Dse_error.Shard_failure _ as e) ->
+            check_int "exit code 5" 5 (Dse_error.exit_code e)
+          | Error e -> Alcotest.failf "wrong error class: %s" (Dse_error.to_string e)
+          | Ok _ -> Alcotest.fail "the injected fault did not fire");
+          (* nothing was cached: the resubmit runs the kernel again, on
+             the same worker, and answers as direct explore does *)
+          let payload = ok_or_fail (Client.submit ~socket ~name trace) in
+          check_bool "a fresh run" false payload.Protocol.cache_hit;
+          check_bool "answered correctly" true
+            (payload.Protocol.outcome = Protocol.Table (Analytical_dse.run ~name trace));
+          let h = ok_or_fail (Client.health ~socket) in
+          check_int "no worker replaced" 0 h.Protocol.workers_replaced;
+          check_int "both jobs on the one worker" 2
+            (List.fold_left (fun acc w -> acc + w.Protocol.jobs_done) 0 h.Protocol.workers)))
 
 (* -- the connection front: one slow peer stalls nobody else -- *)
 
@@ -691,12 +733,14 @@ let suites =
       [
         Alcotest.test_case "identity vs direct run" `Quick test_loopback_identity;
         Alcotest.test_case "cache hit identity" `Quick test_cache_hit_identity;
-        Alcotest.test_case "sharded submission" `Quick test_sharded_submission;
+        Alcotest.test_case "sharded submission: any domains value runs one stream, one entry"
+          `Quick test_sharded_submission;
         Alcotest.test_case "empty trace rejected" `Quick test_empty_trace_rejected;
         Alcotest.test_case "queue overflow" `Quick test_queue_overflow;
         Alcotest.test_case "corrupt submission" `Quick test_corrupt_submission;
         Alcotest.test_case "sigterm drains" `Quick test_sigterm_drains;
-        Alcotest.test_case "shard recovery per job" `Quick test_job_shard_recovery;
+        Alcotest.test_case "injected fail: a typed exit-5 reply, then the worker answers"
+          `Quick test_job_fault_reply;
       ] );
     ( "server:records",
       [

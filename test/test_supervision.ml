@@ -45,8 +45,8 @@ let test_estimate_bytes () =
   check_bool "monotone" true
     (Trace.estimate_bytes ~model:`Arena ~refs:1000
     < Trace.estimate_bytes ~model:`Arena ~refs:2000);
-  (* the price of an exact job: 100 B/ref over a 1 KiB floor *)
-  check_int "arena price" (1024 + (100 * 1_000_000))
+  (* the price of an exact job: 192 B/ref over a 128 KiB floor *)
+  check_int "arena price" ((128 * 1024) + (192 * 1_000_000))
     (Trace.estimate_bytes ~model:`Arena ~refs:1_000_000);
   check_bool "sketch price ignores the length" true
     (Trace.estimate_bytes ~model:`Sketch ~refs:0
@@ -303,21 +303,14 @@ let with_server ?(workers = 2) ?(max_pending = 16) ?(hang_timeout = 30.) ?max_jo
       if Sys.file_exists path then Sys.remove path)
     (fun () -> f path server)
 
-(* Wide but cheap: 139264 references (>= 2 x Arena_kernel.min_shard_refs,
-   so --domains 2 takes the sharded path the hang injection lives on)
-   over only 256 uniques. The small working set matters twice: the
-   healthy shard — whose polls beat the job's shared heartbeat — drains
-   in well under the hang timeout, so the silence the watchdog measures
-   starts promptly; and conflict counts stay short, so the replacement's
-   rerun is sub-second. *)
-let hang_trace = lazy (Synthetic.loop ~base:0 ~body:256 ~iterations:544)
+(* The hang fires at the start of the job's kernel run, whatever the
+   trace; a small one keeps the replacement's rerun short. *)
+let hang_trace = lazy (Synthetic.loop ~base:0 ~body:256 ~iterations:64)
 
 let test_watchdog_answers_hung_job () =
   let trace = Lazy.force hang_trace in
-  check_bool "trace is wide enough to shard at 2 domains" true
-    (Trace.length trace >= 2 * Arena_kernel.min_shard_refs);
   let hang_timeout = 0.75 in
-  Fault.set (Some { Fault.kind = Fault.Hang; shard = 0; times = 1 });
+  Fault.set (Fault.parse "hang");
   Fun.protect
     ~finally:(fun () ->
       (* disarm first (release survives until the next [set]), then
@@ -327,7 +320,7 @@ let test_watchdog_answers_hung_job () =
     (fun () ->
       with_server ~workers:1 ~hang_timeout (fun socket _server ->
           let started = Unix.gettimeofday () in
-          (match Client.submit ~socket ~domains:2 ~name:"wedge" trace with
+          (match Client.submit ~socket ~name:"wedge" trace with
           | Error (Dse_error.Worker_stalled { elapsed; job } as e) ->
             check_bool "stall elapsed reported" true (elapsed >= hang_timeout);
             check_bool "job named" true (String.length job > 0);
@@ -343,7 +336,7 @@ let test_watchdog_answers_hung_job () =
           check_int "still one worker slot" 1 (List.length h.Protocol.workers);
           (* ...which answers the identical resubmission, bit-identical
              to the sequential pipeline (the hang budget is spent) *)
-          let payload = ok_or_fail (Client.submit ~socket ~domains:2 ~name:"wedge" trace) in
+          let payload = ok_or_fail (Client.submit ~socket ~name:"wedge" trace) in
           check_bool "replacement answers bit-identically" true
             (payload.Protocol.outcome = Protocol.Table (Analytical_dse.run ~name:"wedge" trace))))
 
@@ -404,7 +397,7 @@ let test_admission_rejects_oversized_trace () =
    arena price and answered bit-identically to a direct run. *)
 let test_admission_prices_per_kernel () =
   let budget = Trace.estimate_bytes ~model:`Sketch ~refs:0 + 1024 in
-  let big_refs = 300_000 and small_refs = 40_000 in
+  let big_refs = 300_000 and small_refs = 16_000 in
   let big = Trace.of_addresses (Array.init big_refs (fun i -> i land 255)) in
   let small = Trace.of_addresses (Array.init small_refs (fun i -> i land 255)) in
   check_bool "budget splits the two traces under the arena model" true
@@ -496,7 +489,7 @@ let test_shedding_heavy_jobs_past_watermark () =
   with_server ~workers:1 ~max_pending:4 ~on_job_start:hook (fun socket _server ->
       let light seed = Trace.of_addresses (Array.init 64 (fun i -> i * seed)) in
       let heavy =
-        Trace.of_addresses (Array.init Arena_kernel.min_shard_refs (fun i -> i land 1023))
+        Trace.of_addresses (Array.init Server.heavy_refs (fun i -> i land 1023))
       in
       let submit_async name trace =
         Domain.spawn (fun () -> Client.submit ~socket ~name trace)
