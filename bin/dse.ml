@@ -816,7 +816,8 @@ let submit_cmd =
         let name = Filename.basename path in
         let payload =
           or_exit
-            (Client.submit ~socket ~percents ?k ?max_level ~approx:(method_ = `Approx) ?deadline ~retries ~retry_base ~retry_cap ~name trace)
+            (Client.submit ~socket ~percents ?k ?max_level ~approx:(method_ = `Approx) ?deadline
+               ~retries ~retry_base ~retry_cap ~name trace)
         in
         if payload.Protocol.cache_hit then Format.eprintf "dse: served from the result cache@.";
         (match payload.Protocol.outcome with

@@ -5,8 +5,9 @@
     side stamps it implicitly: attaching a heartbeat to a {!Cancel}
     token ({!Cancel.with_heartbeat}) makes every cancellation poll —
     every {!Cancel.poll_mask}+1 references in the kernel loops, per
-    BCAT-walk level — also refresh the timestamp. The watchdog side reads {!age} from another domain and
-    declares a worker stalled once the age exceeds the hang timeout:
+    BCAT-walk level — also refresh the timestamp. The watchdog side
+    reads {!age} from another domain and declares a worker stalled
+    once the age exceeds the hang timeout:
     a wedged loop stops polling, so it stops beating.
 
     Both sides are a single atomic load or store; no locks, safe from

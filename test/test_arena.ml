@@ -191,7 +191,8 @@ let prop_slots_tiny_working_set =
       let* picks = array_size (int_range 1500 5000) (int_bound 1000) in
       let* max_level = gen_max_level in
       let* associativity = int_range 1 4 in
-      return (Array.map (fun k -> lines.(k mod Array.length lines)) picks, max_level, associativity))
+      let addrs = Array.map (fun k -> lines.(k mod Array.length lines)) picks in
+      return (addrs, max_level, associativity))
     (fun (addrs, max_level, associativity) -> agrees_with_oracle addrs ~max_level ~associativity)
 
 (* [k] one-shot lines, then a hot loop over [hot] lines that re-touches

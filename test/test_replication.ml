@@ -288,7 +288,22 @@ let test_router_peer_lookup_on_failover () =
           (* kill the owner; its warm range lives on in the replicas *)
           stop_server (List.nth servers owner_index);
           if Sys.file_exists owner then Sys.remove owner;
-          let again = ok_or_fail (Client.submit ~socket:addr ~name:"warm" trace) in
+          (* the resubmit carries domains 2 on the wire: the daemons and
+             the router's peer lookup key every exact result under one
+             domain, so it still finds the warm replica *)
+          let again =
+            match
+              Client.exchange addr
+                (Protocol.Submit
+                   { name = "warm"; trace = Protocol.Full trace;
+                     query = Protocol.Percents [ 5; 10; 15; 20 ];
+                     method_ = Protocol.Exact Analytical.Arena; domains = 2; max_level = None;
+                     deadline = None })
+            with
+            | Ok (Protocol.Result p) -> p
+            | Ok _ -> Alcotest.fail "expected a result"
+            | Error e -> Alcotest.failf "resubmit: %s" (Dse_error.to_string e)
+          in
           check_bool "peer relay is bit-identical" true
             (again.Protocol.outcome = payload.Protocol.outcome);
           check_bool "peer relay reads as a cache hit" true again.Protocol.cache_hit;
