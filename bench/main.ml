@@ -325,8 +325,9 @@ let oracle_section () =
       let materialized, tm =
         Timing.time_wall (fun () -> materialized_histograms stripped ~max_level)
       in
-      let astrip = Arena_kernel.of_trace trace in
-      let arena, ta = Timing.time_wall (fun () -> Arena_kernel.histograms astrip ~max_level) in
+      let arena, ta =
+        Timing.time_wall (fun () -> Analytical.histograms (Analytical.prepare trace))
+      in
       if materialized <> arena then failwith (Printf.sprintf "A11: %s histograms diverge" name);
       Format.printf "%-10s %12.4f s %12.4f s@." name tm ta)
     data_traces
@@ -353,21 +354,19 @@ let large_trace_section () =
      the fused kernel keeps just its slot state *)
   let loop_nest refs = Synthetic.loop ~base:0 ~body:48 ~iterations:((refs + 47) / 48) in
   let trace = loop_nest 10_000_000 in
-  let astrip, arena_build_s = Timing.time_wall (fun () -> Arena_kernel.of_trace trace) in
-  let max_level = Arena_kernel.address_bits astrip in
-  let n = Arena_kernel.num_refs astrip and n' = Arena_kernel.num_unique astrip in
-  Format.printf "N = %d, N' = %d, %d levels@." n n' (max_level + 1);
+  (* one stream run over the trace in memory: intern and step together *)
   let minor_before = Gc.minor_words () in
-  let (_ : int array array), arena_s =
-    Timing.time_wall (fun () -> Arena_kernel.histograms astrip ~max_level)
-  in
+  let prepared, arena_s = Timing.time_wall (fun () -> Analytical.prepare trace) in
   let arena_minor_words = Gc.minor_words () -. minor_before in
+  let max_level = Analytical.max_level prepared in
+  let { Stats.n; n_unique = n'; _ } = Analytical.stats prepared in
+  Format.printf "N = %d, N' = %d, %d levels@." n n' (max_level + 1);
   (* [top_heap_words] is monotone over the process lifetime, so this
      section runs before any other allocates: the heap holds the
      10M-reference trace and little else *)
   let arena_peak_mb = mb_of_words (Gc.quick_stat ()).Gc.top_heap_words in
-  Format.printf "arena: %8.3f s  (%.0f minor words; strip built in %.3f s)@." arena_s
-    arena_minor_words arena_build_s;
+  Format.printf "arena: %8.3f s  (%.0f minor words, intern + step)@." arena_s
+    arena_minor_words;
   Format.printf "peak heap: %.1f MB (the trace; the kernel's state is off-heap)@." arena_peak_mb;
   (* the occurrence loop and every compaction are allocation-free:
      storing even one word per warm occurrence would show up as >= 10M
@@ -378,9 +377,9 @@ let large_trace_section () =
      O(N * N') table — ~50 boxed words per reference once it is built *)
   let oracle_trace = loop_nest 250_000 in
   Gc.compact ();
-  let ostrip = Arena_kernel.of_trace oracle_trace in
   let oracle_arena, oracle_arena_s =
-    Timing.time_wall (fun () -> Arena_kernel.histograms ostrip ~max_level)
+    Timing.time_wall (fun () ->
+        Analytical.histograms (Analytical.prepare ~max_level oracle_trace))
   in
   let (materialized, mrct_words, oracle_heap_mb), materialized_s =
     Timing.time_wall (fun () ->
@@ -391,7 +390,7 @@ let large_trace_section () =
           Mrct.volume mrct + Mrct.total_sets mrct,
           mb_of_words (Gc.quick_stat ()).Gc.heap_words ))
   in
-  let oracle_n = Arena_kernel.num_refs ostrip in
+  let oracle_n = Trace.length oracle_trace in
   Format.printf "oracle, N = %d: materialized MRCT + DFS %.3f s (%d words, heap %.1f MB)@."
     oracle_n materialized_s mrct_words oracle_heap_mb;
   Format.printf "              arena %.3f s (%.1fx faster)@." oracle_arena_s
@@ -1498,14 +1497,13 @@ let bechamel_suite () =
        from the oracle and the kernel *)
     let trace = List.assoc "compress" data_traces in
     let stripped = Strip.strip trace in
-    let astrip = Arena_kernel.of_trace trace in
     let max_level = Strip.address_bits stripped in
     [
       Test.make ~name:"postlude:materialized"
         (Staged.stage (fun () ->
              ignore (materialized_histograms stripped ~max_level)));
       Test.make ~name:"postlude:arena"
-        (Staged.stage (fun () -> ignore (Arena_kernel.histograms astrip ~max_level)));
+        (Staged.stage (fun () -> ignore (Analytical.prepare trace)));
     ]
   in
   let tests =

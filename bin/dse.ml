@@ -314,7 +314,11 @@ let synth_cmd =
     Arg.(
       value
       & opt int 65536
-      & info [ "span" ] ~docv:"WORDS" ~doc:"Address-space size the popularity law is drawn over.")
+      & info [ "span" ] ~docv:"WORDS"
+          ~doc:
+            "Address-space size the popularity law is drawn over. The sampler builds an O(span) \
+             table first, 8 bytes per address, so a span above 2^27 (134217728, a 1 GiB table) is \
+             refused.")
   in
   let skew_arg =
     Arg.(
@@ -341,6 +345,7 @@ let synth_cmd =
   let run out refs span skew churn seed binary =
     if refs < 1 then usage_fail "refs must be >= 1";
     if span < 1 then usage_fail "span must be >= 1";
+    Synthetic.check_span span;
     (* NaN fails this too *)
     if not (skew > 0.) then usage_fail "skew must be > 0";
     if churn < 0. || churn > 1. then usage_fail "churn must be in [0, 1]";
@@ -377,8 +382,9 @@ let synth_cmd =
   Cmd.v
     (Cmd.info "synth"
        ~doc:
-         "Stream a synthetic power-law (zipfian) trace to a file without materialising it: \
-          the scaling companion to $(b,dse explore --method approx).")
+         "Stream a synthetic power-law (zipfian) trace to a file without materialising it \
+          (the sampler's table is O($(b,--span)), the rest O(1) per reference): the scaling \
+          companion to $(b,dse explore --method approx).")
     term
 
 (* -- reduce -- *)

@@ -1,7 +1,8 @@
 (* Sweeping the designer's miss budget K for the engine-controller
-   kernel: because the prelude (strip + MRCT) is computed once and each
-   budget is a cheap postlude pass, exploring many constraints is nearly
-   free — the core selling point over simulate-and-tune.
+   kernel: because the prelude (one kernel run, in [Analytical.prepare])
+   is computed once and each budget is a cheap postlude pass over its
+   histograms, exploring many constraints is nearly free — the core
+   selling point over simulate-and-tune.
 
      dune exec examples/budget_sweep.exe *)
 

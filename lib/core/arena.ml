@@ -3,13 +3,12 @@
    Bigarray data lives outside the OCaml major heap: the GC neither
    scans nor copies it, [Gc.stat ()]'s [top_heap_words] does not count
    it (only the small proxy record is on-heap). That is exactly what the
-   kernel wants: tables of N' or N entries with none of the boxed
+   kernel wants: tables of N' entries with none of the boxed
    [int array] footprint that used to dominate peak heap.
 
    Two element widths cover every table the kernel keeps:
-     - [i32]: per-reference and per-slot tables (stripped ids, the
-       kernel's slot <-> id maps). 4 bytes per entry; ids and slot
-       indices stay below 2^31, checked by the strip builder.
+     - [i32]: the kernel's slot <-> id maps. 4 bytes per entry; ids and
+       slot indices stay below 2^31, checked by the interner.
      - [word]: tables indexed by or holding full addresses / counters
        (uniques, tallies). Native 63-bit ints, 8 bytes per entry,
        unboxed on access.

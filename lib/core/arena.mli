@@ -12,9 +12,9 @@
     local unboxing (no per-access allocation; property-checked by the
     bench minor-word assertions). *)
 
-(** 4-byte entries: per-reference tables (ids) and the kernel's slot
-    maps. Callers must keep values within int32 range; the strip builder
-    bounds N' so that ids and slot indices fit. *)
+(** 4-byte entries: the kernel's slot maps. Callers must keep values
+    within int32 range; the interner bounds N' so that ids and slot
+    indices fit. *)
 type i32 = (int32, Bigarray.int32_elt, Bigarray.c_layout) Bigarray.Array1.t
 
 (** 8-byte native-int entries: address and counter tables. *)

@@ -41,55 +41,14 @@
       grown geometrically, and are boxed once at the end.
 
     One per-reference step (count conflicts, record, kill, compact,
-    place) serves two callers:
-
-    - the {e stream} ({!stream_create}, {!stream_add}) interns each
-      address as it arrives, for instance from {!Trace_io.iter}, and
-      steps it at once. It holds O(N') state: no trace and no id arena.
-      Its slot state grows as N' does (the capacity to about 2 N' at a
-      compaction; one zero bit-plane and one empty tally level when the
-      widest address gains a bit), and nothing is ever recounted. This
-      is the production path: [dse explore] and every exact daemon job;
-    - the {e strip} ({!of_trace}) interns a whole trace into a 4 B/ref
-      id arena that {!histograms} walks in order: the path of a trace
-      already in memory ({!Analytical.prepare}), and the random-access
-      input of the oracle tests.
-
-    [cancel] (default {!Cancel.none}) is polled every
-    {!Cancel.poll_mask}+1 references; expiry raises a typed
-    {!Dse_error.Deadline_exceeded}. *)
-
-(** A read-only stripped trace in flat arenas: after {!of_trace}
-    returns it is never written again. *)
-type strip
-
-(** [of_trace ?line_words trace] interns every address of [trace] into
-    the id arena: folds word addresses to line addresses ([line_words]
-    default 1, must be a power of two), assigns ids in first-occurrence
-    order (identical to {!Strip.strip}), and records the depth-1
-    direct-mapped miss count and address width as it goes. Raises a
-    typed {!Dse_error.Constraint_violation} if the unique count
-    overflows the int32 id arena. *)
-val of_trace : ?line_words:int -> Trace.t -> strip
-
-val num_refs : strip -> int
-
-val num_unique : strip -> int
-
-(** [address_bits s] is the bits needed for the widest line address; at
-    least 1. Matches {!Strip.address_bits} of the boxed view. *)
-val address_bits : strip -> int
-
-(** [stats s] is O(1): every field was recorded during the build, so the
-    arena path reports {!Stats.t} without re-scanning or boxing. Equal to
-    [Stats.compute_stripped] of the boxed view. *)
-val stats : strip -> Stats.t
-
-(** [to_strip s] is the boxed {!Strip.t} view, equal to [Strip.strip] of
-    the source trace — the bridge to the materializing oracle (MRCT,
-    DFS, BCAT walk) and the conflict-table printers. Costs O(N + N') boxed
-    words; the arena path never calls it. *)
-val to_strip : strip -> Strip.t
+    place) is driven by one caller, the {e stream} ({!stream_create},
+    {!stream_add}): it interns each address as it arrives, from
+    {!Trace_io.iter}, an upload's record bytes or {!Trace.iter_addrs},
+    and steps it at once. It holds O(N') state: no trace and no
+    per-reference array. Its slot state grows as N' does (the capacity
+    to about 2 N' at a compaction; one zero bit-plane and one empty
+    tally level when the widest address gains a bit), and nothing is
+    ever recounted. *)
 
 (** [count_conflicts bits stride planes au p next_slot depth_count] is
     the kernel's conflict-count step, a [[@@noalloc]] C function,
@@ -113,17 +72,6 @@ external count_conflicts :
   (int[@untagged]) = "dse_count_conflicts_byte" "dse_count_conflicts"
 [@@noalloc]
 
-(** [histograms ?cancel s ~max_level] is the per-level
-    conflict-cardinality histograms ([result.(l).(c)] counts warm
-    occurrences whose conflict set meets their depth-[2^l] row in
-    exactly [c] references), in one pass over the strip. Raises
-    [Invalid_argument] on a negative [max_level]. *)
-val histograms : ?cancel:Cancel.t -> strip -> max_level:int -> int array array
-
-(** [misses ?cancel s ~level ~associativity] is the exact non-cold miss
-    count of the [2^level] x [associativity] LRU cache. *)
-val misses : ?cancel:Cancel.t -> strip -> level:int -> associativity:int -> int
-
 (** {2 The stream} *)
 
 (** A one-pass exact analysis in progress: the interner, growable slot
@@ -131,9 +79,10 @@ val misses : ?cancel:Cancel.t -> strip -> level:int -> associativity:int -> int
 type stream
 
 (** [stream_create ?line_words ?max_level ()] is an empty stream.
-    [line_words] is as for {!of_trace}. [max_level] caps the levels
-    counted; the final level range is [min max_level address_bits], as
-    {!Analytical.prepare} clamps it (default: the address bits). Raises
+    [line_words] (default 1, must be a power of two) folds word
+    addresses to line addresses before interning. [max_level] caps the
+    levels counted; the final level range is [min max_level
+    address_bits] (default: the address bits). Raises
     [Invalid_argument] on a negative [max_level] or a bad
     [line_words]. *)
 val stream_create : ?line_words:int -> ?max_level:int -> unit -> stream
@@ -142,13 +91,16 @@ val stream_create : ?line_words:int -> ?max_level:int -> unit -> stream
     counts it, allocating nothing unless a table grows. *)
 val stream_add : stream -> int -> unit
 
-(** [stream_stats s] is the statistics of the addresses added so far,
-    equal to {!stats} of {!of_trace} over them. *)
+(** [stream_stats s] is the statistics of the line addresses added so
+    far, equal to [Stats.compute] of them: every field is recorded while
+    interning. *)
 val stream_stats : stream -> Stats.t
 
-(** [stream_histograms s] is the histograms of the addresses added so
-    far: [histograms (of_trace t) ~max_level:(min max_level
-    address_bits)] for the trace [t] of those addresses, bit for bit. *)
+(** [stream_histograms s] is the per-level conflict-cardinality
+    histograms of the addresses added so far ([result.(l).(c)] counts
+    warm occurrences whose conflict set meets their depth-[2^l] row in
+    exactly [c] references), at levels [0 .. min max_level
+    address_bits]. *)
 val stream_histograms : stream -> int array array
 
 (** [stream_reset ?max_level s] empties [s] for a new trace, as if it

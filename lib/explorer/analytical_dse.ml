@@ -24,7 +24,7 @@ let of_histograms ?(percents = [ 5; 10; 15; 20 ]) ~name ~stats histograms =
 
 let run ?percents ?max_level ?line_words ~name trace =
   let prepared = Analytical.prepare ?max_level ?line_words trace in
-  (* O(1) from the arena build — no boxed strip is forced for stats *)
+  (* both read from the one stream run [prepare] made *)
   let stats = Analytical.stats prepared in
   let histograms = Analytical.histograms prepared in
   of_histograms ?percents ~name ~stats histograms

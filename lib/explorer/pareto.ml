@@ -16,7 +16,7 @@ let candidates ?(line_words = 1) trace ~k =
       0 trace
   in
   let reads = Trace.length trace - writes in
-  let cold = Arena_kernel.num_unique (Analytical.arena_strip prepared) in
+  let cold = (Analytical.stats prepared).Stats.n_unique in
   let bus = Bus_cost.address_activity trace in
   Array.to_list result.Optimizer.levels
   |> List.map (fun (level : Optimizer.level_result) ->

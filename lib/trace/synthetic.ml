@@ -72,8 +72,26 @@ let uniform ~seed ~span ~length =
    web/CDN traffic (Berthet's power-law miss-rate work builds on it),
    and the client mix under which cache-locality routing is honest:
    a few traces dominate, most are rare. *)
+(* The sampler's inverse-CDF table costs 8 B per rank, so a span past
+   2^27 addresses (a 1 GiB table) is refused before anything is
+   allocated. *)
+let max_span = 1 lsl 27
+
+let check_span span =
+  if span > max_span then
+    Dse_error.fail
+      (Dse_error.Constraint_violation
+         {
+           context = "Synthetic";
+           message =
+             Printf.sprintf
+               "span %d exceeds %d addresses: the zipf sampler's table takes 8 bytes per address"
+               span max_span;
+         })
+
 let zipf_sampler ~seed ~n ~skew =
   check_positive "n" n;
+  check_span n;
   if not (skew > 0.) then invalid_arg "Synthetic: skew must be positive";
   let cdf = Array.make n 0. in
   let total = ref 0. in

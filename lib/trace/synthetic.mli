@@ -25,12 +25,24 @@ val hot_cold : seed:int -> hot:int -> cold:int -> hot_percent:int -> length:int 
     [0, span). *)
 val uniform : seed:int -> span:int -> length:int -> Trace.t
 
+(** 2^27: the largest span (rank count) {!zipf_sampler} accepts, a
+    1 GiB table. *)
+val max_span : int
+
+(** [check_span span] raises a typed {!Dse_error.Constraint_violation}
+    when [span] exceeds {!max_span}. *)
+val check_span : int -> unit
+
 (** [zipf_sampler ~seed ~n ~skew ()] draws ranks in [0, n) with
     P(k) proportional to 1/(k+1)^skew — the power-law popularity of
     web/CDN traffic. O(log n) per draw (inverse CDF, binary search);
     deterministic per seed. Also the client mix generator for the
     router bench: rank selects {e which trace} to submit, so a few
-    traces dominate as they would in production. *)
+    traces dominate as they would in production.
+
+    The inverse CDF is an O(n) table, 8 B per rank, built before the
+    first draw: [n] above {!max_span} is refused with a typed
+    {!Dse_error.Constraint_violation} before anything is allocated. *)
 val zipf_sampler : seed:int -> n:int -> skew:float -> unit -> int
 
 (** [zipfian ~seed ~span ~skew ~length] draws addresses from [0, span)
@@ -45,8 +57,9 @@ val zipfian : seed:int -> span:int -> skew:float -> length:int -> Trace.t
     object is remapped to a fresh address — stationary popularity shape
     over a drifting working set, the temporal-locality profile of a
     content catalogue that rolls over. Deterministic per seed; O(span)
-    generator state but O(1) per emitted reference, so [length] can be
-    10^8+ when the sink is a file writer or a sketch. *)
+    generator state (at most {!max_span}, see {!zipf_sampler}) but O(1)
+    per emitted reference, so [length] can be 10^8+ when the sink is a
+    file writer or a sketch. *)
 val iter_power_law :
   seed:int ->
   span:int ->

@@ -61,8 +61,9 @@ let iteri f t =
 
 let iter f t = iteri (fun _ a -> f a) t
 
-(* The arena strip builder's input loop: no access record, no kind
-   decode, no bounds check per element — [len] bounds the unsafe read. *)
+(* The input loop of [Analytical.prepare]'s stream: no access record,
+   no kind decode, no bounds check per element — [len] bounds the
+   unsafe read. *)
 let iter_addrs f t =
   for i = 0 to t.len - 1 do
     f (Array.unsafe_get t.addrs i)

@@ -36,7 +36,7 @@ val iteri : (int -> access -> unit) -> t -> unit
 
 (** [iter_addrs f t] applies [f] to every address in order without
     materialising access records or an address array — the zero-copy
-    input loop of the arena strip builder. *)
+    input loop of the exact kernel's stream over a trace in memory. *)
 val iter_addrs : (int -> unit) -> t -> unit
 
 (** [iter_records f t] calls [f ~addr ~kind] for every access in order,

@@ -3,9 +3,10 @@
    (Algorithms 1 + 3) or the fused DFS of section 2.4. Slow and
    O(N * N') in memory, which is why it is test-only. *)
 
-(* The boxed strip the arena kernel was built from (equal to
-   [Strip.strip] of the line-folded trace). *)
-let stripped prepared = Arena_kernel.to_strip (Analytical.arena_strip prepared)
+(* The boxed strip of [trace] folded to [line_words]-word lines (default
+   1): the prelude the arena kernel's stream must agree with. *)
+let stripped ?(line_words = 1) trace =
+  Strip.strip (Trace.of_addresses (Array.map (fun a -> a / line_words) (Trace.addresses trace)))
 
 let histograms stripped ~max_level =
   Dfs_optimizer.histograms ~addresses:stripped.Strip.uniques (Mrct.build stripped) ~max_level

@@ -1,9 +1,9 @@
 (* Tests for the off-heap arena kernel, the one production exact
    kernel: the Arena primitives (i32 and growable word arenas), the
-   arena strip builder against the boxed prelude, and bit-identity of
-   the arena histograms with the paper-faithful oracle ({!Oracle}: the
-   materialized MRCT under the fused DFS and the BCAT walk) and the
-   reference LRU simulator, and the one-pass stream against the strip.
+   stream's interner statistics against the boxed prelude, and
+   bit-identity of the stream's histograms with the paper-faithful
+   oracle ({!Oracle}: the materialized MRCT under the fused DFS and the
+   BCAT walk) and the reference LRU simulator.
 
    The "streaming:*" suites test the same kernel through the
    {!Analytical} facade: it is the single-pass streaming fusion of
@@ -48,44 +48,56 @@ let test_word_grow () =
     check_int "tail zeroed" 0 (Arena.word_get b i)
   done
 
-(* -- the arena strip vs the boxed prelude -- *)
+(* -- the stream's statistics vs the boxed prelude -- *)
+
+let streamed ?max_level ~line_words addrs =
+  let s = Arena_kernel.stream_create ~line_words ?max_level () in
+  Array.iter (Arena_kernel.stream_add s) addrs;
+  (Arena_kernel.stream_stats s, Arena_kernel.stream_histograms s)
 
 let test_strip_paper_example () =
   let trace = Paper_example.trace () in
-  let astrip = Arena_kernel.of_trace trace in
+  let stats, _ = streamed ~line_words:1 (Trace.addresses trace) in
   let stripped = Strip.strip trace in
-  check_int "num_refs" (Strip.num_refs stripped) (Arena_kernel.num_refs astrip);
-  check_int "num_unique" (Strip.num_unique stripped) (Arena_kernel.num_unique astrip);
-  check_int "address_bits" (Strip.address_bits stripped) (Arena_kernel.address_bits astrip);
-  check_bool "to_strip = Strip.strip" true (Arena_kernel.to_strip astrip = stripped);
-  check_bool "stats = compute_stripped" true
-    (Arena_kernel.stats astrip = Stats.compute_stripped stripped)
+  check_int "num_refs" (Strip.num_refs stripped) stats.Stats.n;
+  check_int "num_unique" (Strip.num_unique stripped) stats.Stats.n_unique;
+  check_int "address_bits" (Strip.address_bits stripped) stats.Stats.address_bits;
+  check_bool "stats = compute_stripped" true (stats = Stats.compute_stripped stripped);
+  check_bool "prepare's stats" true
+    (Analytical.stats (Analytical.prepare trace) = Stats.compute_stripped stripped)
 
-let prop_strip_equals_boxed =
-  prop "arena strip = boxed strip (ids, uniques, stats; random line_words)"
+let prop_stream_stats_equal_boxed =
+  prop "stream stats = boxed strip stats (stream and prepare; random line_words)"
     QCheck2.Gen.(pair gen_addresses gen_line_words)
     (fun (addrs, line_words) ->
-      let astrip = Arena_kernel.of_trace ~line_words (Trace.of_addresses addrs) in
-      let stripped = Strip.strip_addresses (Array.map (fun a -> a / line_words) addrs) in
-      Arena_kernel.to_strip astrip = stripped
-      && Arena_kernel.stats astrip = Stats.compute_stripped stripped)
+      let trace = Trace.of_addresses addrs in
+      let stripped = Oracle.stripped ~line_words trace in
+      fst (streamed ~line_words addrs) = Stats.compute_stripped stripped
+      && Analytical.stats (Analytical.prepare ~line_words trace)
+         = Stats.compute_stripped stripped)
 
+(* an empty stream has the one-bit address floor, so a level cap of 3
+   clamps to levels 0 and 1 *)
 let test_strip_empty_trace () =
-  let astrip = Arena_kernel.of_trace (Trace.create ()) in
-  check_int "no refs" 0 (Arena_kernel.num_refs astrip);
-  check_int "no uniques" 0 (Arena_kernel.num_unique astrip);
-  check_int "address_bits floor" 1 (Arena_kernel.address_bits astrip);
-  let hists = Arena_kernel.histograms astrip ~max_level:3 in
-  check_int "levels" 4 (Array.length hists);
-  Array.iter (fun h -> Alcotest.(check (array int)) "empty level" [| 0 |] h) hists
+  let stats, hists = streamed ~max_level:3 ~line_words:1 [||] in
+  check_int "no refs" 0 stats.Stats.n;
+  check_int "no uniques" 0 stats.Stats.n_unique;
+  check_int "address_bits floor" 1 stats.Stats.address_bits;
+  check_int "levels" 2 (Array.length hists);
+  Array.iter (fun h -> Alcotest.(check (array int)) "empty level" [| 0 |] h) hists;
+  check_bool "prepare agrees" true
+    (Analytical.histograms (Analytical.prepare ~max_level:3 (Trace.create ())) = hists)
 
 let test_strip_rejects_bad_line_words () =
   let trace = Trace.of_addresses [| 1; 2; 3 |] in
   List.iter
     (fun line_words ->
       Alcotest.check_raises "bad line_words"
-        (Invalid_argument "Arena_kernel.of_trace: line_words must be a positive power of two")
-        (fun () -> ignore (Arena_kernel.of_trace ~line_words trace)))
+        (Invalid_argument "Arena_kernel.stream_create: line_words must be a positive power of two")
+        (fun () -> ignore (Arena_kernel.stream_create ~line_words ()));
+      Alcotest.check_raises "bad line_words"
+        (Invalid_argument "Analytical.prepare: line_words must be a positive power of two")
+        (fun () -> ignore (Analytical.prepare ~line_words trace)))
     [ 0; -4; 3; 12 ]
 
 (* -- histogram identity: arena = materialized oracle -- *)
@@ -94,10 +106,9 @@ let prop_arena_equals_materialized =
   prop "arena histograms = materialized DFS (random line_words)"
     QCheck2.Gen.(pair gen_addresses gen_line_words)
     (fun (addrs, line_words) ->
-      let astrip = Arena_kernel.of_trace ~line_words (Trace.of_addresses addrs) in
-      let max_level = Arena_kernel.address_bits astrip in
-      Arena_kernel.histograms astrip ~max_level
-      = Oracle.histograms (Arena_kernel.to_strip astrip) ~max_level)
+      let stripped = Oracle.stripped ~line_words (Trace.of_addresses addrs) in
+      let max_level = Strip.address_bits stripped in
+      snd (streamed ~line_words addrs) = Oracle.histograms stripped ~max_level)
 
 (* [gen_addresses] draws from [0, 127], where no XOR of two distinct
    addresses has a zero low byte, so the conflict-level step never leaves
@@ -121,16 +132,16 @@ let prop_arena_wide_addresses =
       triple gen_strided_addresses (oneof [ int_range 0 7; int_range 8 44 ]) (int_range 1 4))
     (fun (addrs, max_level, associativity) ->
       let trace = Trace.of_addresses addrs in
-      let astrip = Arena_kernel.of_trace trace in
-      let hists = Arena_kernel.histograms astrip ~max_level in
+      let prepared = Analytical.prepare ~max_level trace in
+      let hists = Analytical.histograms prepared and max_level = Analytical.max_level prepared in
       (* the simulator allocates every set, so keep its depth small; it
          still reaches the levels where the byte table falls back *)
       let level = min max_level 12 in
       let sim =
         (Cache.simulate (Config.make ~depth:(1 lsl level) ~associativity ()) trace).Cache.misses
       in
-      hists = Oracle.histograms (Arena_kernel.to_strip astrip) ~max_level
-      && Optimizer.misses_of_histogram hists.(level) ~associativity = sim)
+      hists = Oracle.histograms (Oracle.stripped trace) ~max_level
+      && Analytical.misses prepared ~depth:(1 lsl level) ~associativity = sim)
 
 (* every PowerStone workload, both trace kinds: the arena kernel — the
    one streaming kernel — must agree with the materialized MRCT oracle
@@ -145,7 +156,7 @@ let powerstone_identity_case (b : Workload.t) =
           let stripped = Strip.strip trace in
           let max_level = Strip.address_bits stripped in
           check_bool "identical histograms" true
-            (Arena_kernel.histograms (Arena_kernel.of_trace trace) ~max_level
+            (Analytical.histograms (Analytical.prepare trace)
             = Oracle.histograms stripped ~max_level))
         [ itrace; dtrace ])
 
@@ -155,24 +166,23 @@ let powerstone_identity_case (b : Workload.t) =
    compactions, partial ones behind a long-lived prefix, the dead-scan
    trigger and alive counts straddling a 62-slot word. Every one is
    checked against the materialized oracle (DFS over MRCT), on the
-   strip and on the stream (whose slot state also grows as it goes),
-   and its miss count at a small level against the LRU simulator. *)
+   stream (whose slot state also grows as it goes) and through
+   [Analytical.prepare], and its miss count at a small level against the
+   LRU simulator. *)
 
 let agrees_with_oracle addrs ~max_level ~associativity =
   let trace = Trace.of_addresses addrs in
-  let astrip = Arena_kernel.of_trace trace in
-  let bits = Arena_kernel.address_bits astrip in
-  let max_level = if max_level < 0 then bits else max_level in
-  let hists = Arena_kernel.histograms astrip ~max_level in
+  let stripped = Strip.strip trace in
+  let bits = Strip.address_bits stripped in
+  (* the stream clamps its level cap to the address bits *)
+  let max_level = if max_level < 0 then bits else min max_level bits in
+  let _, hists = streamed ~max_level ~line_words:1 addrs in
   let level = min max_level 10 in
   let sim =
     (Cache.simulate (Config.make ~depth:(1 lsl level) ~associativity ()) trace).Cache.misses
   in
-  let s = Arena_kernel.stream_create ~max_level () in
-  Array.iter (Arena_kernel.stream_add s) addrs;
-  hists = Oracle.histograms (Arena_kernel.to_strip astrip) ~max_level
-  && Arena_kernel.stream_histograms s
-     = Arena_kernel.histograms astrip ~max_level:(min max_level bits)
+  hists = Oracle.histograms stripped ~max_level
+  && Analytical.histograms (Analytical.prepare ~max_level trace) = hists
   && Optimizer.misses_of_histogram hists.(level) ~associativity = sim
 
 (* [-1] stands for the trace's own address width *)
@@ -335,15 +345,14 @@ let prop_step_equals_oracle =
 
 (* On a loop nest over 48 lines the kernel compacts about once per 944
    references, so an allocation per compaction (or per reference) would
-   make minor words grow with N. *)
+   make minor words grow with N. This runs the whole of
+   [Analytical.prepare] over a trace in memory: its input loop and
+   cancellation polls allocate nothing per reference either. *)
 let test_kernel_minor_words_flat () =
   let minor_words refs =
-    let astrip =
-      Arena_kernel.of_trace (Synthetic.loop ~base:0 ~body:48 ~iterations:(refs / 48))
-    in
-    let max_level = Arena_kernel.address_bits astrip in
+    let trace = Synthetic.loop ~base:0 ~body:48 ~iterations:(refs / 48) in
     let before = Gc.minor_words () in
-    ignore (Sys.opaque_identity (Arena_kernel.histograms astrip ~max_level));
+    ignore (Sys.opaque_identity (Analytical.prepare trace));
     Gc.minor_words () -. before
   in
   let small = minor_words 100_000 and large = minor_words 1_000_000 in
@@ -356,36 +365,34 @@ let test_kernel_minor_words_flat () =
 (* -- errors and degenerate input -- *)
 
 let test_arena_rejects_negative_level () =
-  let astrip = Arena_kernel.of_trace (Trace.of_addresses [| 1 |]) in
   Alcotest.check_raises "negative max_level"
     (Invalid_argument "Arena_kernel: negative max_level") (fun () ->
-      ignore (Arena_kernel.histograms astrip ~max_level:(-1)));
-  Alcotest.check_raises "negative misses level"
-    (Invalid_argument "Arena_kernel.misses: negative level") (fun () ->
-      ignore (Arena_kernel.misses astrip ~level:(-1) ~associativity:1))
+      ignore (Arena_kernel.stream_create ~max_level:(-1) ()));
+  let s = Arena_kernel.stream_create () in
+  Alcotest.check_raises "negative max_level on reset"
+    (Invalid_argument "Arena_kernel: negative max_level") (fun () ->
+      Arena_kernel.stream_reset ~max_level:(-1) s)
 
 let test_arena_repeated_single_address () =
-  let astrip = Arena_kernel.of_trace (Trace.of_addresses (Array.make 1000 5)) in
-  let hists = Arena_kernel.histograms astrip ~max_level:2 in
+  let _, hists = streamed ~max_level:2 ~line_words:1 (Array.make 1000 5) in
+  check_int "levels" 3 (Array.length hists);
   Array.iter (fun h -> Alcotest.(check (array int)) "no conflicts" [| 0 |] h) hists;
-  check_int "no non-cold misses" 0 (Arena_kernel.misses astrip ~level:0 ~associativity:1)
+  check_int "no non-cold misses" 0 (Optimizer.misses_of_histogram hists.(0) ~associativity:1)
 
 let test_arena_cancellation () =
-  let astrip =
-    Arena_kernel.of_trace (Synthetic.loop ~base:0 ~body:48 ~iterations:4096)
-  in
+  let trace = Synthetic.loop ~base:0 ~body:48 ~iterations:4096 in
   let cancel = Cancel.cancellable () in
   Cancel.cancel cancel;
-  match Arena_kernel.histograms ~cancel astrip ~max_level:(Arena_kernel.address_bits astrip) with
+  match Analytical.prepare ~cancel trace with
   | exception Dse_error.Error (Dse_error.Deadline_exceeded _) -> ()
   | _ -> Alcotest.fail "already-cancelled token did not stop the kernel"
 
-(* -- the one-pass stream against the strip --
+(* -- the one-pass stream against the oracle --
 
    [Arena_kernel.stream_add] interns and steps each address as it
    arrives, growing its slot state and tallies; it must give exactly the
-   statistics and histograms of [of_trace] + [histograms] at the level
-   range [min max_level address_bits]. *)
+   statistics of the boxed strip and the materialized oracle's
+   histograms at the level range [min max_level address_bits]. *)
 
 (* the level cap, relative to the trace's address bits: unset, 0,
    below them and above them *)
@@ -398,18 +405,13 @@ let cap_level cap ~bits =
   | Below -> Some (bits / 2)
   | Above -> Some (bits + 5)
 
-let streamed ?max_level ~line_words addrs =
-  let s = Arena_kernel.stream_create ~line_words ?max_level () in
-  Array.iter (Arena_kernel.stream_add s) addrs;
-  (Arena_kernel.stream_stats s, Arena_kernel.stream_histograms s)
-
-let stream_equals_strip ~line_words ~cap addrs =
-  let strip = Arena_kernel.of_trace ~line_words (Trace.of_addresses addrs) in
-  let bits = Arena_kernel.address_bits strip in
+let stream_equals_oracle ~line_words ~cap addrs =
+  let stripped = Oracle.stripped ~line_words (Trace.of_addresses addrs) in
+  let bits = Strip.address_bits stripped in
   let max_level = cap_level cap ~bits in
   let levels = match max_level with None -> bits | Some m -> min m bits in
   streamed ?max_level ~line_words addrs
-  = (Arena_kernel.stats strip, Arena_kernel.histograms strip ~max_level:levels)
+  = (Stats.compute_stripped stripped, Oracle.histograms stripped ~max_level:levels)
 
 (* N' climbing from 1 past several capacity doublings (16 words hold 992
    slots): every third reference re-touches an older line *)
@@ -459,11 +461,11 @@ let gen_stream_addresses =
         (1, map (fun n -> Array.init n scatter) (int_range 0 3000));
       ])
 
-let prop_stream_equals_strip =
-  prop ~count:150 "stream = of_trace + histograms (line_words 1/2/4, level caps, growth)"
+let prop_stream_equals_oracle =
+  prop ~count:150 "stream = boxed strip + materialized DFS (line_words 1/2/4, level caps, growth)"
     QCheck2.Gen.(
       triple gen_stream_addresses (oneofl [ 1; 2; 4 ]) (oneofl [ Unset; Zero; Below; Above ]))
-    (fun (addrs, line_words, cap) -> stream_equals_strip ~line_words ~cap addrs)
+    (fun (addrs, line_words, cap) -> stream_equals_oracle ~line_words ~cap addrs)
 
 (* A reset stream counts a trace as a fresh one does, whatever trace
    and level cap it counted before. *)
@@ -475,7 +477,7 @@ let prop_stream_reset_equals_fresh =
         (pair gen_stream_addresses (oneofl [ Unset; Zero; Below; Above ])))
     (fun ((before, before_cap), (addrs, cap)) ->
       let level cap addrs =
-        cap_level cap ~bits:(Arena_kernel.address_bits (Arena_kernel.of_trace (Trace.of_addresses addrs)))
+        cap_level cap ~bits:(Trace.address_bits (Trace.of_addresses addrs))
       in
       let s = Arena_kernel.stream_create ?max_level:(level before_cap before) () in
       Array.iter (Arena_kernel.stream_add s) before;
@@ -536,7 +538,7 @@ let test_stream_edges () =
     (fun cap ->
       List.iter
         (fun (what, addrs) ->
-          check_bool what true (stream_equals_strip ~line_words:1 ~cap addrs))
+          check_bool what true (stream_equals_oracle ~line_words:1 ~cap addrs))
         [
           ("empty trace", [||]);
           ("all cold", Array.init 5000 scatter);
@@ -649,12 +651,13 @@ let test_stream_file_damage () =
 (* -- the streaming kernel through the Analytical facade, against the
    oracle and the simulator -- *)
 
-let oracle prepared =
-  Oracle.histograms (Oracle.stripped prepared) ~max_level:(Analytical.max_level prepared)
+let oracle ?line_words trace prepared =
+  Oracle.histograms (Oracle.stripped ?line_words trace) ~max_level:(Analytical.max_level prepared)
 
 let test_streaming_paper () =
-  let prepared = Analytical.prepare (Paper_example.trace ()) in
-  check_bool "histograms identical" true (Analytical.histograms prepared = oracle prepared);
+  let trace = Paper_example.trace () in
+  let prepared = Analytical.prepare trace in
+  check_bool "histograms identical" true (Analytical.histograms prepared = oracle trace prepared);
   Alcotest.(check (list (pair int int)))
     "pairs" [ (1, 5); (2, 3); (4, 2); (8, 2); (16, 1) ]
     (Optimizer.optimal_pairs (Analytical.explore_prepared prepared ~k:0))
@@ -664,8 +667,9 @@ let prop_streaming_equals_materialized =
   prop "streaming histograms = materialized DFS histograms (random line_words, max_level)"
     QCheck2.Gen.(triple gen_addresses gen_line_words (int_range (-1) 8))
     (fun (addrs, line_words, max_level) ->
-      let prepared = Analytical.prepare ~max_level ~line_words (Trace.of_addresses addrs) in
-      Analytical.histograms prepared = oracle prepared)
+      let trace = Trace.of_addresses addrs in
+      let prepared = Analytical.prepare ~max_level ~line_words trace in
+      Analytical.histograms prepared = oracle ~line_words trace prepared)
 
 (* four-way exactness: arena = BCAT walk = fused DFS = LRU simulator *)
 let prop_streaming_exact_vs_simulator =
@@ -678,7 +682,7 @@ let prop_streaming_exact_vs_simulator =
       let prepared = Analytical.prepare ~line_words trace in
       let depth = min depth (1 lsl Analytical.max_level prepared) in
       let rec log2 n = if n <= 1 then 0 else 1 + log2 (n lsr 1) in
-      let level = log2 depth and stripped = Oracle.stripped prepared in
+      let level = log2 depth and stripped = Oracle.stripped ~line_words trace in
       let arena = Analytical.misses prepared ~depth ~associativity in
       let dfs =
         Optimizer.misses_of_histogram (Oracle.histograms stripped ~max_level:level).(level)
@@ -692,16 +696,18 @@ let prop_streaming_exact_vs_simulator =
 let prop_explore_methods_agree =
   prop ~count:80 "explore: streaming = dfs = bcat walk" gen_addresses (fun addrs ->
       QCheck2.assume (Array.length addrs > 0);
-      let prepared = Analytical.prepare (Trace.of_addresses addrs) in
-      let stripped = Oracle.stripped prepared and max_level = Analytical.max_level prepared in
+      let trace = Trace.of_addresses addrs in
+      let prepared = Analytical.prepare trace in
+      let stripped = Oracle.stripped trace and max_level = Analytical.max_level prepared in
       let pairs = Optimizer.optimal_pairs in
       let arena = pairs (Analytical.explore_prepared prepared ~k:7) in
       arena = pairs (Oracle.dfs_explore stripped ~max_level ~k:7)
       && arena = pairs (Oracle.bcat_explore stripped ~max_level ~k:7))
 
 let test_streaming_empty_trace () =
-  let prepared = Analytical.prepare (Trace.create ()) in
-  check_bool "matches the oracle" true (Analytical.histograms prepared = oracle prepared)
+  let trace = Trace.create () in
+  let prepared = Analytical.prepare trace in
+  check_bool "matches the oracle" true (Analytical.histograms prepared = oracle trace prepared)
 
 let test_streaming_single_ref () =
   let prepared = Analytical.prepare (Trace.of_addresses [| 42 |]) in
@@ -712,18 +718,20 @@ let test_streaming_single_ref () =
 
 (* every occurrence after the first is warm with an empty conflict set *)
 let test_streaming_repeated_single_address () =
-  let prepared = Analytical.prepare (Trace.of_addresses (Array.make 1000 5)) in
-  check_bool "matches the oracle" true (Analytical.histograms prepared = oracle prepared);
+  let trace = Trace.of_addresses (Array.make 1000 5) in
+  let prepared = Analytical.prepare trace in
+  check_bool "matches the oracle" true (Analytical.histograms prepared = oracle trace prepared);
   check_int "no misses" 0 (Analytical.misses prepared ~depth:2 ~associativity:1)
 
 (* kernel and oracle refuse a negative level alike; the facade clamps a
    negative max_level to 0 and rejects a depth below 1 *)
 let test_streaming_rejects_negative_level () =
-  let prepared = Analytical.prepare (Trace.of_addresses [| 1; 2 |]) in
+  let trace = Trace.of_addresses [| 1; 2 |] in
+  let prepared = Analytical.prepare trace in
   Alcotest.check_raises "kernel" (Invalid_argument "Arena_kernel: negative max_level") (fun () ->
-      ignore (Arena_kernel.histograms (Analytical.arena_strip prepared) ~max_level:(-1)));
+      ignore (Arena_kernel.stream_create ~max_level:(-1) ()));
   Alcotest.check_raises "oracle" (Invalid_argument "Dfs_optimizer: negative max_level")
-    (fun () -> ignore (Oracle.histograms (Oracle.stripped prepared) ~max_level:(-1)));
+    (fun () -> ignore (Oracle.histograms (Oracle.stripped trace) ~max_level:(-1)));
   check_int "clamped max_level" 0
     (Analytical.max_level (Analytical.prepare ~max_level:(-1) (Trace.of_addresses [| 1 |])));
   Alcotest.check_raises "depth below 1"
@@ -731,13 +739,14 @@ let test_streaming_rejects_negative_level () =
       ignore (Analytical.misses prepared ~depth:0 ~associativity:1))
 
 let test_facade_defaults () =
-  let prepared = Analytical.prepare (Paper_example.trace ()) in
-  let stripped = Oracle.stripped prepared and max_level = Analytical.max_level prepared in
+  let trace = Paper_example.trace () in
+  let prepared = Analytical.prepare trace in
+  let stripped = Oracle.stripped trace and max_level = Analytical.max_level prepared in
   check_bool "explore = BCAT walk" true
     (Optimizer.optimal_pairs (Analytical.explore_prepared prepared ~k:0)
     = Optimizer.optimal_pairs (Oracle.bcat_explore stripped ~max_level ~k:0));
   check_int "misses facade" 5 (Analytical.misses prepared ~depth:1 ~associativity:1);
-  check_bool "stats from the arena build" true
+  check_bool "stats from the stream run" true
     (Analytical.stats prepared = Stats.compute_stripped stripped)
 
 let suites =
@@ -750,7 +759,7 @@ let suites =
     ( "arena-kernel",
       [
         Alcotest.test_case "paper example strip" `Quick test_strip_paper_example;
-        prop_strip_equals_boxed;
+        prop_stream_stats_equal_boxed;
         Alcotest.test_case "empty trace" `Quick test_strip_empty_trace;
         Alcotest.test_case "bad line_words rejected" `Quick test_strip_rejects_bad_line_words;
         prop_arena_equals_materialized;
@@ -770,7 +779,7 @@ let suites =
     ("arena-step", [ prop_step_equals_oracle ]);
     ( "arena-stream",
       [
-        prop_stream_equals_strip;
+        prop_stream_equals_oracle;
         prop_stream_reset_equals_fresh;
         prop_stream_bytes_counts_every_arena;
         Alcotest.test_case "reset after a level-0 cap" `Quick test_stream_reset_after_level_zero;

@@ -364,9 +364,9 @@ let prop_model_monotone_in_depth =
   prop ~count:100 "analytical misses non-increasing in depth (fixed assoc)" gen_addresses
     (fun addrs ->
       QCheck2.assume (Array.length addrs > 0);
-      let prepared = Analytical.prepare (Trace.of_addresses addrs) in
-      let result = Analytical.explore_prepared prepared ~k:0 in
-      let stripped = Oracle.stripped prepared in
+      let trace = Trace.of_addresses addrs in
+      let result = Analytical.explore trace ~k:0 in
+      let stripped = Oracle.stripped trace in
       let misses level =
         let hist = Oracle.histograms stripped ~max_level:level in
         Optimizer.misses_of_histogram hist.(level) ~associativity:2
@@ -382,7 +382,7 @@ let prop_model_monotone_in_depth =
 let test_analytical_facade () =
   let trace = Paper_example.trace () in
   let prepared = Analytical.prepare trace in
-  let stripped = Oracle.stripped prepared in
+  let stripped = Oracle.stripped trace in
   let via_arena = Analytical.explore trace ~k:0 in
   let via_bcat =
     Oracle.bcat_explore stripped ~max_level:(Analytical.max_level prepared) ~k:0

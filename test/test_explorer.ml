@@ -188,6 +188,60 @@ let test_codesign_validation () =
   Alcotest.check_raises "steps" (violation "steps must be >= 1") (fun () ->
       ignore (Codesign.sweep ~steps:0 ~itrace:t ~dtrace:t ~k_total:1 ()))
 
+(* [Codesign.partition] against a brute-force sweep by the definition:
+   at every step, a fresh [Analytical.explore] per side, the smallest
+   depth x ways over every level (the shallowest on a tie), and the
+   smallest total (the earliest step on a tie). Each chosen instance
+   must then meet its side's budget in the LRU simulator. *)
+let brute_force_partition ~itrace ~dtrace ~k_total ~steps =
+  let smallest trace ~k =
+    let sizes =
+      Array.map
+        (fun (l : Optimizer.level_result) ->
+          (l.Optimizer.depth * l.Optimizer.min_associativity, l.Optimizer.depth,
+           l.Optimizer.min_associativity))
+        (Analytical.explore trace ~k).Optimizer.levels
+    in
+    let size, depth, associativity = Array.fold_left min sizes.(0) sizes in
+    { Codesign.depth; associativity; size_words = size }
+  in
+  let split step =
+    let k_instruction = k_total * step / steps in
+    let k_data = k_total - k_instruction in
+    let instruction = smallest itrace ~k:k_instruction and data = smallest dtrace ~k:k_data in
+    {
+      Codesign.k_instruction;
+      k_data;
+      instruction;
+      data;
+      total_size = instruction.Codesign.size_words + data.Codesign.size_words;
+    }
+  in
+  let candidates = List.init (steps + 1) split in
+  List.fold_left
+    (fun best c -> if c.Codesign.total_size < best.Codesign.total_size then c else best)
+    (List.hd candidates) (List.tl candidates)
+
+let codesign_brute_force_case name =
+  Alcotest.test_case (name ^ ": partition = brute-force sweep, simulator-checked") `Slow
+    (fun () ->
+      let itrace, dtrace = Workload.traces (Registry.find name) in
+      let k_total = 1000 and steps = 20 in
+      let best = Codesign.partition ~itrace ~dtrace ~k_total () in
+      check_bool "same split as the brute-force sweep" true
+        (best = brute_force_partition ~itrace ~dtrace ~k_total ~steps);
+      let simulated trace (instance : Codesign.instance) =
+        (Cache.simulate
+           (Config.make ~depth:instance.Codesign.depth
+              ~associativity:instance.Codesign.associativity ())
+           trace)
+          .Cache.misses
+      in
+      check_bool "instruction side meets its budget under simulation" true
+        (simulated itrace best.Codesign.instruction <= best.Codesign.k_instruction);
+      check_bool "data side meets its budget under simulation" true
+        (simulated dtrace best.Codesign.data <= best.Codesign.k_data))
+
 let test_smallest_instance () =
   let prepared = Analytical.prepare (Paper_example.trace ()) in
   let instance = Codesign.smallest_instance prepared ~k:0 in
@@ -246,7 +300,8 @@ let suites =
         Alcotest.test_case "minimal over sweep" `Slow test_codesign_beats_naive_split;
         Alcotest.test_case "validation" `Quick test_codesign_validation;
         Alcotest.test_case "smallest instance" `Quick test_smallest_instance;
-      ] );
+      ]
+      @ List.map codesign_brute_force_case [ "compress"; "ucbqsort"; "engine"; "des" ] );
     ( "explorer:timing",
       [
         Alcotest.test_case "linear fit" `Quick test_linear_fit_perfect;

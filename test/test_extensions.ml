@@ -37,7 +37,7 @@ let test_line_size_folds_uniques () =
   (* words 0..7 fold to 2 lines of 4 words *)
   let trace = Trace.of_addresses [| 0; 1; 2; 3; 4; 5; 6; 7 |] in
   let prepared = Analytical.prepare ~line_words:4 trace in
-  check_int "unique lines" 2 (Arena_kernel.num_unique (Analytical.arena_strip prepared))
+  check_int "unique lines" 2 (Analytical.stats prepared).Stats.n_unique
 
 (* -- trace reduction -- *)
 
@@ -111,9 +111,8 @@ let in_parallel ~domains trace =
     List.init domains (fun _ ->
         Domain.spawn (fun () -> snd (Analytical.stream_records records)))
   in
-  let astrip = Arena_kernel.of_trace trace in
-  let max_level = Arena_kernel.address_bits astrip in
-  (List.map Domain.join runs, Oracle.histograms (Arena_kernel.to_strip astrip) ~max_level)
+  let stripped = Strip.strip trace in
+  (List.map Domain.join runs, Oracle.histograms stripped ~max_level:(Strip.address_bits stripped))
 
 let prop_parallel_equals_sequential =
   prop ~count:60 "parallel histograms = sequential (1..5 domains)"
@@ -124,9 +123,8 @@ let prop_parallel_equals_sequential =
 
 let test_parallel_real_trace () =
   let trace = Workload.data_trace (Registry.find "engine") in
-  let astrip = Arena_kernel.of_trace trace in
-  let max_level = Arena_kernel.address_bits astrip in
-  let seq = Oracle.dfs_explore (Arena_kernel.to_strip astrip) ~max_level ~k:50 in
+  let stripped = Strip.strip trace in
+  let seq = Oracle.dfs_explore stripped ~max_level:(Strip.address_bits stripped) ~k:50 in
   let par, _ = in_parallel ~domains:4 trace in
   List.iter
     (fun hists ->
@@ -184,6 +182,28 @@ let test_synthetic_validation () =
     (Invalid_argument "Synthetic: hot_percent must be within 0..100") (fun () ->
       ignore (Synthetic.hot_cold ~seed:1 ~hot:1 ~cold:1 ~hot_percent:101 ~length:1))
 
+(* The zipf sampler's table is 8 B per address: a span past
+   [Synthetic.max_span] is a typed refusal raised before the table (or a
+   single draw) exists. Only spans that are refused are tried here. *)
+let test_synthetic_span_limit () =
+  let refused what f =
+    match f () with
+    | () -> Alcotest.failf "%s: span above the limit accepted" what
+    | exception Dse_error.Error (Dse_error.Constraint_violation { context = "Synthetic"; _ }) -> ()
+  in
+  check_int "limit" (1 lsl 27) Synthetic.max_span;
+  Synthetic.check_span Synthetic.max_span;
+  refused "check_span" (fun () -> Synthetic.check_span (Synthetic.max_span + 1));
+  refused "zipf_sampler" (fun () ->
+      ignore (Synthetic.zipf_sampler ~seed:1 ~n:(Synthetic.max_span + 1) ~skew:0.8 : unit -> int));
+  let drawn = ref 0 in
+  refused "iter_power_law" (fun () ->
+      Synthetic.iter_power_law ~seed:1 ~span:1_000_000_000 ~skew:0.01 ~churn:0.5 ~length:1_048_577
+        (fun ~addr:_ ~kind:_ -> incr drawn));
+  check_int "nothing drawn" 0 !drawn;
+  refused "zipfian" (fun () ->
+      ignore (Synthetic.zipfian ~seed:1 ~span:max_int ~skew:0.8 ~length:1))
+
 let test_synthetic_deterministic () =
   let a = Synthetic.uniform ~seed:9 ~span:64 ~length:100 in
   let b = Synthetic.uniform ~seed:9 ~span:64 ~length:100 in
@@ -220,5 +240,6 @@ let suites =
         Alcotest.test_case "hot/cold mix" `Quick test_synthetic_hot_cold;
         Alcotest.test_case "validation" `Quick test_synthetic_validation;
         Alcotest.test_case "deterministic" `Quick test_synthetic_deterministic;
+        Alcotest.test_case "zipf span limit" `Quick test_synthetic_span_limit;
       ] );
   ]

@@ -60,13 +60,11 @@ let test_cancel_token () =
 
 let test_kernels_honour_cancellation () =
   let trace = Synthetic.loop ~base:0 ~body:512 ~iterations:8 in
-  let prepared = Analytical.prepare trace in
-  let max_level = Analytical.max_level prepared in
-  let oracle = Oracle.histograms (Oracle.stripped prepared) ~max_level in
-  raises_deadline "arena" (fun () ->
-      Analytical.histograms ~cancel:(expired_token ()) prepared);
+  let stripped = Oracle.stripped trace in
+  let oracle = Oracle.histograms stripped ~max_level:(Strip.address_bits stripped) in
+  raises_deadline "arena" (fun () -> Analytical.prepare ~cancel:(expired_token ()) trace);
   (* an un-expired token changes nothing *)
-  let watched = Analytical.histograms ~cancel:(Cancel.after 3600.) prepared in
+  let watched = Analytical.histograms (Analytical.prepare ~cancel:(Cancel.after 3600.) trace) in
   check_bool "arena: identical to the oracle under a live token" true (watched = oracle);
   (* the stream a worker runs polls the same token *)
   let records = Test_server.records_of trace in
