@@ -5,10 +5,9 @@
 
      interner     word arenas: id -> line address, 8 B/unique; an
                   open-addressing table at most half full, 16-32 B/unique
-     slot state   i32 slot -> id map, ~8 B/unique at ~2 N' slots;
+     slot state   i32 slot -> id map, ~6 B/unique at ~1.5 N' slots;
                   i32 id -> slot map, 4 B/unique;
-                  alive mask, base address and bit-planes,
-                  8 B per 62 slots each
+                  alive mask and bit-planes, 8 B per 62 slots each
      tallies      word arenas, grown geometrically off-heap
 
    One driver, the stream ([stream_add]), interns each address as it
@@ -16,11 +15,13 @@
    holds O(N') state and never a per-reference array. Its slot state and
    tallies grow as it goes.
 
-   The conflict-count step, the kernel's whole cost on most traces, is
-   one C function ([count_conflicts], arena_kernel_stubs.c): a
-   [@@noalloc] external with untagged int arguments, so each level costs
-   one hardware popcount and a call costs no runtime transition. Slots,
-   placement, compaction and tallies stay here.
+   The per-slot work is C (arena_kernel_stubs.c), in [@@noalloc]
+   externals with untagged int arguments, so a call costs no runtime
+   transition: the warm step ([warm_step]: the conflict count, the
+   kernel's whole cost on most traces, with each level one hardware
+   popcount, then its recording and the kill), the placement of a slot
+   ([place_bits]) and compaction ([compact_words]). The interner, the
+   growth of every arena and the compaction policy stay here.
 
    Outputs are bit-identical to the materialized oracle: identical
    first-occurrence id assignment, identical histogram growth/trim
@@ -43,7 +44,7 @@ let word_set (a : Arena.word) i (v : int) = Bigarray.Array1.unsafe_set a i v [@@
 (* -- the interner ---------------------------------------------------- *)
 
 (* ids are narrowed to int32, and so are the kernel's slot indices,
-   which reach about 2 N' x 64/62 (see [words_for]). Any trace
+   which reach about 1.5 N' x 64/62 (see [words_for]). Any trace
    with this many distinct lines is far past what the daemon admits, but
    the guard turns silent truncation into a typed refusal. *)
 let max_uniques = 1_000_000_000
@@ -166,28 +167,25 @@ let interner_stats it =
    simple. Slot [s] lives in word [s lsr 6] at bit [s land 63]; bits 62
    and 63 are skipped, so finding a slot is a shift and a mask.
 
-   Word [w] owns [stride] consecutive entries of [bits]: the alive mask,
-   one bit-plane per address bit [0 .. planes-1], and the word's base
-   address [c], the address of its slot 0. Bit [b] of plane [l] is bit
-   [l] of [a xor c] for the address [a] in the word's slot [b]. The
-   planes are the paper's zero/one sets restricted to 62 slots, relative
-   to [c]: XOR with [c] keeps agreement on every bit, and neighbouring
-   slots usually share high bits, so placing a line sets fewer of them.
-   The conflicts that share [u]'s depth-[2^l] row are the alive slots
-   where planes [0 .. l-1] agree with [u]'s address xor [c]: one AND per
-   plane and one popcount per level.
+   Word [w] owns [stride st] = [planes] + 1 consecutive entries of [bits]:
+   the alive mask, then one bit-plane per address bit [0 .. planes-1].
+   Bit [b] of plane [l] is bit [l] of the address in the word's slot
+   [b]: the paper's zero/one sets restricted to 62 slots. The conflicts
+   that share [u]'s depth-[2^l] row are the alive slots where planes
+   [0 .. l-1] agree with [u]'s address, and agreement on bit [l] is
+   equality with one constant per reference, [-((au lsr l) land 1)]:
+   one AND per plane and one popcount per level.
 
    Dead slots are not reused; [compact] squeezes them out in order. The
    state grows in three ways: [slot_of] doubles when an id outgrows it,
-   a compaction widens the capacity to about 2 N', and [add_planes]
+   a compaction widens the capacity to about 1.5 N', and [add_planes]
    appends planes when the widest address gains a bit. *)
 type slots = {
   mutable id_of : Arena.i32;  (* slot -> id, meaningful for alive slots *)
   mutable slot_of : Arena.i32;  (* id -> last-access slot *)
   mutable bits : Arena.word;
   mutable planes : int;
-  mutable stride : int;
-  mutable words : int;  (* capacity, in words: about 2 N' slots, always above N' *)
+  mutable words : int;  (* capacity, in words: about 1.5 N' slots, always above N' *)
   mutable next_slot : int;
   mutable first_dead : int;  (* lowest word holding a dead slot; [words] if none *)
   mutable dead_scanned : int;  (* all-dead words scanned since the last compaction *)
@@ -195,22 +193,12 @@ type slots = {
 
 let slots_per_word = 62
 
+let stride st = st.planes + 1 [@@inline]
+
 let succ_slot s =
   let s = s + 1 in
   if s land 63 = slots_per_word then s + 2 else s
 [@@inline]
-
-(* [log2_of_pow2.[(2^l * debruijn) lsr 57]] is [l] for [l < 62]: the
-   top six bits of the 63-bit product are a window of the de Bruijn
-   sequence [debruijn], and its windows all differ. *)
-let debruijn = 0x03f79d71b4cb0a89
-
-let log2_of_pow2 =
-  let t = Bytes.make 64 '\000' in
-  for l = 0 to 61 do
-    Bytes.set t (((1 lsl l) * debruijn) lsr 57) (Char.chr l)
-  done;
-  Bytes.unsafe_to_string t
 
 (* One plane per address bit, up to [max_level]: level [max_level] is
    recorded and the count stops there. The top plane never narrows a
@@ -218,24 +206,26 @@ let log2_of_pow2 =
    lower bit differ there), but the stream keeps it: then every address
    seen lies below 2^planes when planes are not capped, so a plane
    added for a new top bit is zero in every live slot.
-   Capacity is about 2 N' slots, so a compaction that moves every alive
-   slot comes at most once per N' references, but never fewer than
-   [min_words] words: a trace over a few dozen lines would otherwise
-   compact every few dozen references. *)
+   Capacity is about 1.5 N' slots, so a compaction that moves every
+   alive slot comes at most once per N'/2 references, but never fewer
+   than [min_words] words: a trace over a few dozen lines would
+   otherwise compact every few dozen references. A compaction moves a
+   word's slots with a few dozen word operations per plane, so the
+   smaller capacity scans less and costs little more in compaction
+   (measured 1.5 against 2 N' in DESIGN.md section 6). *)
 let min_words = 16
 
 let planes_for ~max_level ~address_bits = min max_level address_bits
 
-let words_for n_unique = max min_words (((2 * n_unique) + slots_per_word - 1) / slots_per_word)
+let words_for n_unique = max min_words (((3 * n_unique / 2) + slots_per_word - 1) / slots_per_word)
 
 let slots_create ~n_unique ~planes =
   let words = words_for n_unique in
   {
     id_of = Arena.i32_create (words * 64);
     slot_of = Arena.i32_create n_unique;
-    bits = Arena.word_create (words * (planes + 2));
+    bits = Arena.word_create (words * (planes + 1));
     planes;
-    stride = planes + 2;
     words;
     next_slot = 0;
     first_dead = words;
@@ -248,93 +238,73 @@ let words_used st = (st.next_slot + 63) lsr 6
 
 (* Re-lay [bits] with [planes] planes per word: the alive masks and the
    existing planes move over, the new planes stay zero, and nothing is
-   recounted. *)
+   recounted. Zero is right for every live slot: planes are added only
+   while they span the widest address, so every address seen lies below
+   the old 2^planes. *)
 let add_planes st planes =
-  let stride = planes + 2 in
+  let old = stride st and stride = planes + 1 in
   let bits = Arena.word_create (st.words * stride) in
   for w = 0 to words_used st - 1 do
-    let src = w * st.stride and dst = w * stride in
+    let src = w * old and dst = w * stride in
     for i = 0 to st.planes do
       word_set bits (dst + i) (word_get st.bits (src + i))
-    done;
-    word_set bits (dst + stride - 1) (word_get st.bits (src + st.stride - 1))
+    done
   done;
   st.bits <- bits;
-  st.planes <- planes;
-  st.stride <- stride
+  st.planes <- planes
 
-(* Mark [slot] alive and OR the one-bits of address [a] xor the word's
-   base into its planes, which are clear: a slot is written once between
-   zeroings, and slot 0 of a word, written first, sets the base. The
-   loop visits only the one-bits, each located by [log2_of_pow2]. *)
-let set_slot_bits st slot a =
-  let bits = st.bits in
-  let base = (slot lsr 6) * st.stride in
-  let bit = 1 lsl (slot land 63) in
-  word_set bits base (word_get bits base lor bit);
-  let word_base = base + 1 + st.planes in
-  if bit = 1 then word_set bits word_base a;
-  let a = ref ((a lxor word_get bits word_base) land ((1 lsl st.planes) - 1)) in
-  while !a <> 0 do
-    let low = !a land - !a in
-    let at = base + 1 + Char.code (String.unsafe_get log2_of_pow2 ((low * debruijn) lsr 57)) in
-    word_set bits at (word_get bits at lor bit);
-    a := !a lxor low
-  done
+(* Mark [slot] alive and OR the one-bits of address [a] below [planes]
+   into its planes, which are clear: a slot is written once between
+   zeroings. A C function (arena_kernel_stubs.c) that visits only the
+   one-bits. *)
+external place_bits :
+  Arena.word -> (int[@untagged]) -> (int[@untagged]) -> (int[@untagged]) -> unit
+  = "dse_place_byte" "dse_place"
+[@@noalloc]
 
 let place st uniques u =
   let slot = st.next_slot in
-  set_slot_bits st slot (word_get uniques u);
+  place_bits st.bits st.planes slot (word_get uniques u);
   i32_set st.id_of slot u;
   i32_set st.slot_of u slot;
   st.next_slot <- succ_slot slot
 
-let kill st slot =
-  let w = slot lsr 6 in
-  let base = w * st.stride in
-  word_set st.bits base (word_get st.bits base land lnot (1 lsl (slot land 63)));
-  if w < st.first_dead then st.first_dead <- w
+(* [compact_words bits planes id_of slot_of from stop] squeezes the dead
+   slots of words [from .. stop - 1] out, in order, from slot
+   [from * 64]: each word's alive mask and planes are compressed by its
+   alive mask and deposited at the next free slot, split across the
+   62-slot boundary when they straddle it, and the moved slots' [id_of]
+   and [slot_of] entries follow. The words past the last one written
+   are left zero. Returns the next free slot. One C function
+   (arena_kernel_stubs.c), which allocates nothing. *)
+external compact_words :
+  Arena.word ->
+  (int[@untagged]) ->
+  Arena.i32 ->
+  Arena.i32 ->
+  (int[@untagged]) ->
+  (int[@untagged]) ->
+  (int[@untagged]) = "dse_compact_byte" "dse_compact"
+[@@noalloc]
 
 (* Squeeze the dead slots out, preserving order, from the first word
-   that holds one, so a long-lived prefix never moves; the moved slots'
-   bits are rebuilt from their addresses. First the capacity widens to
-   about 2 [n_unique] slots if it is below that. Plain loops over the
-   arenas, with no sub-array proxy and no closure, so a compaction that
-   does not widen allocates nothing. *)
-let compact st uniques ~n_unique =
+   that holds one, so a long-lived prefix never moves. First the
+   capacity widens to about 1.5 [n_unique] slots if it is below that. A
+   compaction that does not widen allocates nothing. *)
+let compact st ~n_unique =
   let target = words_for n_unique in
   if target > st.words then begin
     let used = words_used st in
     st.id_of <- Arena.i32_grow st.id_of ~len:(used * 64) ~capacity:(target * 64);
-    st.bits <- Arena.word_grow st.bits ~len:(used * st.stride) ~capacity:(target * st.stride);
+    st.bits <- Arena.word_grow st.bits ~len:(used * stride st) ~capacity:(target * stride st);
     st.words <- target
   end;
-  let from = min st.first_dead (st.next_slot lsr 6) and stop = words_used st in
-  let dst = ref (from * 64) in
-  for w = from to stop - 1 do
-    let alive = word_get st.bits (w * st.stride) in
-    for b = 0 to slots_per_word - 1 do
-      if (alive lsr b) land 1 = 1 then begin
-        i32_set st.id_of !dst (i32_get st.id_of ((w * 64) + b));
-        dst := succ_slot !dst
-      end
-    done
-  done;
-  for i = from * st.stride to (stop * st.stride) - 1 do
-    word_set st.bits i 0
-  done;
-  let slot = ref (from * 64) in
-  while !slot < !dst do
-    let u = i32_get st.id_of !slot in
-    set_slot_bits st !slot (word_get uniques u);
-    i32_set st.slot_of u !slot;
-    slot := succ_slot !slot
-  done;
-  st.next_slot <- !dst;
+  let from = min st.first_dead (st.next_slot lsr 6) in
+  st.next_slot <- compact_words st.bits st.planes st.id_of st.slot_of from (words_used st);
   st.first_dead <- st.words;
   st.dead_scanned <- 0;
   (* every arena access is unchecked, so check the capacity here, once
-     per compaction: [words_for] leaves about N' free slots *)
+     per compaction: [words_for] leaves about N'/2 free slots *)
   if st.next_slot >= st.words * 64 then failwith "Arena_kernel.compact: slot capacity below N'"
 
 (* Two rules keep scans short. A full slot array must compact. So must a
@@ -347,13 +317,12 @@ let needs_compaction st = st.next_slot = st.words * 64 || st.dead_scanned > word
    [depth_count]: level [l] gets the alive slots after [p] whose
    addresses agree with [au] on bits [0 .. l-1], the conflicts that
    share [u]'s depth-[2^l] row. Each word stops at the first level with
-   no such slot, and at [planes]. One C function (arena_kernel_stubs.c)
-   so that each level costs one hardware popcount; it returns
-   [dead * 64 + (top + 1)], with [top] the deepest level counted (-1
-   for an empty conflict set) and [dead] the all-dead words scanned. *)
+   no such slot, and at [planes]. It returns [dead * 64 + (top + 1)],
+   with [top] the deepest level counted (-1 for an empty conflict set)
+   and [dead] the all-dead words scanned. The count of [warm_step]
+   alone, kept for its property test. *)
 external count_conflicts :
   Arena.word ->
-  (int[@untagged]) ->
   (int[@untagged]) ->
   (int[@untagged]) ->
   (int[@untagged]) ->
@@ -364,11 +333,11 @@ external count_conflicts :
 
 (* Growable per-level histograms in word arenas; growth and trim match
    [Dfs_optimizer] exactly so kernel and oracle stay bit-identical.
-   [max_c] is on-heap control state (levels+1 small ints), not data.
-   [add_levels] appends empty levels as a stream's planes grow. *)
+   [max_c.{l}] is the largest count level [l] has recorded. [add_levels]
+   appends empty levels as a stream's planes grow. *)
 type tally = {
   mutable hists : Arena.word array;
-  mutable max_c : int array;
+  mutable max_c : Arena.word;
   mutable depth_count : Arena.word;  (* zero between steps *)
   mutable max_level : int;
 }
@@ -377,7 +346,7 @@ let tally_create max_level =
   if max_level < 0 then invalid_arg "Arena_kernel: negative max_level";
   {
     hists = Array.init (max_level + 1) (fun _ -> Arena.word_create 1);
-    max_c = Array.make (max_level + 1) 0;
+    max_c = Arena.word_create (max_level + 1);
     depth_count = Arena.word_create (max_level + 1);
     max_level;
   }
@@ -390,12 +359,33 @@ let add_levels t max_level =
   if max_level >= have then begin
     t.hists <-
       Array.init (max_level + 1) (fun l -> if l < have then t.hists.(l) else Arena.word_create 1);
-    t.max_c <- Array.init (max_level + 1) (fun l -> if l < have then t.max_c.(l) else 0)
+    t.max_c <- Arena.word_grow t.max_c ~len:have ~capacity:(max_level + 1)
   end;
   if max_level >= Arena.word_length t.depth_count then
     t.depth_count <- Arena.word_grow t.depth_count ~len:(old + 1) ~capacity:(max_level + 1);
   t.max_level <- max_level
 
+(* [warm_step bits planes au p next_slot depth_count hists max_c] is the
+   whole step of a warm occurrence in one C call: [count_conflicts],
+   then levels [0 .. top] recorded into [hists] and [max_c] and cleared
+   from [depth_count], then slot [p] killed. A count past its level
+   arena's length stops the recording at that level. It returns
+   [dead * 4096 + pending * 64 + (top + 1)], with [pending] the first
+   level left unrecorded ([top + 1] when none is). *)
+external warm_step :
+  Arena.word ->
+  (int[@untagged]) ->
+  (int[@untagged]) ->
+  (int[@untagged]) ->
+  (int[@untagged]) ->
+  Arena.word ->
+  Arena.word array ->
+  Arena.word ->
+  (int[@untagged]) = "dse_warm_step_byte" "dse_warm_step"
+[@@noalloc]
+
+(* The recording [warm_step] leaves to OCaml: one occurrence of count
+   [c] at [level], growing the level's arena first. *)
 let record t level c =
   let h = t.hists.(level) in
   let h =
@@ -410,16 +400,17 @@ let record t level c =
     else h
   in
   word_set h c (word_get h c + 1);
-  if c > t.max_c.(level) then t.max_c.(level) <- c
+  if c > word_get t.max_c level then word_set t.max_c level c
 
-(* Record levels [0 .. top] of [depth_count] and clear them. The level
-   counts are nonincreasing in l, so every level up to [top] records a
-   nonzero count: the same (level, count) pairs as a suffix sum over the
-   conflicts' shared levels. Kept out of [step] so that its body has no
-   loop and it inlines (without flambda, a loop stops inlining). *)
-let record_levels t top =
+(* Record levels [pending .. top] of [depth_count] and clear them. The
+   level counts are nonincreasing in l, so every level up to [top]
+   records a nonzero count: the same (level, count) pairs as a suffix
+   sum over the conflicts' shared levels. Kept out of [step] so that its
+   body has no loop and it inlines (without flambda, a loop stops
+   inlining). *)
+let record_levels t pending top =
   let depth_count = t.depth_count in
-  for l = 0 to top do
+  for l = pending to top do
     record t l (word_get depth_count l);
     word_set depth_count l 0
   done
@@ -428,22 +419,24 @@ let record_levels t top =
    [seen] is the count of distinct ids met before it. No membership set
    is needed: ids are assigned in first-occurrence order, so the
    reference is warm exactly when [u < seen] (and cold when [u = seen]).
-   A warm one records its conflict counts and kills its old slot; either
-   way it takes the next slot, after a compaction if one is due. *)
+   A warm one records its conflict counts and kills its old slot, in one
+   C call unless a count outgrows its level's arena; either way it takes
+   the next slot, after a compaction if one is due. *)
 let step st t uniques ~seen u =
   if u < seen then begin
     let p = i32_get st.slot_of u in
     let r =
-      count_conflicts st.bits st.stride st.planes (word_get uniques u) p st.next_slot
-        t.depth_count
+      warm_step st.bits st.planes (word_get uniques u) p st.next_slot t.depth_count t.hists
+        t.max_c
     in
-    st.dead_scanned <- st.dead_scanned + (r lsr 6);
-    record_levels t ((r land 63) - 1);
-    kill st p
+    st.dead_scanned <- st.dead_scanned + (r lsr 12);
+    let top = (r land 63) - 1 and pending = (r lsr 6) land 63 in
+    if pending <= top then record_levels t pending top;
+    if p lsr 6 < st.first_dead then st.first_dead <- p lsr 6
   end
   else if u = Bigarray.Array1.dim st.slot_of then
     st.slot_of <- Arena.i32_grow st.slot_of ~len:u ~capacity:(2 * u);
-  if needs_compaction st then compact st uniques ~n_unique:(max seen (u + 1));
+  if needs_compaction st then compact st ~n_unique:(max seen (u + 1));
   place st uniques u
 [@@inline]
 
@@ -502,7 +495,7 @@ let stream_histograms s =
   let t = s.tally in
   Array.init
     (planes_for ~max_level:s.cap ~address_bits:s.bits + 1)
-    (fun l -> Array.init (t.max_c.(l) + 1) (Arena.word_get t.hists.(l)))
+    (fun l -> Array.init (word_get t.max_c l + 1) (Arena.word_get t.hists.(l)))
 
 (* Empty every table in place for the next trace. The arenas keep their
    sizes, and so do the planes and tally levels (up to the new cap): a
@@ -522,7 +515,7 @@ let stream_reset ?max_level s =
     done;
     word_set it.table !slot 0
   done;
-  for i = 0 to (words_used st * st.stride) - 1 do
+  for i = 0 to (words_used st * stride st) - 1 do
     word_set st.bits i 0
   done;
   it.count <- 0;
@@ -533,18 +526,17 @@ let stream_reset ?max_level s =
   (* as many planes as a fresh stream starts with, at least *)
   let planes = max (planes_for ~max_level:cap ~address_bits:1) (min st.planes cap) in
   st.planes <- planes;
-  st.stride <- planes + 2;
-  st.words <- min (Arena.i32_length st.id_of / 64) (Arena.word_length st.bits / st.stride);
+  st.words <- min (Arena.i32_length st.id_of / 64) (Arena.word_length st.bits / stride st);
   st.next_slot <- 0;
   st.first_dead <- st.words;
   st.dead_scanned <- 0;
   Array.iteri
     (fun l h ->
-      for c = 0 to t.max_c.(l) do
+      for c = 0 to word_get t.max_c l do
         word_set h c 0
       done)
     t.hists;
-  Array.fill t.max_c 0 (Array.length t.max_c) 0;
+  Bigarray.Array1.fill t.max_c 0;
   Bigarray.Array1.fill t.depth_count 0;
   if planes > t.max_level then add_levels t planes else t.max_level <- planes;
   s.cap <- cap;
@@ -565,5 +557,5 @@ let stream_bytes s =
   let bytes = Bigarray.Array1.size_in_bytes in
   let it = s.interner and st = s.slots and t = s.tally in
   bytes it.uniques + bytes it.table + bytes st.id_of + bytes st.slot_of + bytes st.bits
-  + bytes t.depth_count
+  + bytes t.max_c + bytes t.depth_count
   + Array.fold_left (fun acc h -> acc + bytes h) 0 t.hists

@@ -177,14 +177,15 @@ let fingerprinter_finish b ~len = fingerprint_finish (Bytes.get_int64_le b 0) ~l
         32 B/unique, plus the old tables of earlier rehashes;
     12  the id -> slot map, 4 B/unique, doubled when full, with its old
         copies;
-    17  the slot -> id map over ~2 N' x 64/62 slots, with the copy a
+    13  the slot -> id map over ~1.5 N' x 64/62 slots, with the copy a
         compaction's widening leaves;
-    33  the alive masks, base addresses and up to 62 bit-planes: 8 B
-        per 62 slots each, with their widening copy.
+    25  the alive masks and up to 62 bit-planes: 8 B per 62 slots
+        each, with their widening copy.
    Tallies are O(levels x largest count), nothing on an all-unique
-   trace. That sums to ~144 B/ref. Measured (release build, one-worker
-   [dse serve], daemon VmHWM growth for one submit of 2^18+1 to 2^20+1
-   all-unique references): 99-133 B/ref at 30-bit addresses, 147-157
+   trace. That sums to ~132 B/ref. Measured with the earlier ~2 N'
+   slots and a base-address word per slot word (~144 B/ref by the same
+   sum; release build, one-worker [dse serve], daemon VmHWM growth for
+   one submit of 2^18+1 to 2^20+1 all-unique references): 99-133 B/ref at 30-bit addresses, 147-157
    B/ref at 52- and 60-bit ones, the spread being when the GC frees old
    arenas. 192 per reference bounds that with a fifth to spare; the
    128 KiB floor is a fresh stream's initial tables.

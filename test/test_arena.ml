@@ -267,7 +267,7 @@ let gen_step_address =
 
 type step_case = {
   planes : int;
-  bits : int array;  (* per word: alive mask, [planes] planes, base address *)
+  bits : int array;  (* per word: alive mask, then [planes] planes *)
   au : int;
   p : int;
   next_slot : int;
@@ -279,11 +279,11 @@ let print_step_case c =
   Printf.sprintf "planes %d au 0x%x p %d next_slot %d depth [%s] bits [%s]" c.planes c.au c.p
     c.next_slot (ints c.depth) (ints c.bits)
 
-(* Random slot words: all-dead, all-alive and random alive masks; base
-   addresses equal to [au] or random, bit 61 often set; plane [l] agrees
-   with bit [l] of [au] xor the base on every slot, in half the words
-   but for sparse or random noise, so counts run from level 0 to
-   [planes]. [planes] runs from 0 through the eight levels the step
+(* Random slot words: all-dead, all-alive and random alive masks; each
+   word's slots hold [au] or one random address, bit 61 often set, so
+   plane [l] holds bit [l] of it on every slot but for sparse or random
+   noise in half the words, and counts run from level 0 to [planes].
+   [planes] runs from 0 through the eight levels the step
    counts without a branch to the widest address; a long run of words
    fills its queue of words still counting past those eight levels.
    [p] sits at bit 0, bit 61 or anywhere in its word, and [next_slot] is
@@ -295,8 +295,7 @@ let gen_step_case =
     let* au = gen_step_address in
     let gen_word =
       let* alive = frequency [ (2, return 0); (1, return mask62); (4, gen_word62) ] in
-      let* base = oneof [ return au; gen_step_address ] in
-      let x = au lxor base in
+      let* x = oneof [ return au; gen_step_address ] in
       let sparse = map3 (fun a b c -> a land b land c) gen_word62 gen_word62 gen_word62 in
       let* noise =
         oneofl [ return 0; frequency [ (4, return 0); (3, sparse); (1, gen_word62) ] ]
@@ -307,7 +306,7 @@ let gen_step_case =
                let agree = if (x lsr l) land 1 = 1 then mask62 else 0 in
                map (fun noise -> agree lxor noise) noise))
       in
-      return ((alive :: planes_l) @ [ base ])
+      return (alive :: planes_l)
     in
     let* per_word = list_repeat words gen_word in
     let* first = oneof [ return 0; int_bound (words - 1) ] in
@@ -335,13 +334,121 @@ let prop_step_equals_oracle =
   QCheck_alcotest.to_alcotest
     (QCheck2.Test.make ~count:2000 ~name:"C count_conflicts = OCaml oracle step"
        ~print:print_step_case gen_step_case (fun c ->
-         let stride = c.planes + 2 and bits = word_arena c.bits in
+         let bits = word_arena c.bits in
          let depth_c = word_arena c.depth and depth_o = word_arena c.depth in
-         let r_c =
-           Arena_kernel.count_conflicts bits stride c.planes c.au c.p c.next_slot depth_c
-         in
-         let r_o = Oracle.count_conflicts bits stride c.planes c.au c.p c.next_slot depth_o in
+         let r_c = Arena_kernel.count_conflicts bits c.planes c.au c.p c.next_slot depth_c in
+         let r_o = Oracle.count_conflicts bits c.planes c.au c.p c.next_slot depth_o in
          r_c = r_o && depth_c = depth_o))
+
+(* -- compaction: C against the OCaml oracle that rebuilds the slots -- *)
+
+type compact_case = {
+  c_planes : int;
+  addresses : int array;  (* id -> address *)
+  masks : int array;  (* per word: the alive mask *)
+  ids : int array;  (* slot -> id, [64 * words] entries; dead slots' ids are stale *)
+  noise : int array;  (* per word and plane: stale bits under the dead slots *)
+  from : int;
+}
+
+let print_compact_case c =
+  let ints a = String.concat ";" (Array.to_list (Array.map (Printf.sprintf "0x%x") a)) in
+  Printf.sprintf "planes %d from %d masks [%s] addresses [%s] ids [%s]" c.c_planes c.from
+    (ints c.masks) (ints c.addresses) (ints c.ids)
+
+(* A slot state as a stream leaves it: words of all-dead, full, sparse
+   and random alive masks, the last one often cut at [next_slot]
+   mid-word; each alive slot holds a distinct id, whose address's low
+   bits are its planes; dead slots keep stale ids and plane bits.
+   [from] is the first word holding a dead slot or any word below it,
+   so the first destination is mid-word or at a word start, and word
+   runs whose alive counts do not fit the slots left make the moved
+   slots straddle word boundaries. *)
+let gen_compact_case =
+  QCheck2.Gen.(
+    let* c_planes = oneofl [ 0; 1; 8; 61 ] in
+    let* words = frequency [ (3, int_range 1 4); (1, int_range 5 40) ] in
+    let sparse = map3 (fun a b c -> a land b land c) gen_word62 gen_word62 gen_word62 in
+    let* masks =
+      array_repeat words
+        (frequency
+           [ (2, return 0); (2, return mask62); (2, map (fun x -> mask62 land lnot x) sparse);
+             (2, sparse); (3, gen_word62) ])
+    in
+    let* cut = oneof [ return 62; int_range 1 61 ] in
+    let masks =
+      Array.mapi (fun w m -> if w = words - 1 then m land ((1 lsl cut) - 1) else m) masks
+    in
+    let n = Array.fold_left (fun n m -> n + Oracle.popcount m) 0 masks in
+    let* order = shuffle_a (Array.init n Fun.id) in
+    let* addresses = array_repeat n gen_step_address in
+    let* stale = array_repeat (64 * words) (int_bound (max 0 (n - 1))) in
+    let next = ref 0 in
+    let ids =
+      Array.init (64 * words) (fun s ->
+          if (masks.(s lsr 6) lsr (s land 63)) land 1 = 1 then begin
+            incr next;
+            order.(!next - 1)
+          end
+          else stale.(s))
+    in
+    let* noise = array_repeat (words * c_planes) gen_word62 in
+    (* the kernel starts at the first word with a dead slot or the word
+       of [next_slot], whichever is lower: the first word not full *)
+    let first_dead =
+      let rec scan w = if w = words || masks.(w) <> mask62 then w else scan (w + 1) in
+      scan 0
+    in
+    let* from = oneof [ return first_dead; int_bound first_dead ] in
+    return { c_planes; addresses; masks; ids; noise; from })
+
+(* The slot arenas of case [c]: planes from the alive slots' addresses,
+   stale noise under the dead ones *)
+let compact_arenas c =
+  let words = Array.length c.masks and stride = c.c_planes + 1 in
+  let bits = Arena.word_create (words * stride) in
+  let id_of = Arena.i32_create (64 * words) in
+  let slot_of = Arena.i32_create (Array.length c.addresses) in
+  Array.iteri
+    (fun w alive ->
+      Arena.word_set bits (w * stride) alive;
+      for l = 0 to c.c_planes - 1 do
+        let plane = ref (c.noise.((w * c.c_planes) + l) land lnot alive) in
+        for b = 0 to 61 do
+          let s = (w * 64) + b in
+          if (alive lsr b) land 1 = 1 && (c.addresses.(c.ids.(s)) lsr l) land 1 = 1 then
+            plane := !plane lor (1 lsl b)
+        done;
+        Arena.word_set bits ((w * stride) + 1 + l) !plane
+      done)
+    c.masks;
+  Array.iteri
+    (fun s u ->
+      Arena.i32_set id_of s u;
+      if (c.masks.(s lsr 6) lsr (s land 63)) land 1 = 1 then Arena.i32_set slot_of u s)
+    c.ids;
+  (bits, id_of, slot_of)
+
+let prop_compact_equals_oracle =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:1000 ~name:"C compact_words = OCaml rebuild from addresses"
+       ~print:print_compact_case gen_compact_case (fun c ->
+         let stop = Array.length c.masks in
+         let bits_c, id_of_c, slot_of_c = compact_arenas c in
+         let bits_o, id_of_o, slot_of_o = compact_arenas c in
+         let next_c =
+           Arena_kernel.compact_words bits_c c.c_planes id_of_c slot_of_c c.from stop
+         in
+         let next_o =
+           Oracle.compact_words ~address:(Array.get c.addresses) bits_o c.c_planes id_of_o
+             slot_of_o c.from stop
+         in
+         let ids_agree = ref true in
+         for s = 0 to next_o - 1 do
+           if s land 63 < 62 && Arena.i32_get id_of_c s <> Arena.i32_get id_of_o s then
+             ids_agree := false
+         done;
+         next_c = next_o && !ids_agree && slot_of_c = slot_of_o && bits_c = bits_o))
 
 (* On a loop nest over 48 lines the kernel compacts about once per 944
    references, so an allocation per compaction (or per reference) would
@@ -552,6 +659,21 @@ let test_stream_edges () =
   Alcotest.check_raises "bad line_words"
     (Invalid_argument "Arena_kernel.stream_create: line_words must be a positive power of two")
     (fun () -> ignore (Arena_kernel.stream_create ~line_words:3 ()))
+
+(* The first warm reference after 5000 cold lines conflicts with 4999
+   lines at level 0, about half as many at level 1, and so on: a count
+   past its level's one-cell arena at a dozen levels at once, which the
+   C step leaves to the OCaml fallback to grow and record. *)
+let test_stream_growth_fallback () =
+  let addrs = Array.append (Array.init 5000 scatter) [| scatter 0 |] in
+  List.iter
+    (fun cap ->
+      check_bool "stream = oracle" true (stream_equals_oracle ~line_words:1 ~cap addrs))
+    [ Unset; Zero; Below; Above ];
+  let _, hists = streamed ~line_words:1 addrs in
+  check_bool "level 0 holds the count 4999" true (hists.(0).(4999) = 1);
+  check_bool "a dozen levels record a count past one" true
+    (List.length (List.filter (fun h -> Array.length h > 2) (Array.to_list hists)) >= 12)
 
 (* The streaming twin of "minor words flat in N": the stream compacts
    about once per 944 references of a loop over 48 lines, and interning
@@ -776,7 +898,7 @@ let suites =
         prop_slots_word_boundary;
         Alcotest.test_case "dead-slot adversary" `Quick test_slots_dead_slot_adversary;
       ] );
-    ("arena-step", [ prop_step_equals_oracle ]);
+    ("arena-step", [ prop_step_equals_oracle; prop_compact_equals_oracle ]);
     ( "arena-stream",
       [
         prop_stream_equals_oracle;
@@ -784,6 +906,8 @@ let suites =
         prop_stream_bytes_counts_every_arena;
         Alcotest.test_case "reset after a level-0 cap" `Quick test_stream_reset_after_level_zero;
         Alcotest.test_case "edges: empty, all cold, widest address" `Quick test_stream_edges;
+        Alcotest.test_case "growth fallback: many level arenas outgrown at once" `Quick
+          test_stream_growth_fallback;
         Alcotest.test_case "minor words flat in N" `Quick test_stream_minor_words_flat;
         Alcotest.test_case "file damage: stream = materialised" `Quick test_stream_file_damage;
       ] );
